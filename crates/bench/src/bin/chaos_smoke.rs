@@ -65,7 +65,6 @@ fn run_once(tag: &str) -> ChaosReport {
     let shard_cfg = ShardConfig {
         engine: EngineConfig {
             max_batch: 8,
-            max_wait: Duration::from_micros(200),
             ..EngineConfig::default()
         },
         ..ShardConfig::default()

@@ -56,7 +56,6 @@ fn main() {
     let shard_cfg = ShardConfig {
         engine: EngineConfig {
             max_batch: 4,
-            max_wait: Duration::from_micros(200),
             queue_cap: THREADS * 4,
             service_delay: Duration::from_millis(1),
             compute_slots: Some(1),

@@ -197,7 +197,6 @@ fn run_arm(breakers: bool, sick: usize, killed: usize) -> ChaosArm {
     let shard_cfg = ShardConfig {
         engine: EngineConfig {
             max_batch: 8,
-            max_wait: Duration::from_micros(200),
             ..EngineConfig::default()
         },
         ..ShardConfig::default()

@@ -223,7 +223,6 @@ fn shard_config(connections: usize) -> ShardConfig {
             // One request per pass: throughput is then slots/delay per
             // shard and the sweep measures shard count, not batching.
             max_batch: 1,
-            max_wait: Duration::ZERO,
             // The whole closed loop can park on one shard's lanes
             // without tripping admission control.
             queue_cap: connections * 2,

@@ -6,15 +6,16 @@
 //! model registry), aims a closed loop of persistent-connection clients
 //! at a single variant, and records per-request latency client-side.
 //! Percentiles are exact (sorted sample, not a sketch), shed counts come
-//! from the engine's own counters, and the first response of every cell
-//! is checked bit-for-bit against direct [`FrozenMlp::evaluate`] — a
-//! load test that silently served garbage would be worse than none.
+//! from the engine's own counters, and every cell opens with an untimed
+//! probe checked bit-for-bit against direct [`FrozenMlp::evaluate`] — a
+//! load test that silently served garbage would be worse than none. The
+//! probe is not counted: `completed + shed == requests` in every cell.
 //!
 //! The `serve_load` binary prints the rendered table and writes the
 //! structured cells to `BENCH_serving.json`.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use adaptivfloat::FormatKind;
 use af_models::{FrozenMlp, ModelFamily};
@@ -37,7 +38,7 @@ pub const WIDE_DIMS: [usize; 4] = [256, 512, 512, 128];
 /// Synthesis seed for every served variant (same weights pre-PTQ).
 pub const MODEL_SEED: u64 = 0x5E12_F00D;
 
-/// One measured cell: variant × batching configuration.
+/// One measured cell: variant × batch cap.
 #[derive(Debug, Clone)]
 pub struct ServeCell {
     /// Registry id of the variant driven.
@@ -48,13 +49,11 @@ pub struct ServeCell {
     pub act_format: String,
     /// Batch cap of this configuration.
     pub max_batch: usize,
-    /// Batch-formation wait of this configuration, microseconds.
-    pub max_wait_us: u64,
     /// Concurrent closed-loop connections.
     pub connections: usize,
     /// Requests issued across all connections.
     pub requests: usize,
-    /// Requests answered `200`.
+    /// Timed requests answered `200`.
     pub completed: u64,
     /// Requests shed (`429`).
     pub shed: u64,
@@ -138,7 +137,7 @@ pub struct ReactorBench {
 /// Load-test output: cells, the JSON document, and a rendered table.
 #[derive(Debug, Clone)]
 pub struct Serving {
-    /// One cell per variant × batch configuration.
+    /// One cell per variant × batch cap.
     pub cells: Vec<ServeCell>,
     /// Durable-store restart timing (`None` in `--packed` mode).
     pub store: Option<StoreBench>,
@@ -243,16 +242,27 @@ fn variant_specs(quick: bool) -> Vec<VariantSpec> {
     specs
 }
 
-fn batch_configs(quick: bool) -> Vec<(usize, Duration)> {
+fn batch_configs(quick: bool) -> Vec<usize> {
     if quick {
-        vec![(1, Duration::ZERO), (8, Duration::from_millis(1))]
+        vec![1, 8]
     } else {
-        vec![
-            (1, Duration::ZERO),
-            (8, Duration::from_millis(1)),
-            (32, Duration::from_millis(2)),
-        ]
+        vec![1, 8, 32]
     }
+}
+
+/// The untimed bit-identity probe each cell opens with: one served
+/// answer must match direct evaluation bit for bit.
+fn probe(addr: std::net::SocketAddr, variant: &str, reference: &FrozenMlp) {
+    let x = FrozenMlp::synth_inputs(1000, 1, reference.in_dim());
+    let mut client = Client::connect(addr).expect("connect probe client");
+    let got = client.infer(variant, x.row(0)).expect("probe request");
+    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+    let want: Vec<u32> = reference
+        .evaluate(x.row(0))
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    assert_eq!(got, want, "served output must match direct evaluation");
 }
 
 /// Drive one variant through one server configuration; returns
@@ -260,29 +270,15 @@ fn batch_configs(quick: bool) -> Vec<(usize, Duration)> {
 fn drive(
     addr: std::net::SocketAddr,
     variant: &str,
-    reference: &FrozenMlp,
+    in_dim: usize,
     connections: usize,
     per_conn: usize,
 ) -> (Vec<u64>, u64) {
     let handles: Vec<_> = (0..connections)
         .map(|c| {
             let (addr, variant) = (addr, variant.to_string());
-            let in_dim = reference.in_dim();
-            // One bit-identity probe per cell, on the first connection.
-            let expect = if c == 0 {
-                let x = FrozenMlp::synth_inputs(1000, 1, in_dim);
-                Some((x.row(0).to_vec(), reference.evaluate(x.row(0))))
-            } else {
-                None
-            };
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect load client");
-                if let Some((input, want)) = expect {
-                    let got = client.infer(&variant, &input).expect("probe request");
-                    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                    let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(got, want, "served output must match direct evaluation");
-                }
                 let inputs = FrozenMlp::synth_inputs(2000 + c as u64, 16, in_dim);
                 let mut latencies = Vec::with_capacity(per_conn);
                 let mut shed = 0u64;
@@ -520,7 +516,6 @@ pub fn measure_reactor(quick: bool, extra_connections: Option<usize>) -> Reactor
                 Arc::clone(&registry),
                 EngineConfig {
                     max_batch: 32,
-                    max_wait: Duration::from_millis(1),
                     queue_cap: (2 * connections).max(64),
                     ..EngineConfig::default()
                 },
@@ -668,31 +663,36 @@ fn run_with_specs(
     }
 
     let mut cells = Vec::new();
-    for (max_batch, max_wait) in batch_configs(quick) {
+    for max_batch in batch_configs(quick) {
         for spec in &specs {
             let engine = Arc::new(Engine::start(
                 Arc::clone(&registry),
                 EngineConfig {
                     max_batch,
-                    max_wait,
                     ..EngineConfig::default()
                 },
             ));
             let server = Server::bind("127.0.0.1:0", Arc::clone(&engine)).expect("bind server");
             let reference = registry.get(&spec.id).expect("registered variant");
+            probe(server.addr(), &spec.id, &reference.model);
             let t0 = Instant::now();
             let (mut latencies, shed_seen) = drive(
                 server.addr(),
                 &spec.id,
-                &reference.model,
+                reference.model.in_dim(),
                 connections,
                 per_conn,
             );
             let wall = t0.elapsed().as_secs_f64();
             let snap = engine.stats().snapshot();
+            let completed = latencies.len() as u64;
             assert_eq!(snap.shed, shed_seen, "server and client shed counts agree");
+            assert_eq!(
+                snap.completed,
+                completed + 1,
+                "the engine completed the probe plus every timed request"
+            );
             latencies.sort_unstable();
-            // The probe request is counted in `completed` but not timed.
             cells.push(ServeCell {
                 variant: spec.id.clone(),
                 weight_format: reference.model.format_name().to_string(),
@@ -701,12 +701,11 @@ fn run_with_specs(
                     .act_format_name()
                     .unwrap_or_else(|| "-".to_string()),
                 max_batch,
-                max_wait_us: max_wait.as_micros() as u64,
                 connections,
                 requests: connections * per_conn,
-                completed: snap.completed,
+                completed,
                 shed: snap.shed,
-                throughput_rps: snap.completed as f64 / wall.max(1e-9),
+                throughput_rps: completed as f64 / wall.max(1e-9),
                 p50_us: percentile(&latencies, 0.50),
                 p95_us: percentile(&latencies, 0.95),
                 p99_us: percentile(&latencies, 0.99),
@@ -807,14 +806,13 @@ fn render_json(
     for (i, c) in cells.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"variant\": \"{}\", \"weight_format\": \"{}\", \"act_format\": \"{}\", \
-             \"max_batch\": {}, \"max_wait_us\": {}, \"requests\": {}, \"completed\": {}, \
+             \"max_batch\": {}, \"requests\": {}, \"completed\": {}, \
              \"shed\": {}, \"throughput_rps\": {:.1}, \"p50_us\": {}, \"p95_us\": {}, \
              \"p99_us\": {}, \"mean_batch\": {:.3}, \"fused\": {}, \"weight_bytes\": {}}}{}\n",
             c.variant,
             c.weight_format,
             c.act_format,
             c.max_batch,
-            c.max_wait_us,
             c.requests,
             c.completed,
             c.shed,
@@ -836,7 +834,6 @@ fn render_table(cells: &[ServeCell]) -> String {
     let mut t = TextTable::new([
         "variant",
         "batch",
-        "wait_us",
         "rps",
         "p50_us",
         "p95_us",
@@ -850,7 +847,6 @@ fn render_table(cells: &[ServeCell]) -> String {
         t.row([
             c.variant.clone(),
             c.max_batch.to_string(),
-            c.max_wait_us.to_string(),
             format!("{:.0}", c.throughput_rps),
             c.p50_us.to_string(),
             c.p95_us.to_string(),

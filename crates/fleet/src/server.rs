@@ -118,7 +118,7 @@ impl Dispatch for RouterDispatch {
 fn pool_worker(queue: &BatchQueue<PoolJob>, router: &FleetRouter) {
     // Single-item pops: routing is blocking per request, there is no
     // batch to form here (shard engines batch on their own lanes).
-    while let Some(batch) = queue.pop_batch(1, Duration::ZERO) {
+    while let Some(batch) = queue.pop_batch(1) {
         for job in batch {
             let result = match job.deadline {
                 Some(d) => router.infer_deadline(&job.model, job.input.clone(), d),

@@ -4,12 +4,13 @@
 //! Every variant owns a bounded [`BatchQueue`] and one worker thread.
 //! [`Engine::infer`] validates the request against the current registry
 //! snapshot, admits it (or sheds with [`ServeError::Overloaded`]), and
-//! blocks on a reply channel. The worker forms batches under the
-//! `(max_batch, max_wait)` policy, drops requests whose deadline
-//! already passed, re-reads the registry so hot swaps take effect at
-//! batch granularity, and answers each row of one
-//! [`af_models::FrozenMlp::evaluate_batch`] pass — bit-identical to per-sample
-//! evaluation by the invariant pinned in `af-models`.
+//! blocks on a reply channel. The worker forms work-conserving batches
+//! (whatever is queued, up to `max_batch`, the moment the lane is free
+//! to run it), drops requests whose deadline already passed, re-reads
+//! the registry so hot swaps take effect at batch granularity, and
+//! answers each row of one [`af_models::FrozenMlp::evaluate_batch`] pass
+//! — bit-identical to per-sample evaluation by the invariant pinned in
+//! `af-models`.
 //!
 //! The engine is also an **embeddable fleet shard**: lanes can be added
 //! and removed at runtime ([`Engine::ensure_lane`] /
@@ -44,8 +45,6 @@ use crate::sys::Waker;
 pub struct EngineConfig {
     /// Largest batch one evaluate pass may carry.
     pub max_batch: usize,
-    /// How long an open batch waits for company before evaluating.
-    pub max_wait: Duration,
     /// Bounded queue capacity per variant (admission limit).
     pub queue_cap: usize,
     /// Deadline applied to requests that do not carry their own.
@@ -74,7 +73,6 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             max_batch: 16,
-            max_wait: Duration::from_millis(1),
             queue_cap: 256,
             default_deadline: Duration::from_secs(2),
             service_delay: Duration::ZERO,
@@ -685,13 +683,12 @@ impl Engine {
             .map_or("null".to_string(), |s| s.stats_json());
         format!(
             "{{{},\"plans_built\":{},\"plan_cache_hits\":{},\"max_batch\":{},\
-             \"max_wait_us\":{},\"queue_cap\":{},\"compute_slots\":{},\
+             \"queue_cap\":{},\"compute_slots\":{},\
              \"connections\":{},\"store\":{},\"variants\":[{}]}}\n",
             self.stats.snapshot().json_fields(),
             plans_built,
             plan_cache_hits,
             self.cfg.max_batch,
-            self.cfg.max_wait.as_micros(),
             self.cfg.queue_cap,
             self.cfg
                 .compute_slots
@@ -733,8 +730,8 @@ impl Drop for Engine {
     }
 }
 
-/// One lane's worker loop: form a batch, drop the dead, evaluate the
-/// rest as a single pass, fan the rows back out.
+/// One lane's worker loop: take what is queued once a slot is free,
+/// drop the dead, evaluate the rest as a single pass, fan rows back out.
 fn run_lane(
     id: &str,
     queue: &BatchQueue<Job>,
@@ -751,14 +748,14 @@ fn run_lane(
     // scratch).
     let mut flat: Vec<f32> = Vec::new();
     let mut scratch = BatchScratch::new();
-    while let Some(batch) = queue.pop_batch(cfg.max_batch, cfg.max_wait) {
-        if batch.is_empty() {
-            continue;
-        }
+    while queue.wait_ready() {
         // A compute slot covers the whole pass (synthetic service time
-        // included): with `compute_slots` set, at most that many passes
-        // run at once across every lane of this engine.
+        // included) and is taken before the queue is drained, so
+        // requests that arrive while the lane waits for it join the batch.
         let _slot = slots.as_ref().map(Slots::acquire);
+        let Some(batch) = queue.pop_batch(cfg.max_batch) else {
+            break;
+        };
         if cfg.service_delay > Duration::ZERO {
             std::thread::sleep(cfg.service_delay);
         }
@@ -868,7 +865,6 @@ mod tests {
             Arc::clone(&reg),
             EngineConfig {
                 max_batch: 8,
-                max_wait: Duration::from_millis(5),
                 ..EngineConfig::default()
             },
         ));
@@ -927,7 +923,6 @@ mod tests {
             registry(),
             EngineConfig {
                 max_batch: 1,
-                max_wait: Duration::ZERO,
                 queue_cap: 2,
                 service_delay: Duration::from_millis(60),
                 ..EngineConfig::default()
@@ -960,7 +955,6 @@ mod tests {
             registry(),
             EngineConfig {
                 max_batch: 4,
-                max_wait: Duration::ZERO,
                 service_delay: Duration::from_millis(40),
                 ..EngineConfig::default()
             },
@@ -990,7 +984,6 @@ mod tests {
             registry(),
             EngineConfig {
                 max_batch: 1,
-                max_wait: Duration::ZERO,
                 panic_trigger: Some(trigger),
                 ..EngineConfig::default()
             },
@@ -1150,7 +1143,6 @@ mod tests {
             registry(),
             EngineConfig {
                 max_batch: 1,
-                max_wait: Duration::ZERO,
                 service_delay: delay,
                 compute_slots: Some(1),
                 ..EngineConfig::default()
@@ -1178,12 +1170,53 @@ mod tests {
     }
 
     #[test]
+    fn arrivals_during_the_slot_wait_join_one_batch() {
+        // One slot, held by a slow pass on another lane: requests that
+        // trickle in meanwhile must leave in ⌈N/max_batch⌉ passes,
+        // because a lane drains its queue only once it holds the slot
+        // (popping first would fix a batch of one before the wait).
+        let (max_batch, n) = (4, 10);
+        let engine = Engine::start(
+            registry(),
+            EngineConfig {
+                max_batch,
+                service_delay: Duration::from_millis(150),
+                compute_slots: Some(1),
+                ..EngineConfig::default()
+            },
+        );
+        let x = FrozenMlp::synth_inputs(17, n, 12);
+        let deadline = Duration::from_secs(10);
+        let (tx, rx) = mpsc::channel();
+        engine
+            .enqueue("resnet/fp32", x.row(0).to_vec(), deadline, 0, &tx)
+            .unwrap();
+        // The lane pops its request only after taking the slot, so an
+        // empty queue here means the slow pass now holds it.
+        while engine.load() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for i in 0..n {
+            let input = x.row(i).to_vec();
+            engine
+                .enqueue("resnet/adaptivfloat8", input, deadline, 1 + i as u64, &tx)
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        for _ in 0..=n {
+            let (tag, result) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert!(result.is_ok(), "request {tag}: {result:?}");
+        }
+        let passes = engine.stats().snapshot().batches;
+        assert_eq!(passes, 1 + n.div_ceil(max_batch) as u64);
+    }
+
+    #[test]
     fn load_reflects_queued_and_evaluating_work() {
         let engine = Arc::new(Engine::start(
             registry(),
             EngineConfig {
                 max_batch: 1,
-                max_wait: Duration::ZERO,
                 service_delay: Duration::from_millis(80),
                 ..EngineConfig::default()
             },

@@ -10,9 +10,11 @@
 //!    the LUT codebooks (`adaptivfloat::lut::prewarm`), and hands out
 //!    immutable `Arc`-shared snapshots — hot-swapping a variant never
 //!    blocks an in-flight request.
-//! 2. **Dynamic micro-batching** ([`batcher`], [`queue`]) — requests
-//!    accumulate per variant until `max_batch` or a `max_wait` deadline
-//!    fires, then evaluate as one blocked-matmul pass. Invariant:
+//! 2. **Work-conserving micro-batching** ([`batcher`], [`queue`]) — a
+//!    lane evaluates whatever is queued for its variant (up to
+//!    `max_batch`) as one blocked-matmul pass as soon as it is free to
+//!    run it; no timer holds a request back, and batches grow under
+//!    load from requests that arrive during the previous pass. Invariant:
 //!    batched outputs are **bit-identical** to single-request
 //!    evaluation (row-independent ascending-k accumulation; pinned by
 //!    `af-models/tests/frozen_batch.rs` and `tests/serve_e2e.rs`).

@@ -5,13 +5,13 @@
 //! never grows past the configured capacity, so overload turns into an
 //! explicit [`PushError::Full`] (a load-shed response upstream) instead
 //! of unbounded queueing delay. [`BatchQueue::pop_batch`] is the batch
-//! former: it blocks for the first request, then keeps collecting until
-//! either `max_batch` requests are in hand or `max_wait` has elapsed
-//! since the batch opened — the classic latency/throughput dial.
+//! former, and it is work-conserving: it blocks for the first request,
+//! then takes whatever is already queued (up to `max_batch`) and returns
+//! at once. No timer holds a request back for company; batches grow
+//! under load because requests pile up while the previous pass runs.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Why an admission attempt was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,7 +22,7 @@ pub enum PushError {
     Closed,
 }
 
-/// A bounded MPMC queue with deadline-driven batch draining.
+/// A bounded MPMC queue drained in batches.
 #[derive(Debug)]
 pub struct BatchQueue<T> {
     state: Mutex<State<T>>,
@@ -107,52 +107,37 @@ impl<T> BatchQueue<T> {
         self.available.notify_all();
     }
 
-    /// Form the next batch: block for the first item, then collect until
-    /// `max_batch` items are in hand or `max_wait` has elapsed since the
-    /// batch opened. Returns `None` only when the queue is closed and
-    /// fully drained.
+    /// Block until an item is waiting or the queue is closed; the
+    /// guard holds at least one item unless the queue is drained.
+    fn wait_nonempty(&self) -> MutexGuard<'_, State<T>> {
+        let mut s = self.state.lock().expect("queue poisoned");
+        while s.items.is_empty() && !s.closed {
+            s = self.available.wait(s).expect("queue poisoned");
+        }
+        s
+    }
+
+    /// Block until an item is waiting, without taking it. Returns
+    /// `false` only when the queue is closed and fully drained. A
+    /// consumer that must acquire something before it forms a batch
+    /// (a compute slot) waits here first, so requests arriving in the
+    /// meantime still join the batch it then pops.
+    pub fn wait_ready(&self) -> bool {
+        !self.wait_nonempty().items.is_empty()
+    }
+
+    /// Form the next batch: block for the first item, then take every
+    /// item already waiting, up to `max_batch`, and return at once.
+    /// Returns `None` only when the queue is closed and fully drained.
     ///
     /// # Panics
     ///
     /// Panics if `max_batch == 0`.
-    pub fn pop_batch(&self, max_batch: usize, max_wait: Duration) -> Option<Vec<T>> {
+    pub fn pop_batch(&self, max_batch: usize) -> Option<Vec<T>> {
         assert!(max_batch > 0, "max_batch must be positive");
-        let mut s = self.state.lock().expect("queue poisoned");
-        loop {
-            if !s.items.is_empty() {
-                break;
-            }
-            if s.closed {
-                return None;
-            }
-            s = self.available.wait(s).expect("queue poisoned");
-        }
-        let deadline = Instant::now() + max_wait;
-        let mut batch = Vec::with_capacity(max_batch.min(s.items.len()));
-        loop {
-            while batch.len() < max_batch {
-                match s.items.pop_front() {
-                    Some(item) => batch.push(item),
-                    None => break,
-                }
-            }
-            if batch.len() >= max_batch || s.closed {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, timeout) = self
-                .available
-                .wait_timeout(s, deadline - now)
-                .expect("queue poisoned");
-            s = guard;
-            if timeout.timed_out() && s.items.is_empty() {
-                break;
-            }
-        }
-        Some(batch)
+        let mut s = self.wait_nonempty();
+        let n = max_batch.min(s.items.len());
+        (n > 0).then(|| s.items.drain(..n).collect())
     }
 }
 
@@ -160,6 +145,7 @@ impl<T> BatchQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn sheds_at_capacity_instead_of_growing() {
@@ -169,7 +155,7 @@ mod tests {
         assert_eq!(q.try_push(3), Err(PushError::Full));
         assert_eq!(q.len(), 2);
         // Draining frees capacity again.
-        let batch = q.pop_batch(8, Duration::ZERO).unwrap();
+        let batch = q.pop_batch(8).unwrap();
         assert_eq!(batch, vec![1, 2]);
         q.try_push(4).unwrap();
     }
@@ -181,21 +167,22 @@ mod tests {
             q.try_push(i).unwrap();
         }
         let t0 = Instant::now();
-        let batch = q.pop_batch(4, Duration::from_secs(5)).unwrap();
+        let batch = q.pop_batch(4).unwrap();
         assert_eq!(batch, vec![0, 1, 2, 3]);
         assert!(t0.elapsed() < Duration::from_secs(1), "must not wait");
         assert_eq!(q.len(), 1);
     }
 
     #[test]
-    fn partial_batch_released_at_deadline() {
+    fn single_item_is_returned_without_waiting() {
         let q = BatchQueue::bounded(16);
         q.try_push(7).unwrap();
         let t0 = Instant::now();
-        let batch = q.pop_batch(8, Duration::from_millis(30)).unwrap();
+        assert!(q.wait_ready());
+        let batch = q.pop_batch(8).unwrap();
         assert_eq!(batch, vec![7]);
         let waited = t0.elapsed();
-        assert!(waited >= Duration::from_millis(25), "waited {waited:?}");
+        assert!(waited < Duration::from_millis(10), "waited {waited:?}");
     }
 
     #[test]
@@ -203,27 +190,12 @@ mod tests {
         let q = Arc::new(BatchQueue::<u32>::bounded(4));
         let popper = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(4, Duration::from_secs(10)))
+            std::thread::spawn(move || q.pop_batch(4))
         };
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(popper.join().unwrap(), None);
+        assert!(!q.wait_ready(), "a closed, drained queue is never ready");
         assert_eq!(q.try_push(1), Err(PushError::Closed));
-    }
-
-    #[test]
-    fn late_arrivals_join_an_open_batch() {
-        let q = Arc::new(BatchQueue::bounded(16));
-        q.try_push(1).unwrap();
-        let pusher = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(15));
-                q.try_push(2).unwrap();
-            })
-        };
-        let batch = q.pop_batch(2, Duration::from_secs(5)).unwrap();
-        pusher.join().unwrap();
-        assert_eq!(batch, vec![1, 2], "second arrival must close the batch");
     }
 }

@@ -183,7 +183,7 @@ import json, os
 
 with open(os.environ["BEFORE"]) as f:
     before = {
-        (c["variant"], c["max_batch"], c["max_wait_us"]): c
+        (c["variant"], c["max_batch"]): c
         for c in json.load(f)["cells"]
     }
 with open("BENCH_serving.json") as f:
@@ -191,7 +191,7 @@ with open("BENCH_serving.json") as f:
 
 print("serving latency before -> after:")
 for c in after:
-    key = (c["variant"], c["max_batch"], c["max_wait_us"])
+    key = (c["variant"], c["max_batch"])
     old = before.get(key)
     if old is None:
         print(f"  {c['variant']} b={c['max_batch']}: new cell, "

@@ -32,6 +32,11 @@ echo "ok: no backend internals outside crates/core"
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== perfbench tests =="
+# The benchmark is a stand-alone package outside the workspace; its own
+# tests include the check that its metric lists match BENCHMARK.json.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== bit-identity under AF_NUM_THREADS=1 =="
 # The batched-equals-per-sample and plan-equals-every-backend invariants
 # must hold at any thread count; re-run the pinning tests with the
@@ -123,6 +128,9 @@ assert doc["bench"] == "serve_load", doc.get("bench")
 assert doc["cells"], "no serving cells"
 for c in doc["cells"]:
     assert c["completed"] > 0, c
+    # Every timed request is either answered or shed; the untimed
+    # bit-identity probe is not counted.
+    assert c["completed"] + c["shed"] == c["requests"], c
     assert c["p50_us"] <= c["p95_us"] <= c["p99_us"], c
 # The fused packed-GEMM comparison pair must be present, and the fused
 # twin must actually stream packed weight bytes (< its dense twin).

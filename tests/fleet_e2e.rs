@@ -58,7 +58,6 @@ fn spec(id: &str, seed: u64) -> VariantSpec {
 fn quick_engine() -> EngineConfig {
     EngineConfig {
         max_batch: 8,
-        max_wait: Duration::from_millis(1),
         ..EngineConfig::default()
     }
 }

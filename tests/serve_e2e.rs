@@ -78,7 +78,6 @@ fn serve(cfg: EngineConfig) -> (Server, Arc<ModelRegistry>) {
 fn concurrent_tcp_requests_are_bit_identical_to_direct_evaluation() {
     let (server, reg) = serve(EngineConfig {
         max_batch: 8,
-        max_wait: Duration::from_millis(2),
         ..EngineConfig::default()
     });
     let addr = server.addr();
@@ -126,7 +125,6 @@ fn saturated_queue_sheds_with_429_and_correct_responses_elsewhere() {
     // burst of 10 must shed.
     let (server, reg) = serve(EngineConfig {
         max_batch: 1,
-        max_wait: Duration::ZERO,
         queue_cap: 2,
         service_delay: Duration::from_millis(150),
         default_deadline: Duration::from_secs(10),

@@ -189,7 +189,6 @@ fn panicked_worker_answers_500_then_recovers_and_counts_the_restart() {
     let trigger = -777.25f32;
     let (server, reg) = serve(EngineConfig {
         max_batch: 1,
-        max_wait: Duration::ZERO,
         panic_trigger: Some(trigger),
         ..EngineConfig::default()
     });
@@ -217,7 +216,6 @@ fn client_retry_recovers_from_deterministic_shed_within_one_deadline() {
     // requests make the very next arrival a deterministic 429.
     let (server, reg) = serve(EngineConfig {
         max_batch: 1,
-        max_wait: Duration::ZERO,
         queue_cap: 1,
         service_delay: Duration::from_millis(120),
         ..EngineConfig::default()
