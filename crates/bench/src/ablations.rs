@@ -37,7 +37,7 @@ fn transformer_layers(quick: bool) -> Vec<Vec<f32>> {
     let layer_size = if quick { 512 } else { 4096 };
     let mut rng = StdRng::seed_from_u64(0xAB1A);
     EnsembleKind::Transformer
-        .generate(&mut rng, 12, layer_size)
+        .generate(&mut rng, layer_size, &[layer_size; 12])
         .layers
         .into_iter()
         .map(|(_, w)| w)

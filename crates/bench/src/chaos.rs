@@ -32,7 +32,7 @@ use af_fleet::{
     InjectedFault, ShardConfig,
 };
 use af_models::ModelFamily;
-use af_serve::{EngineConfig, VariantSpec};
+use af_serve::{EngineConfig, ModelRegistry, VariantSpec};
 
 use crate::render::TextTable;
 
@@ -221,11 +221,8 @@ fn run_arm(breakers: bool, sick: usize, killed: usize) -> ChaosArm {
                 &DIMS,
             );
             router.register_model(&spec).expect("register model");
-            router
-                .shard(1)
-                .expect("shard 1 live")
-                .place(&spec)
-                .expect("off-ring placement");
+            let built = ModelRegistry::build(&spec).expect("off-ring build");
+            router.shard(1).expect("shard 1 live").place(&built);
             models.push(id);
         }
         k += 1;

@@ -87,7 +87,7 @@ pub fn run(quick: bool) -> Extensions {
     // --- 2. exponent-width search ---
     let layer_size = if quick { 512 } else { 4096 };
     let mut rng = StdRng::seed_from_u64(0xE5EA);
-    let ensemble = EnsembleKind::Transformer.generate(&mut rng, 12, layer_size);
+    let ensemble = EnsembleKind::Transformer.generate(&mut rng, layer_size, &[layer_size; 12]);
     let layers: Vec<&[f32]> = ensemble.layers.iter().map(|(_, w)| w.as_slice()).collect();
     let mut exponent_search = Vec::new();
     let mut t = TextTable::new(["format", "bits", "best e / es", "mean RMS"]);

@@ -35,7 +35,7 @@ pub fn run(quick: bool) -> Fig1 {
     let mut rng = StdRng::seed_from_u64(0xF161);
     let mut bars = Vec::new();
     for kind in EnsembleKind::ALL {
-        let e = kind.generate(&mut rng, 8, layer_size);
+        let e = kind.generate(&mut rng, layer_size, &[layer_size; 8]);
         let (min, max) = e.range();
         bars.push(RangeBar {
             model: kind.label().to_string(),

@@ -80,7 +80,7 @@ pub fn run(quick: bool) -> Fig4 {
     ]);
     let mut scratch = vec![0.0f32; layer_size];
     for model in EnsembleKind::EVALUATED {
-        let ensemble = model.generate(&mut rng, layers, layer_size);
+        let ensemble = model.generate(&mut rng, layer_size, &vec![layer_size; layers]);
         for bits in [4u32, 6, 8] {
             for format in FormatKind::ALL {
                 let fmt = format.build(bits).expect("paper bit widths are valid");

@@ -43,6 +43,7 @@
 pub mod adaptiv;
 pub mod bfp;
 pub mod block_adaptiv;
+pub mod code_index;
 pub mod decode;
 pub mod error;
 pub mod fixed;
@@ -66,6 +67,7 @@ pub(crate) mod util;
 pub use adaptiv::{AdaptivFloat, AdaptivParams, QuantizedTensor};
 pub use bfp::BlockFloat;
 pub use block_adaptiv::BlockAdaptivFloat;
+pub use code_index::CodeIndex;
 pub use decode::{DecodePolicy, DecodeStats};
 pub use error::FormatError;
 pub use fixed::FixedPoint;

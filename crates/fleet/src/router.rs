@@ -55,7 +55,7 @@ use std::sync::{mpsc, Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use af_resilience::SplitMix64;
-use af_serve::{Engine, ScrubSummary, ServeError, VariantSpec};
+use af_serve::{BuiltVariant, Engine, ModelRegistry, ScrubSummary, ServeError, VariantSpec};
 use af_store::StoreError;
 
 use crate::health::{Admission, BreakerState, HealthPolicy, HealthRegistry, Transition};
@@ -422,22 +422,23 @@ impl FleetRouter {
         lock::write(&self.shards).remove(&index).is_some()
     }
 
-    /// Register (or hot-swap) a model fleet-wide: record it in the
-    /// catalog and place it on every live shard of its replica set.
-    /// Returns the ring placement (primary first). Dead or future
-    /// members pick the model up at [`revive`](Self::revive)/
+    /// Register (or hot-swap) a model fleet-wide: build it once, record
+    /// it in the catalog and place a clone on every live shard of its
+    /// replica set. Returns the ring placement (primary first). Dead or
+    /// future members pick the model up at [`revive`](Self::revive)/
     /// [`join`](Self::join) reconciliation.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Internal`] if any shard rejects the spec (the
-    /// catalog is left unchanged).
+    /// [`ServeError::Internal`] if the spec's format cannot be built
+    /// (nothing is placed and the catalog is left unchanged).
     pub fn register_model(&self, spec: &VariantSpec) -> Result<Vec<usize>, ServeError> {
+        let built = ModelRegistry::build(spec).map_err(|_| ServeError::Internal)?;
         let placement = self.placement(&spec.id);
         let shards = lock::read(&self.shards);
         for index in &placement {
             if let Some(shard) = shards.get(index) {
-                shard.place(spec)?;
+                shard.place(&built);
             }
         }
         drop(shards);
@@ -503,18 +504,16 @@ impl FleetRouter {
         let shards: Vec<Arc<Shard>> = lock::read(&self.shards).values().cloned().collect();
         for spec in &specs {
             let placement = self.placement(&spec.id);
+            // Built on first need, then placed on every shard missing it.
+            let mut built = None;
             for shard in &shards {
                 let should = placement.contains(&shard.index());
                 let current = shard.engine().registry().get(&spec.id);
                 match (should, current) {
-                    (true, None) => {
-                        let _ = shard.place(spec);
-                    }
-                    (true, Some(v)) if v.spec != *spec => {
-                        // The catalog moved on while this shard was
-                        // away — hot-swap it up to date.
-                        let _ = shard.place(spec);
-                    }
+                    // Missing, or the catalog moved on while this shard
+                    // was away — (re)place it up to date.
+                    (true, None) => place_built(shard, spec, &mut built),
+                    (true, Some(v)) if v.spec != *spec => place_built(shard, spec, &mut built),
                     (false, Some(_)) => {
                         shard.evict(&spec.id);
                     }
@@ -938,6 +937,18 @@ impl FleetRouter {
         for shard in shards {
             shard.shutdown();
         }
+    }
+}
+
+/// Reconciliation's placement: build `spec` on first need (it was built
+/// when it entered the catalog, so a failure here only skips the
+/// shard), then place the one build on `shard`.
+fn place_built(shard: &Shard, spec: &VariantSpec, built: &mut Option<BuiltVariant>) {
+    if built.is_none() {
+        *built = ModelRegistry::build(spec).ok();
+    }
+    if let Some(built) = built {
+        shard.place(built);
     }
 }
 

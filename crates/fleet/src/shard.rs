@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use af_resilience::SplitMix64;
 use af_serve::batcher::TaggedReply;
-use af_serve::{DurableStore, Engine, EngineConfig, RecoveryReport, ServeError, VariantSpec};
+use af_serve::{BuiltVariant, DurableStore, Engine, EngineConfig, RecoveryReport, ServeError};
 use af_store::{shard_root, StoreError, SyncPolicy};
 
 use crate::chaos::InjectedFault;
@@ -123,21 +123,14 @@ impl Shard {
         self.engine.load()
     }
 
-    /// Place a model on this shard: register (or hot-swap) the variant
-    /// — journaled through the shard's WAL — and make sure it has a
-    /// serving lane.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Internal`] if the spec's format is rejected (the
-    /// spec was accepted elsewhere, so this is a shard-side fault).
-    pub fn place(&self, spec: &VariantSpec) -> Result<(), ServeError> {
-        self.engine
-            .registry()
-            .register(spec)
-            .map_err(|_| ServeError::Internal)?;
-        self.engine.ensure_lane(&spec.id);
-        Ok(())
+    /// Place a built model on this shard: publish a clone of it (or
+    /// hot-swap it in) — journaled through the shard's WAL, with this
+    /// shard's own generation and protected storage — and make sure it
+    /// has a serving lane. The one path every placement takes, so a
+    /// spec is built once however many replicas it lands on.
+    pub fn place(&self, built: &BuiltVariant) {
+        self.engine.registry().publish(built.clone());
+        self.engine.ensure_lane(&built.spec.id);
     }
 
     /// Evict a model from this shard: drain and drop its lane, then

@@ -114,38 +114,58 @@ impl EnsembleKind {
         }
     }
 
-    /// Synthesize the ensemble: `layers` tensors of `layer_size` weights.
-    /// The last layer is pinned so the whole-model range matches
-    /// [`target_range`](Self::target_range) exactly.
+    /// Synthesize the ensemble: one tensor per entry of `kept`, each
+    /// drawn as `layer_size` weights of which only the first `kept[l]`
+    /// are kept. The discarded tail still consumes its RNG draws, so
+    /// the stream (and every kept weight) is the same for any `kept`;
+    /// only the Box–Muller transform is skipped there. The last layer
+    /// is pinned so the whole-model range matches
+    /// [`target_range`](Self::target_range) exactly (pins that fall in
+    /// the discarded tail are dropped with it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kept` is empty, `layer_size < 4`, or any `kept[l]`
+    /// exceeds `layer_size`.
     pub fn generate<R: Rng + ?Sized>(
         self,
         rng: &mut R,
-        layers: usize,
         layer_size: usize,
+        kept: &[usize],
     ) -> WeightEnsemble {
-        assert!(layers >= 1 && layer_size >= 4, "ensemble too small");
+        assert!(!kept.is_empty() && layer_size >= 4, "ensemble too small");
+        assert!(
+            kept.iter().all(|&k| k <= layer_size),
+            "kept length exceeds the layer size"
+        );
         let (lo, hi) = self.target_range();
+        let layers = kept.len();
         let mut out = Vec::with_capacity(layers);
-        for l in 0..layers {
+        for (l, &keep) in kept.iter().enumerate() {
             let sigma = self.layer_sigma(l, layers);
-            let mut w = Vec::with_capacity(layer_size);
-            for _ in 0..layer_size {
-                // Box–Muller Gaussian core.
+            let mut w = Vec::with_capacity(keep);
+            for i in 0..layer_size {
                 let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
                 let u2: f32 = rng.gen_range(0.0..1.0);
-                let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
-                let mut v = g * sigma;
                 // Heavy tail: occasional large-magnitude outliers.
-                if rng.gen_range(0.0f32..1.0) < self.outlier_fraction() {
-                    v *= rng.gen_range(5.0f32..12.0);
+                let outlier = rng.gen_range(0.0f32..1.0) < self.outlier_fraction();
+                let stretch = if outlier {
+                    rng.gen_range(5.0f32..12.0)
+                } else {
+                    1.0
+                };
+                if i < keep {
+                    // Box–Muller Gaussian core, kept within the
+                    // model-level envelope (× 1.0 is exact).
+                    let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
+                    w.push((g * sigma * stretch).clamp(lo, hi));
                 }
-                // Keep within the model-level envelope.
-                w.push(v.clamp(lo, hi));
             }
             if l == layers - 1 {
                 // Pin the global extremes (Figure 1 plots exact ranges).
-                w[0] = lo;
-                w[1] = hi;
+                for (slot, pin) in w.iter_mut().zip([lo, hi]) {
+                    *slot = pin;
+                }
             }
             out.push((format!("{}.layer{}", self.label(), l), w));
         }
@@ -206,7 +226,7 @@ mod tests {
     fn ranges_match_paper_targets() {
         let mut rng = StdRng::seed_from_u64(0);
         for kind in EnsembleKind::ALL {
-            let e = kind.generate(&mut rng, 8, 2048);
+            let e = kind.generate(&mut rng, 2048, &[2048; 8]);
             let (lo, hi) = e.range();
             let (tlo, thi) = kind.target_range();
             assert_eq!(lo, tlo, "{kind} min");
@@ -218,8 +238,8 @@ mod tests {
     fn nlp_wider_than_cnn() {
         // The >10× claim of Figure 1.
         let mut rng = StdRng::seed_from_u64(1);
-        let cnn = EnsembleKind::ResNet50.generate(&mut rng, 8, 1024);
-        let nlp = EnsembleKind::Transformer.generate(&mut rng, 8, 1024);
+        let cnn = EnsembleKind::ResNet50.generate(&mut rng, 1024, &[1024; 8]);
+        let nlp = EnsembleKind::Transformer.generate(&mut rng, 1024, &[1024; 8]);
         let cnn_max = cnn.range().1.abs().max(cnn.range().0.abs());
         let nlp_max = nlp.range().1.abs().max(nlp.range().0.abs());
         assert!(nlp_max > 10.0 * cnn_max, "{nlp_max} vs {cnn_max}");
@@ -229,8 +249,8 @@ mod tests {
     fn nlp_has_heavier_tails() {
         use adaptivfloat::TensorStats;
         let mut rng = StdRng::seed_from_u64(2);
-        let cnn = EnsembleKind::ResNet50.generate(&mut rng, 4, 8192);
-        let nlp = EnsembleKind::Gpt.generate(&mut rng, 4, 8192);
+        let cnn = EnsembleKind::ResNet50.generate(&mut rng, 8192, &[8192; 4]);
+        let nlp = EnsembleKind::Gpt.generate(&mut rng, 8192, &[8192; 4]);
         let k = |e: &WeightEnsemble| {
             let all: Vec<f32> = e.layers.iter().flat_map(|(_, w)| w.clone()).collect();
             TensorStats::from_slice(&all).kurtosis
@@ -242,7 +262,7 @@ mod tests {
     fn layer_sigmas_vary_for_nlp() {
         use adaptivfloat::TensorStats;
         let mut rng = StdRng::seed_from_u64(3);
-        let e = EnsembleKind::Transformer.generate(&mut rng, 8, 4096);
+        let e = EnsembleKind::Transformer.generate(&mut rng, 4096, &[4096; 8]);
         let first = TensorStats::from_slice(&e.layers[0].1).std;
         let last = TensorStats::from_slice(&e.layers[6].1).std;
         assert!(last > 4.0 * first, "first {first} last {last}");
@@ -250,14 +270,24 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = EnsembleKind::Bert.generate(&mut StdRng::seed_from_u64(7), 3, 128);
-        let b = EnsembleKind::Bert.generate(&mut StdRng::seed_from_u64(7), 3, 128);
+        let a = EnsembleKind::Bert.generate(&mut StdRng::seed_from_u64(7), 128, &[128; 3]);
+        let b = EnsembleKind::Bert.generate(&mut StdRng::seed_from_u64(7), 128, &[128; 3]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn kept_lengths_truncate_without_moving_the_stream() {
+        let full = EnsembleKind::Gpt.generate(&mut StdRng::seed_from_u64(5), 64, &[64; 3]);
+        let kept = EnsembleKind::Gpt.generate(&mut StdRng::seed_from_u64(5), 64, &[10, 64, 1]);
+        for ((_, f), (_, k)) in full.layers.iter().zip(&kept.layers) {
+            assert_eq!(&f[..k.len()], &k[..]);
+        }
+        assert_eq!(kept.layers[2].1, vec![EnsembleKind::Gpt.target_range().0]);
     }
 
     #[test]
     #[should_panic(expected = "too small")]
     fn tiny_ensemble_rejected() {
-        EnsembleKind::Bert.generate(&mut StdRng::seed_from_u64(0), 0, 128);
+        EnsembleKind::Bert.generate(&mut StdRng::seed_from_u64(0), 128, &[]);
     }
 }

@@ -26,8 +26,8 @@
 //! statistic). `tests/frozen_batch.rs` pins the invariant.
 
 use adaptivfloat::{
-    AdaptivFloat, AdaptivParams, FormatError, FormatKind, NumberFormat, PlanParams, QuantPlan,
-    QuantStats, Uniform,
+    AdaptivFloat, AdaptivParams, CodeIndex, DecodePolicy, FormatError, FormatKind, PlanParams,
+    QuantPlan, QuantStats, Uniform,
 };
 use af_tensor::{PackedDecode, PackedGemm, PackedGemmScratch, Tensor};
 use rand::rngs::StdRng;
@@ -63,9 +63,10 @@ struct WeightQuant {
 
 /// Calibrated activation quantization: one format applied to every
 /// layer input under a fixed per-layer range.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ActQuant {
-    format: Box<dyn NumberFormat>,
+    /// The activation format's display name.
+    format_name: String,
     /// One frozen [`QuantPlan`] per layer, built once at calibration
     /// time from the layer input's abs-max; execution never re-derives
     /// parameters or touches the codebook cache.
@@ -87,7 +88,10 @@ struct ActQuant {
 /// [`quantize_weights`](FrozenMlp::quantize_weights) →
 /// [`with_act_quant`](FrozenMlp::with_act_quant) →
 /// [`prewarm_codebooks`](FrozenMlp::prewarm_codebooks).
-#[derive(Debug)]
+///
+/// Cloning deep-copies the weights, packed codes and frozen plans, so a
+/// snapshot built once can be published on several replicas.
+#[derive(Debug, Clone)]
 pub struct FrozenMlp {
     family: ModelFamily,
     format: String,
@@ -118,15 +122,17 @@ impl FrozenMlp {
     pub fn synthesize(family: ModelFamily, seed: u64, dims: &[usize]) -> FrozenMlp {
         assert!(dims.len() >= 2, "need at least input and output widths");
         assert!(dims.iter().all(|&d| d > 0), "zero-width layer");
-        let n_layers = dims.len() - 1;
-        let layer_size = dims
-            .windows(2)
-            .map(|w| w[0] * w[1])
+        // Every layer draws the widest layer's worth of weights and keeps
+        // its own `cin · cout` prefix.
+        let kept: Vec<usize> = dims.windows(2).map(|w| w[0] * w[1]).collect();
+        let layer_size = kept
+            .iter()
+            .copied()
             .max()
             .expect("at least one layer")
             .max(4);
         let mut rng = StdRng::seed_from_u64(seed);
-        let ensemble = ensemble_kind(family).generate(&mut rng, n_layers, layer_size);
+        let ensemble = ensemble_kind(family).generate(&mut rng, layer_size, &kept);
         let layers = ensemble
             .layers
             .into_iter()
@@ -135,7 +141,7 @@ impl FrozenMlp {
                 let (cin, cout) = (d[0], d[1]);
                 let bias: Vec<f32> = (0..cout).map(|_| rng.gen_range(-0.1f32..0.1)).collect();
                 FrozenLayer {
-                    weight: Tensor::from_vec(w[..cin * cout].to_vec(), &[cin, cout]),
+                    weight: Tensor::from_vec(w, &[cin, cout]),
                     bias: Tensor::from_vec(bias, &[cout]),
                     packed: None,
                 }
@@ -245,6 +251,10 @@ impl FrozenMlp {
             let shape = layer.weight.shape();
             let (k, n_cols) = (shape[0], shape[1]);
             let w = layer.weight.data();
+            // Both arms encode through the frozen codec's code index: the
+            // served weights are already on its grid, so each code is a
+            // lookup (zeros take the scalar encoder), and the decode
+            // table is the index's raw decode of every code.
             let (table, codes, decode): (Vec<f32>, Vec<u32>, PackedDecode) = match *params {
                 PlanParams::AdaptivFloat { exp_bias } => {
                     // Same field split FormatKind::build uses.
@@ -255,11 +265,14 @@ impl FrozenMlp {
                         e,
                         exp_bias,
                     };
-                    let table = (0..1u32 << wq.n).map(|c| af.decode_with(&ap, c)).collect();
-                    let codes = w.iter().map(|&v| af.encode_with(&ap, v)).collect();
+                    let encode = |v| af.encode_with(&ap, v);
+                    let index = CodeIndex::build(wq.n, encode, |c, policy, stats| {
+                        af.decode_with_policy(&ap, c, policy, stats)
+                    })
+                    .expect("AdaptivFloat codes decode to distinct values");
                     (
-                        table,
-                        codes,
+                        index.values(DecodePolicy::Raw),
+                        index.encode(w, w, encode),
                         PackedDecode::AdaptivFloat {
                             m: wq.n - e - 1,
                             exp_bias,
@@ -268,11 +281,16 @@ impl FrozenMlp {
                 }
                 PlanParams::Uniform { scale } => {
                     let uni = Uniform::new(wq.n).expect("valid word size");
-                    let table = (0..1u32 << wq.n)
-                        .map(|c| uni.decode_code(scale, c))
-                        .collect();
-                    let codes = w.iter().map(|&v| uni.encode_code(scale, v)).collect();
-                    (table, codes, PackedDecode::Uniform { scale })
+                    let encode = |v| uni.encode_code(scale, v);
+                    let index = CodeIndex::build(wq.n, encode, |c, policy, stats| {
+                        uni.decode_code_with_policy(scale, c, policy, stats)
+                    })
+                    .expect("uniform levels decode to distinct values");
+                    (
+                        index.values(DecodePolicy::Raw),
+                        index.encode(w, w, encode),
+                        PackedDecode::Uniform { scale },
+                    )
                 }
                 other => panic!("weight plan params {other:?} do not match the recipe format"),
             };
@@ -372,7 +390,7 @@ impl FrozenMlp {
             .map(|&m| fmt.plan(&QuantStats::calibrated(m)))
             .collect();
         self.act = Some(ActQuant {
-            format: fmt,
+            format_name: fmt.name(),
             plans,
             kind,
             n,
@@ -426,7 +444,7 @@ impl FrozenMlp {
 
     /// The activation format name, if activation quantization is on.
     pub fn act_format_name(&self) -> Option<String> {
-        self.act.as_ref().map(|a| a.format.name())
+        self.act.as_ref().map(|a| a.format_name.clone())
     }
 
     /// Input feature width.
@@ -782,6 +800,47 @@ mod tests {
         let other = FrozenMlp::synthesize(ModelFamily::ResNet, 21, &[10, 14, 4])
             .with_weight_data(bent, "bent");
         assert_ne!(other.evaluate(x.row(0)), want);
+    }
+
+    /// FNV-1a over the bit patterns of every weight and bias, layer by
+    /// layer.
+    fn synthesis_hash(m: &FrozenMlp) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for layer in &m.layers {
+            for v in layer.weight.data().iter().chain(layer.bias.data()) {
+                for b in v.to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn synthesis_is_pinned_bit_for_bit() {
+        // The hashes pin what a full Box–Muller pass over every draw
+        // produces, so skipping the transform for discarded draws must
+        // not move them; a change to the RNG stream, the draw order or
+        // the pinned extremes does. [1, 1, 1] keeps one weight per
+        // layer, fewer than the two pinned extremes.
+        const SERVED: &[usize] = &[96, 192, 192, 48];
+        const FLEET: &[usize] = &[64, 128, 128, 32];
+        const TINY: &[usize] = &[1, 1, 1];
+        let golden = [
+            (ModelFamily::Transformer, SERVED, 0x8a4b_6ad1_fbdc_7839u64),
+            (ModelFamily::Seq2Seq, SERVED, 0xc55f_9854_c626_708a),
+            (ModelFamily::ResNet, SERVED, 0x4f6e_c6cd_de00_a159),
+            (ModelFamily::Transformer, FLEET, 0xfc07_8010_7225_63ee),
+            (ModelFamily::Seq2Seq, FLEET, 0x1ebd_6335_d9db_0253),
+            (ModelFamily::ResNet, FLEET, 0x9d22_f364_6f7a_0f84),
+            (ModelFamily::Transformer, TINY, 0x3ff7_4066_18e5_206b),
+            (ModelFamily::Seq2Seq, TINY, 0x22f6_b41c_0991_801b),
+            (ModelFamily::ResNet, TINY, 0xe3f3_5f22_89b0_f64e),
+        ];
+        for (family, dims, want) in golden {
+            let got = synthesis_hash(&FrozenMlp::synthesize(family, 0x5E12_F00D, dims));
+            assert_eq!(got, want, "{family:?} {dims:?}: synthesis moved");
+        }
     }
 
     #[test]

@@ -9,10 +9,21 @@
 //! `exp_bias`, BFP's shared exponent, Uniform's scale — derived once
 //! from the clean tensor, so a campaign corrupts codes against *fixed*
 //! parameters, exactly like a deployed model.
+//!
+//! Fixed parameters also mean every stored word is one of at most 2^n
+//! decodes. At `n ≤ 8` the slice codecs run through the codec's
+//! [`CodeIndex`], enumerated from the scalar
+//! [`encode_one`](StorageCodec::encode_one)/[`decode_one`](StorageCodec::decode_one):
+//! a value already on the grid encodes by lookup, and codes decode
+//! through a per-code table that also carries each code's
+//! [`DecodeStats`]. The results are bit-identical to the per-element
+//! scalar codec, which still answers for zeros, off-grid values and
+//! wider words (`tests/codec_equivalence.rs` pins the equivalence).
 
 use adaptivfloat::{
-    AdaptivFloat, AdaptivParams, BlockFloat, DecodePolicy, DecodeStats, FixedPoint, FormatError,
-    FormatKind, IeeeLikeFloat, NumberFormat, PackedCodes, PlanParams, Posit, QuantStats, Uniform,
+    AdaptivFloat, AdaptivParams, BlockFloat, CodeIndex, DecodePolicy, DecodeStats, FixedPoint,
+    FormatError, FormatKind, IeeeLikeFloat, NumberFormat, PackedCodes, PlanParams, Posit,
+    QuantStats, Uniform,
 };
 
 /// A fitted per-tensor storage codec: format geometry plus the derived
@@ -269,28 +280,77 @@ impl StorageCodec {
         }
     }
 
-    /// Encode a whole tensor into packed storage.
+    /// The codec's exact [`CodeIndex`]: value → code lookup and
+    /// per-code decode tables, enumerated through
+    /// [`encode_one`](Self::encode_one) and
+    /// [`decode_one`](Self::decode_one). `None` above 8 bits, or if two
+    /// codes decode to the same nonzero value; the slice codecs then
+    /// run the scalar encoder and decoder per element.
+    pub fn index(&self) -> Option<CodeIndex> {
+        CodeIndex::build(
+            self.width(),
+            |v| self.encode_one(v),
+            |code, policy, stats| self.decode_one(code, policy, stats),
+        )
+    }
+
+    /// Encode a whole tensor into packed storage. Bit-identical to
+    /// [`encode_one`](Self::encode_one) per element; values already on
+    /// the codec's grid are encoded by index lookup.
     pub fn encode_slice(&self, data: &[f32]) -> PackedCodes {
+        self.encode_rounded(data, data)
+    }
+
+    /// Encode `data` whose rounding onto this codec's grid is already
+    /// known: `rounded[i]` is `data[i]` quantized under the codec's
+    /// frozen parameters (e.g. by the plan the codec was fitted from).
+    /// Each rounded value is looked up in the [`index`](Self::index);
+    /// zeros and misses encode `data[i]` through
+    /// [`encode_one`](Self::encode_one). Bit-identical to
+    /// `encode_slice(data)` whenever the rounding agrees with the
+    /// scalar encoder's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths.
+    pub fn encode_rounded(&self, data: &[f32], rounded: &[f32]) -> PackedCodes {
+        assert_eq!(data.len(), rounded.len(), "slice length mismatch");
+        let codes: Vec<u32> = match self.index() {
+            Some(index) => index.encode(data, rounded, |v| self.encode_one(v)),
+            None => data.iter().map(|&v| self.encode_one(v)).collect(),
+        };
         let mut packed = PackedCodes::new(self.width());
-        for &v in data {
-            packed.push(self.encode_one(v) as u64);
-        }
+        packed.extend_from_u32(&codes);
         packed
     }
 
     /// Decode packed storage back to values under `policy`, returning
-    /// the per-tensor corruption counters alongside.
+    /// the per-tensor corruption counters alongside. Bit-identical (in
+    /// values and counters) to [`decode_one`](Self::decode_one) per
+    /// code; at `n ≤ 8` it reads the index's decode table.
     pub fn decode_slice(
         &self,
         codes: &PackedCodes,
         policy: DecodePolicy,
     ) -> (Vec<f32>, DecodeStats) {
-        let mut stats = DecodeStats::new();
-        let vals = codes
-            .iter()
-            .map(|c| self.decode_one(c as u32, policy, &mut stats))
-            .collect();
-        (vals, stats)
+        // The table covers this codec's words; wider storage keeps the
+        // per-code decoder's own handling of the extra bits.
+        let index = if codes.width() <= self.width() {
+            self.index()
+        } else {
+            None
+        };
+        let Some(index) = index else {
+            let mut stats = DecodeStats::new();
+            let vals = codes
+                .iter()
+                .map(|c| self.decode_one(c as u32, policy, &mut stats))
+                .collect();
+            return (vals, stats);
+        };
+        let mut words = vec![0u32; codes.len()];
+        codes.unpack_u32_into(&mut words);
+        index.decode(&words, policy)
     }
 }
 

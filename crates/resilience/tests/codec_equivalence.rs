@@ -1,0 +1,170 @@
+//! The slice codecs are per-element codecs, only faster.
+//!
+//! `StorageCodec::encode_slice` / `encode_rounded` encode through the
+//! codec's code index and `decode_slice` reads its decode table; this
+//! suite holds them bit-identical to per-element `encode_one` /
+//! `decode_one` (values *and* `DecodeStats`, under both policies) for
+//! every format kind at n ∈ {4, 6, 8}, on raw tensors, tensors already
+//! rounded onto the grid, and codes with flipped bits.
+
+use adaptivfloat::{DecodePolicy, DecodeStats, FormatKind, PackedCodes, QuantStats};
+use af_resilience::{SplitMix64, StorageCodec};
+
+const WIDTHS: [u32; 3] = [4, 6, 8];
+const POLICIES: [DecodePolicy; 2] = [DecodePolicy::Raw, DecodePolicy::Harden];
+
+/// A heavy-tailed tensor at magnitude `scale`, salted with signed
+/// zeros, subnormals and values far outside any 8-bit range.
+fn raw_tensor(seed: u64, scale: f32) -> Vec<f32> {
+    let mut rng = SplitMix64::new(seed);
+    let mut data: Vec<f32> = (0..2048)
+        .map(|_| {
+            let u = rng.next_f64() as f32 * 2.0 - 1.0;
+            let tail = if rng.next_below(50) == 0 { 8.0 } else { 1.0 };
+            u * u * u.signum() * scale * tail
+        })
+        .collect();
+    data.extend_from_slice(&[0.0, -0.0, 1e-40, -1e-40, 1e-7, -1e-7, 1e6, -1e6]);
+    data
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn per_element_encode(codec: &StorageCodec, data: &[f32]) -> PackedCodes {
+    let mut packed = PackedCodes::new(codec.width());
+    for &v in data {
+        packed.push(u64::from(codec.encode_one(v)));
+    }
+    packed
+}
+
+/// Every code a `width`-bit word can hold, in order.
+fn every_code(width: u32) -> PackedCodes {
+    let mut every = PackedCodes::new(width);
+    for c in 0..1u64 << width {
+        every.push(c);
+    }
+    every
+}
+
+fn assert_decode_matches(codec: &StorageCodec, codes: &PackedCodes, what: &str) {
+    for policy in POLICIES {
+        let mut want_stats = DecodeStats::new();
+        let want: Vec<f32> = codes
+            .iter()
+            .map(|c| codec.decode_one(c as u32, policy, &mut want_stats))
+            .collect();
+        let (got, stats) = codec.decode_slice(codes, policy);
+        assert_eq!(bits(&got), bits(&want), "{what} {policy}: values");
+        assert_eq!(stats, want_stats, "{what} {policy}: stats");
+    }
+}
+
+/// Every fitted codec the suite sweeps, with the data it was fitted to
+/// and a label.
+fn codecs() -> Vec<(StorageCodec, Vec<f32>, String)> {
+    let mut out = Vec::new();
+    for (i, scale) in [0.05f32, 1.0, 30.0].into_iter().enumerate() {
+        let data = raw_tensor(0xC0DE + i as u64, scale);
+        for kind in FormatKind::ALL {
+            for n in WIDTHS {
+                let codec = StorageCodec::fit(kind, n, &data).expect("valid geometry");
+                out.push((codec, data.clone(), format!("{kind} n={n} scale={scale}")));
+            }
+        }
+        for n in WIDTHS {
+            let codec = StorageCodec::fit_fixed(n, 1).unwrap();
+            out.push((codec, data.clone(), format!("fixed n={n} scale={scale}")));
+        }
+    }
+    out
+}
+
+#[test]
+fn every_codec_at_eight_bits_or_less_has_an_index() {
+    for (codec, _, what) in codecs() {
+        assert!(codec.index().is_some(), "{what}: no code index");
+    }
+}
+
+#[test]
+fn encode_slice_matches_encode_one_on_raw_tensors() {
+    for (codec, data, what) in codecs() {
+        assert_eq!(
+            codec.encode_slice(&data),
+            per_element_encode(&codec, &data),
+            "{what}"
+        );
+    }
+}
+
+#[test]
+fn encode_slice_matches_encode_one_on_rounded_tensors() {
+    for (codec, data, what) in codecs() {
+        let (mut rounded, _) =
+            codec.decode_slice(&per_element_encode(&codec, &data), DecodePolicy::Raw);
+        // The lookup, not the scalar fallback, answers for every nonzero
+        // value the encoder produces.
+        let index = codec.index().unwrap();
+        for &v in rounded.iter().filter(|v| **v != 0.0) {
+            assert!(index.lookup(v).is_some(), "{what}: {v} missed the index");
+        }
+        // Also every finite value any code decodes to, including ones the
+        // encoder never returns (e.g. a two's-complement extreme).
+        let (every, _) = codec.decode_slice(&every_code(codec.width()), DecodePolicy::Raw);
+        rounded.extend(every.into_iter().filter(|v| v.is_finite()));
+        assert_eq!(
+            codec.encode_slice(&rounded),
+            per_element_encode(&codec, &rounded),
+            "{what}"
+        );
+    }
+}
+
+#[test]
+fn encode_rounded_through_the_fitted_plan_matches_encode_one() {
+    // The protected store's path: quantize through the plan the codec
+    // was fitted from, then look the rounded values up.
+    for (i, scale) in [0.05f32, 1.0, 30.0].into_iter().enumerate() {
+        let data = raw_tensor(0xF00D + i as u64, scale);
+        for kind in FormatKind::ALL {
+            for n in WIDTHS {
+                let plan = kind.build(n).unwrap().plan(&QuantStats::from_slice(&data));
+                let codec = StorageCodec::from_params(kind, n, *plan.params()).unwrap();
+                let fitted = StorageCodec::fit(kind, n, &data).unwrap();
+                assert_eq!(codec.params(), fitted.params(), "{kind} n={n}");
+                assert_eq!(
+                    codec.encode_rounded(&data, &plan.execute(&data)),
+                    per_element_encode(&codec, &data),
+                    "{kind} n={n} scale={scale}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn decode_slice_matches_decode_one_on_clean_and_flipped_codes() {
+    for (k, (codec, data, what)) in codecs().into_iter().enumerate() {
+        let clean = codec.encode_slice(&data);
+        assert_decode_matches(&codec, &clean, &format!("{what} clean"));
+        // Strike roughly one code in four with a random bit mask.
+        let mut hit = clean.clone();
+        let mut rng = SplitMix64::new(0xF11B + k as u64);
+        let mask = (1u64 << codec.width()) - 1;
+        for i in 0..hit.len() {
+            if rng.next_below(4) == 0 {
+                hit.flip_bits(i, (rng.next_u64() & mask).max(1));
+            }
+        }
+        assert_ne!(hit, clean);
+        assert_decode_matches(&codec, &hit, &format!("{what} flipped"));
+        assert_decode_matches(
+            &codec,
+            &every_code(codec.width()),
+            &format!("{what} every code"),
+        );
+    }
+}

@@ -93,7 +93,8 @@ pub use durable::{DurableOpen, DurableStore, RecoveryReport};
 pub use protect::ProtectedWeights;
 pub use reactor::{Dispatch, ReactorConfig, ReactorHandle};
 pub use registry::{
-    ModelRegistry, ModelVariant, RegistryJournal, RestoredParts, ScrubOutcome, VariantSpec,
+    BuiltVariant, ModelRegistry, ModelVariant, RegistryJournal, RestoredParts, ScrubOutcome,
+    VariantSpec,
 };
 pub use scrub::{ScrubSummary, Scrubber};
 pub use server::{Server, ThreadedServer};

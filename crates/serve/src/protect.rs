@@ -12,10 +12,25 @@
 //! ([`rebuild_from_master`](ProtectedWeights::rebuild_from_master)) and
 //! hot-swaps a fresh snapshot.
 
-use adaptivfloat::{DecodePolicy, FormatError, FormatKind};
+use adaptivfloat::{DecodePolicy, FormatError, FormatKind, PackedCodes, QuantStats};
 use af_models::FrozenMlp;
 use af_resilience::{inject_protected_bits, EccStats, FaultMap, ProtectedCodes, StorageCodec};
 use af_resilience::{ScrubReport, CODEWORD_BITS};
+
+/// Fit a storage codec to a master tensor and encode it: quantize
+/// through the format's plan for the tensor, then encode the rounded
+/// values by code-index lookup (zeros and misses take the scalar
+/// encoder). The codes equal per-element `encode_one` on the master.
+fn encode_master(
+    kind: FormatKind,
+    n: u32,
+    master: &[f32],
+) -> Result<(StorageCodec, PackedCodes), FormatError> {
+    let plan = kind.build(n)?.plan(&QuantStats::from_slice(master));
+    let codec = StorageCodec::from_params(kind, n, *plan.params())?;
+    let codes = codec.encode_rounded(master, &plan.execute(master));
+    Ok((codec, codes))
+}
 
 /// One layer's protected storage: the fitted codec, the SEC-DED
 /// protected codes, and the retained f32 master copy.
@@ -50,12 +65,12 @@ impl ProtectedWeights {
         let format_label = format!("{}+secded", kind.build(n)?.name());
         let layers = (0..model.depth())
             .map(|l| {
-                let (data, _shape) = model.weight_data(l);
-                let codec = StorageCodec::fit(kind, n, data)?;
+                let master = model.weight_data(l).0.to_vec();
+                let (codec, codes) = encode_master(kind, n, &master)?;
                 Ok(ProtectedLayer {
-                    codes: ProtectedCodes::protect(codec.encode_slice(data)),
+                    codes: ProtectedCodes::protect(codes),
                     codec,
-                    master: data.to_vec(),
+                    master,
                 })
             })
             .collect::<Result<Vec<_>, FormatError>>()?;
@@ -150,11 +165,17 @@ impl ProtectedWeights {
     /// rebuild); the rebuild counter increments.
     pub fn rebuild_from_master(&mut self) {
         for layer in &mut self.layers {
+            let kind = layer
+                .codec
+                .kind()
+                .expect("protected codecs have a format kind");
+            // Re-fitting the same master reproduces the same codec.
+            let (_, codes) = encode_master(kind, layer.codec.width(), &layer.master)
+                .expect("the geometry the store was built with");
             // Carry the history: a rebuilt store has seen every error
             // its predecessor counted.
             let stats = layer.codes.stats();
-            layer.codes =
-                ProtectedCodes::protect(layer.codec.encode_slice(&layer.master)).with_stats(stats);
+            layer.codes = ProtectedCodes::protect(codes).with_stats(stats);
         }
         self.rebuilds += 1;
     }
@@ -232,6 +253,31 @@ mod tests {
             |w: &Vec<Vec<f32>>| -> Vec<u32> { w.iter().flatten().map(|v| v.to_bits()).collect() };
         assert_eq!(bits(&a), bits(&b));
         assert_eq!(store().format_label(), "AdaptivFloat<8,3>+secded");
+    }
+
+    #[test]
+    fn stored_codes_equal_the_scalar_encoding_of_the_master() {
+        // Planned rounding + index lookup must store exactly the codes
+        // per-element `encode_one` would, for every format the registry
+        // can protect — and a rebuild must store them again.
+        let m = FrozenMlp::synthesize(ModelFamily::Transformer, 3, &[16, 24, 8]);
+        for kind in FormatKind::ALL {
+            for n in [4u32, 8] {
+                let mut store = ProtectedWeights::build(&m, kind, n).unwrap();
+                let built = store.export_layers();
+                store.rebuild_from_master();
+                for (l, ((codec, codes), (_, rebuilt))) in
+                    built.iter().zip(store.export_layers()).enumerate()
+                {
+                    let mut want = PackedCodes::new(n);
+                    for &v in m.weight_data(l).0 {
+                        want.push(u64::from(codec.encode_one(v)));
+                    }
+                    assert_eq!(codes.codes(), &want, "{kind} n={n} layer {l}");
+                    assert_eq!(rebuilt.codes(), &want, "{kind} n={n} layer {l} rebuilt");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,18 @@
 //! quantization, activation calibration, LUT prewarm — and then served
 //! as immutable `Arc`-shared snapshots.
 //!
-//! Registration is the expensive path (runs PTQ over every weight
-//! tensor, a calibration forward pass, and the codebook builds); the
-//! serve path is a read-locked map lookup returning an
+//! Registration is two steps. [`ModelRegistry::build`] is the expensive,
+//! pure one: it synthesizes the weights, quantizes them (protected
+//! storage and the fused GEMM's packed codes are encoded by code-index
+//! lookup over the already-rounded weights), runs a calibration forward
+//! pass and builds the codebooks, touching no registry. A
+//! [`BuiltVariant`] is then [`publish`](ModelRegistry::publish)ed: the
+//! registry assigns its generation, swaps it in and journals it.
+//! [`register`](ModelRegistry::register) is the two in a row; a fleet
+//! builds once and publishes a clone on every replica, each with its
+//! own protected storage, WAL record and generation.
+//!
+//! The serve path is a read-locked map lookup returning an
 //! [`Arc<ModelVariant>`]. Re-registering an id is a **hot swap**: the
 //! map entry is replaced under a brief write lock, while in-flight
 //! batches keep evaluating against the `Arc` they already cloned.
@@ -139,6 +148,27 @@ pub struct ModelVariant {
     pub spec: VariantSpec,
 }
 
+/// A variant built by [`ModelRegistry::build`] and not yet published:
+/// the snapshot, its build counters and, for protected specs, the
+/// storage it was decoded from. Cloning deep-copies everything,
+/// protected storage included, so each registry a clone is
+/// [`publish`](ModelRegistry::publish)ed on owns an independent store.
+#[derive(Debug, Clone)]
+pub struct BuiltVariant {
+    /// The frozen inference network.
+    pub model: FrozenMlp,
+    /// Codebook-path layers warmed by the build.
+    pub warmed_codebooks: usize,
+    /// Quantization plans frozen by the build.
+    pub plans_built: usize,
+    /// Codebook-backed activation plans whose codebook was already warm.
+    pub plan_cache_hits: usize,
+    /// SEC-DED protected weight storage, when the spec asked for it.
+    pub protected: Option<ProtectedWeights>,
+    /// The spec the variant was built from.
+    pub spec: VariantSpec,
+}
+
 /// What one scrub of a protected variant found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScrubOutcome {
@@ -224,10 +254,28 @@ impl ModelRegistry {
             .map(Arc::clone)
     }
 
-    /// Build and publish a variant. Quantizes weights once, calibrates
-    /// activation ranges on a deterministic batch, pre-warms LUT
-    /// codebooks, and swaps the snapshot in atomically. Returns the
-    /// published snapshot.
+    /// Build and publish a variant: [`build`](Self::build) followed by
+    /// [`publish`](Self::publish). Returns the published snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FormatError::InvalidBits`] if a requested format
+    /// cannot be built at its word size.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`build`](Self::build) does.
+    pub fn register(&self, spec: &VariantSpec) -> Result<Arc<ModelVariant>, FormatError> {
+        Ok(self.publish(ModelRegistry::build(spec)?))
+    }
+
+    /// Build a variant without publishing it anywhere: synthesize the
+    /// weights, quantize them once (into protected storage when the
+    /// spec asks for it), switch to the fused GEMM, calibrate
+    /// activation ranges on a deterministic batch and pre-warm LUT
+    /// codebooks. Pure in the spec — no registry, journal or
+    /// generation is involved — so one build can be
+    /// [`publish`](Self::publish)ed (as clones) on several registries.
     ///
     /// # Errors
     ///
@@ -237,12 +285,13 @@ impl ModelRegistry {
     /// # Panics
     ///
     /// Panics if the spec asks for protected storage without a weight
-    /// format (FP32 variants have no stored codes to protect).
-    pub fn register(&self, spec: &VariantSpec) -> Result<Arc<ModelVariant>, FormatError> {
+    /// format (FP32 variants have no stored codes to protect), or for a
+    /// fused GEMM the weights cannot take (see [`VariantSpec::fused`]).
+    pub fn build(spec: &VariantSpec) -> Result<BuiltVariant, FormatError> {
         let mut model = FrozenMlp::synthesize(spec.family, spec.seed, &spec.dims);
         let mut plans_built = 0usize;
         let mut plan_cache_hits = 0usize;
-        let mut protected: Option<Arc<Mutex<ProtectedWeights>>> = None;
+        let mut protected = None;
         if spec.protected {
             let (kind, n) = spec
                 .weight_format
@@ -255,7 +304,7 @@ impl ModelRegistry {
             let (weights, _) = store.decoded_weights();
             model = model.with_weight_data(weights, store.format_label());
             plans_built += model.depth();
-            protected = Some(Arc::new(Mutex::new(store)));
+            protected = Some(store);
         } else if let Some((kind, n)) = spec.weight_format {
             model = model.quantize_weights(kind, n)?;
             plans_built += model.depth();
@@ -267,8 +316,8 @@ impl ModelRegistry {
                  (protected snapshots rebuild from decoded storage)"
             );
             // Panics with a precise message if the weight format is
-            // missing or unsupported — registration is the build step,
-            // so a bad spec should fail loudly here, not at serve time.
+            // missing or unsupported — the build step, so a bad spec
+            // fails loudly here, not at serve time.
             model = model.with_fused_gemm();
         }
         if let Some((kind, n)) = spec.act_format {
@@ -283,25 +332,39 @@ impl ModelRegistry {
             plans_built += model.depth();
             plan_cache_hits += model.prewarm_codebooks().saturating_sub(fresh_builds);
         }
-        let warmed_codebooks = model.prewarm_codebooks();
-        let mut map = self.inner.write().expect("registry poisoned");
-        let generation = map.get(&spec.id).map_or(0, |v| v.generation + 1);
-        let variant = Arc::new(ModelVariant {
-            id: spec.id.clone(),
+        Ok(BuiltVariant {
+            warmed_codebooks: model.prewarm_codebooks(),
             model,
-            warmed_codebooks,
             plans_built,
             plan_cache_hits,
-            generation,
             protected,
             spec: spec.clone(),
+        })
+    }
+
+    /// Publish a built variant: swap it in atomically under its id
+    /// (the generation is this registry's previous one plus one, or 0)
+    /// and journal it. A protected variant's storage becomes this
+    /// registry's own. Returns the published snapshot.
+    pub fn publish(&self, built: BuiltVariant) -> Arc<ModelVariant> {
+        let mut map = self.inner.write().expect("registry poisoned");
+        let generation = map.get(&built.spec.id).map_or(0, |v| v.generation + 1);
+        let variant = Arc::new(ModelVariant {
+            id: built.spec.id.clone(),
+            model: built.model,
+            warmed_codebooks: built.warmed_codebooks,
+            plans_built: built.plans_built,
+            plan_cache_hits: built.plan_cache_hits,
+            generation,
+            protected: built.protected.map(|p| Arc::new(Mutex::new(p))),
+            spec: built.spec,
         });
-        map.insert(spec.id.clone(), Arc::clone(&variant));
+        map.insert(variant.id.clone(), Arc::clone(&variant));
         drop(map);
         if let Some(journal) = self.journal() {
             journal.on_register(&variant);
         }
-        Ok(variant)
+        variant
     }
 
     /// Publish a variant reconstructed from durable storage, preserving

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 
 fn main() -> Result<(), adaptivfloat::FormatError> {
     let mut rng = StdRng::seed_from_u64(99);
-    let ensemble = EnsembleKind::Transformer.generate(&mut rng, 10, 2048);
+    let ensemble = EnsembleKind::Transformer.generate(&mut rng, 2048, &[2048; 10]);
     let af = AdaptivFloat::new(6, 3)?;
     let fl = IeeeLikeFloat::new(6, 3)?;
     let bfp = BlockFloat::new(6)?;

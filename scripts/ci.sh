@@ -44,6 +44,7 @@ echo "== bit-identity under AF_NUM_THREADS=1 =="
 AF_NUM_THREADS=1 cargo test -q -p adaptivfloat --test plan_matches_backends
 AF_NUM_THREADS=1 cargo test -q -p af-models --test frozen_batch
 AF_NUM_THREADS=1 cargo test -q -p af-models --test alloc_regression
+AF_NUM_THREADS=1 cargo test -q -p af-resilience --test codec_equivalence
 AF_NUM_THREADS=1 cargo test -q --test serve_e2e
 # The reactor front end must also hold with the runtime forced serial
 # (one compute thread under the event loop — replies still wake it).
@@ -64,6 +65,7 @@ AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test kernel_bit_exact
 AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test plan_matches_backends
 AF_FORCE_SCALAR=1 cargo test -q -p af-tensor --test packed_gemm
 AF_FORCE_SCALAR=1 cargo test -q -p af-models --test fused_gemm
+AF_FORCE_SCALAR=1 cargo test -q -p af-resilience --test codec_equivalence
 AF_FORCE_SCALAR=1 cargo test -q --test serve_e2e
 
 echo "== fault_sweep smoke (--quick) =="
@@ -72,7 +74,11 @@ SERVE_PID=""
 trap '[ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2>/dev/null; rm -rf "$TMP_DIR"' EXIT
 cargo run --release -q -p af-bench --bin fault_sweep -- \
     --quick --out "$TMP_DIR/BENCH_resilience.json" >/dev/null
-python3 - "$TMP_DIR/BENCH_resilience.json" <<'PY'
+# The same section checks run on the fresh sweep and on the committed
+# snapshot, so a committed file that lacks a section CI asserts on
+# fails here rather than going stale.
+for RES_JSON in "$TMP_DIR/BENCH_resilience.json" BENCH_resilience.json; do
+python3 - "$RES_JSON" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -115,11 +121,14 @@ print(
     f"chaos availability {on['availability']:.3f} (breakers) vs {off['availability']:.3f}"
 )
 PY
+done
 
 echo "== serve_load smoke (--quick) =="
 cargo run --release -q -p af-bench --bin serve_load -- \
     --quick --out "$TMP_DIR/BENCH_serving.json" >/dev/null
-python3 - "$TMP_DIR/BENCH_serving.json" <<'PY'
+# Fresh quick run and committed snapshot, same section checks.
+for SERVING_JSON in "$TMP_DIR/BENCH_serving.json" BENCH_serving.json; do
+python3 - "$SERVING_JSON" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -137,9 +146,13 @@ for c in doc["cells"]:
 fused = [c for c in doc["cells"] if c["fused"]]
 assert fused, "no fused-GEMM cells in quick serving run"
 for f in fused:
+    # The twin is the same model served dense: the variant id without
+    # its "-fused" suffix (weight format alone would pair a wide fused
+    # model with a narrow dense one).
+    assert f["variant"].endswith("-fused"), f["variant"]
     dense = [
         c for c in doc["cells"]
-        if not c["fused"] and c["weight_format"] == f["weight_format"]
+        if not c["fused"] and c["variant"] == f["variant"][: -len("-fused")]
         and c["max_batch"] == f["max_batch"]
     ]
     assert dense, f"no dense twin for {f['variant']}"
@@ -190,6 +203,20 @@ print(
     f"fleet scaled {fleet['speedup_1_to_max']}x to {fleet['max_shards']} shards, "
     f"epoll ladder clean to {max(c['connections'] for c in epoll)} connections"
 )
+PY
+done
+
+echo "== committed benchmark snapshots carry their provenance stamp =="
+python3 - BENCH_resilience.json BENCH_serving.json <<'PY'
+import json, sys
+
+for path in sys.argv[1:]:
+    with open(path) as f:
+        doc = json.load(f)
+    meta, simd = doc.get("meta"), doc.get("simd")
+    assert meta and meta.get("git_sha") and meta.get("host_parallelism"), (path, meta)
+    assert simd and simd.get("isa"), (path, simd)
+    print(f"ok: {path} stamped {meta['git_sha']} on {simd['isa']}")
 PY
 
 echo "== fleet smoke (3 shards x 2 replicas, kill + warm-start) =="

@@ -29,7 +29,7 @@ use af_fleet::{
     HealthPolicy, HedgePolicy, InjectedFault, Shard, ShardConfig,
 };
 use af_models::{FrozenMlp, ModelFamily};
-use af_serve::{EngineConfig, ServeError, VariantSpec};
+use af_serve::{EngineConfig, ModelRegistry, ServeError, VariantSpec};
 
 const IN_DIM: usize = 12;
 const DIMS: [usize; 3] = [IN_DIM, 20, 6];
@@ -623,7 +623,8 @@ fn breaker_opens_then_degrades_off_ring_then_unavailable_with_retry_hint() {
 
     // An operator pre-positions the variant on the off-ring shard 1:
     // degraded serving takes over, bit-identical.
-    router.shard(1).unwrap().place(&model_spec).unwrap();
+    let built = ModelRegistry::build(&model_spec).unwrap();
+    router.shard(1).unwrap().place(&built);
     let out = router.infer(&id, input.clone()).expect("degraded serve");
     assert_eq!(bits(&out), reference, "degraded answers stay bit-identical");
     assert!(router.stats().snapshot().degraded >= 1);
@@ -892,7 +893,7 @@ fn shard_opens_standalone_for_embedding() {
     let shard = Shard::open(0, &root, shard_cfg(quick_engine())).unwrap();
     assert_eq!(shard.index(), 0);
     assert!(shard.root().ends_with("shard-000"));
-    shard.place(&spec("solo/m", 1)).unwrap();
+    shard.place(&ModelRegistry::build(&spec("solo/m", 1)).unwrap());
     let input = probe_input(4);
     let (tx, rx) = std::sync::mpsc::channel();
     shard
