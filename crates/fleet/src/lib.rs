@@ -35,7 +35,10 @@
 //!
 //! The TCP front end ([`server`]) speaks the same wire protocol as
 //! `af_serve::server`, so `af_serve::Client` (retries, deadlines)
-//! drives a fleet and a single engine interchangeably.
+//! drives a fleet and a single engine interchangeably. It routes on
+//! its epoll reactor: the router is one state machine stepped by reply
+//! and timer events, so no thread sits between a connection and the
+//! shard lanes.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]

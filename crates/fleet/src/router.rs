@@ -37,9 +37,20 @@
 //! which one hedge attempt launches on the next-best replica. Both
 //! attempts answer into one tagged reply channel ([`Engine::enqueue`]'s
 //! contract); the first success wins and the loser's eventual reply is
-//! discarded for free when the channel's receiver drops. Sequential
-//! request streams therefore hedge **reproducibly**: same seed, same
-//! sequence, same decisions.
+//! discarded. Sequential request streams therefore hedge
+//! **reproducibly**: same seed, same sequence, same decisions.
+//!
+//! **One state machine, two drivers.** All of the above is one
+//! per-request state machine (`Routing`): `start` launches the first
+//! attempt, `on_reply` and `on_timer` advance it, and each step answers
+//! the request or names the instant to wait until. Breaker admission
+//! and outcomes, failover, hedging, degradation and every
+//! [`FleetStats`] counter happen inside those steps.
+//! [`FleetRouter::infer_deadline`] drives it in-process with a private
+//! channel and precise `recv_timeout`s (the chaos harness and tests
+//! rely on that path's determinism); the HTTP front end
+//! ([`crate::server`]) drives the same machine from its reactor's
+//! reply channel and timer wheel, with no routing threads.
 //!
 //! **Warm-start.** Shards recover their own identity from their own
 //! store ([`Shard::open`]); the router only reconciles placement drift
@@ -55,7 +66,11 @@ use std::sync::{mpsc, Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use af_resilience::SplitMix64;
-use af_serve::{BuiltVariant, Engine, ModelRegistry, ScrubSummary, ServeError, VariantSpec};
+use af_serve::batcher::TaggedReply;
+use af_serve::sys::Waker;
+use af_serve::{
+    BuiltVariant, Engine, ModelRegistry, Progress, ScrubSummary, ServeError, VariantSpec,
+};
 use af_store::StoreError;
 
 use crate::health::{Admission, BreakerState, HealthPolicy, HealthRegistry, Transition};
@@ -595,9 +610,13 @@ impl FleetRouter {
 
     /// Route one request: try the best healthy replica, hedge to the
     /// next after the jittered latency budget, fail over immediately on
-    /// transient shard errors, first success wins. The losing attempt's
-    /// reply is discarded when the channel drops. Every outcome feeds
+    /// transient shard errors, first success wins. Every outcome feeds
     /// the health registry.
+    ///
+    /// The in-process driver of the routing state machine (`Routing`):
+    /// attempts answer on a private channel and the machine's wake-up
+    /// instants become precise `recv_timeout`s. The losing attempt's
+    /// reply is discarded when the channel drops.
     ///
     /// # Errors
     ///
@@ -613,268 +632,31 @@ impl FleetRouter {
         input: Vec<f32>,
         deadline: Duration,
     ) -> Result<Vec<f32>, ServeError> {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let result = self.try_infer(model, input, deadline, seq);
-        match &result {
-            Ok(_) => self.stats.completed.fetch_add(1, Ordering::Relaxed),
-            Err(_) => self.stats.failed.fetch_add(1, Ordering::Relaxed),
+        let (reply, replies) = mpsc::channel();
+        let sink = ReplySink {
+            reply,
+            waker: None,
+            tag: 0,
         };
-        result
-    }
-
-    fn try_infer(
-        &self,
-        model: &str,
-        input: Vec<f32>,
-        deadline: Duration,
-        seq: u64,
-    ) -> Result<Vec<f32>, ServeError> {
-        let candidates = self.selection(model);
-        if candidates.is_empty() {
-            return Err(ServeError::UnknownModel(model.to_string()));
-        }
-        let start = Instant::now();
-        let overall = start + deadline;
-        let (tx, rx) = mpsc::channel();
-        // Hold the sender only while further attempts are possible: once
-        // it drops, a disconnected receiver means every launched attempt
-        // died without answering (worker faults), not that more could be
-        // tried.
-        let mut tx = Some(tx);
-        let mut next = 0usize; // next candidate to try
-        let mut outstanding = 0usize;
-        let mut attempt = 0u64; // tag for the next launch
-        let mut admitted = 0usize; // candidates that passed their breaker
-        let mut last_err: Option<ServeError> = None;
-        // Which shard each launched attempt (by tag) went to, and when,
-        // so replies feed the right health record with real latency.
-        let mut attempt_shards: Vec<(usize, Instant)> = Vec::new();
-
-        // Launch one attempt on the next viable candidate. The breaker
-        // is consulted here, at launch time — never for a candidate the
-        // request doesn't actually reach — so a half-open shard's single
-        // probe token is only consumed by an attempt whose outcome will
-        // be recorded. Breaker rejections and admission-time shard
-        // errors fail over to the next candidate on the spot.
-        let launch = |next: &mut usize,
-                      outstanding: &mut usize,
-                      attempt: &mut u64,
-                      admitted: &mut usize,
-                      last_err: &mut Option<ServeError>,
-                      tx: &mut Option<mpsc::Sender<af_serve::batcher::TaggedReply>>,
-                      attempt_shards: &mut Vec<(usize, Instant)>|
-         -> Option<ServeError> {
-            while *next < candidates.len() {
-                let shard = &candidates[*next];
-                *next += 1;
-                let (admission, transitions) = self.health.admit(shard.index(), Instant::now());
-                self.record_transitions(transitions);
-                if let Admission::Reject { .. } = admission {
-                    self.stats
-                        .breaker_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    if *next == candidates.len() {
-                        *tx = None;
-                    }
-                    continue;
-                }
-                *admitted += 1;
-                let remaining = overall.saturating_duration_since(Instant::now());
-                let sender = tx.as_ref().expect("launch after channel close");
-                match shard.enqueue(model, input.clone(), remaining, *attempt, sender) {
-                    Ok(()) => {
-                        attempt_shards.push((shard.index(), Instant::now()));
-                        *attempt += 1;
-                        *outstanding += 1;
-                        if *next == candidates.len() {
-                            *tx = None;
-                        }
-                        return None;
-                    }
-                    Err(e) => {
-                        self.record_failure(shard.index(), &e);
-                        if e.is_failover() && *next < candidates.len() {
-                            self.stats.failovers.fetch_add(1, Ordering::Relaxed);
-                            *last_err = Some(e);
-                        } else {
-                            if *next == candidates.len() {
-                                *tx = None;
-                            }
-                            return Some(e);
-                        }
-                    }
-                }
-            }
-            Some(last_err.clone().unwrap_or(ServeError::Internal))
-        };
-
-        if let Some(e) = launch(
-            &mut next,
-            &mut outstanding,
-            &mut attempt,
-            &mut admitted,
-            &mut last_err,
-            &mut tx,
-            &mut attempt_shards,
-        ) {
-            if outstanding == 0 {
-                if admitted == 0 && last_err.is_none() {
-                    // Every live replica is quarantined (no breaker let
-                    // a single attempt through, and nothing else
-                    // failed): degrade.
-                    return self.infer_degraded(model, input, deadline);
-                }
-                return Err(e);
-            }
-        }
-
-        let hedge_at = if self.cfg.hedge.enabled() {
-            Some(start + self.cfg.hedge.budget_for(seq))
-        } else {
-            None
-        };
-        let mut hedged = false;
-        // Tag of the attempt the hedge actually launched as, if any —
-        // failover launches also consume tags, so `tag > 0` alone
-        // cannot distinguish a hedge win from a failover win.
-        let mut hedge_tag: Option<u64> = None;
-
+        let (mut routing, mut wake_at) = Routing::start(self, model, input, deadline, sink)?;
         loop {
-            let now = Instant::now();
-            if now >= overall {
-                return Err(last_err.take().unwrap_or(ServeError::DeadlineExceeded));
-            }
-            let wait_until = match hedge_at {
-                Some(h) if !hedged && next < candidates.len() => h.min(overall),
-                _ => overall,
+            // The routing holds a sender, so `recv` only ever returns a
+            // reply and `recv_timeout` a reply or a timeout.
+            let received = match wake_at {
+                Some(at) => replies
+                    .recv_timeout(at.saturating_duration_since(Instant::now()))
+                    .ok(),
+                None => replies.recv().ok(),
             };
-            match rx.recv_timeout(wait_until.saturating_duration_since(now)) {
-                Ok((tag, Ok(output))) => {
-                    if let Some(&(index, launched)) = attempt_shards.get(tag as usize) {
-                        self.record_transitions(
-                            self.health.record_success(index, launched.elapsed()),
-                        );
-                    }
-                    if hedge_tag == Some(tag) {
-                        self.stats.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(output);
-                }
-                Ok((tag, Err(e))) => {
-                    if let Some(&(index, _)) = attempt_shards.get(tag as usize) {
-                        self.record_failure(index, &e);
-                    }
-                    outstanding -= 1;
-                    let fatal = !e.is_failover();
-                    last_err = Some(e);
-                    if fatal {
-                        return Err(last_err.take().expect("just set"));
-                    }
-                    if next < candidates.len() {
-                        self.stats.failovers.fetch_add(1, Ordering::Relaxed);
-                        let _ = launch(
-                            &mut next,
-                            &mut outstanding,
-                            &mut attempt,
-                            &mut admitted,
-                            &mut last_err,
-                            &mut tx,
-                            &mut attempt_shards,
-                        );
-                    }
-                    if outstanding == 0 {
-                        return Err(last_err.take().expect("at least one error seen"));
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some(h) = hedge_at {
-                        if !hedged && next < candidates.len() && Instant::now() >= h {
-                            hedged = true;
-                            self.stats.hedges.fetch_add(1, Ordering::Relaxed);
-                            let tag_before = attempt;
-                            let _ = launch(
-                                &mut next,
-                                &mut outstanding,
-                                &mut attempt,
-                                &mut admitted,
-                                &mut last_err,
-                                &mut tx,
-                                &mut attempt_shards,
-                            );
-                            // `attempt` only advances on a successful
-                            // enqueue, so movement means the hedge
-                            // launched and `tag_before` is its tag.
-                            if attempt > tag_before {
-                                hedge_tag = Some(tag_before);
-                            }
-                            if outstanding == 0 {
-                                return Err(last_err
-                                    .take()
-                                    .unwrap_or(ServeError::DeadlineExceeded));
-                            }
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // Every launched attempt dropped its reply without
-                    // answering (worker faults mid-batch) and no more
-                    // candidates remain.
-                    return Err(last_err.take().unwrap_or(ServeError::Internal));
-                }
+            let progress = match received {
+                Some((tag, result)) => routing.on_reply(self, tag, result),
+                None => routing.on_timer(self, Instant::now()),
+            };
+            match progress {
+                Progress::Done(result) => return result,
+                Progress::Pending(next) => wake_at = next,
             }
         }
-    }
-
-    /// Graceful degradation: every live on-ring replica of `model` is
-    /// quarantined, so serve from **any** healthy live shard still
-    /// holding the variant — even one the ring no longer assigns it to
-    /// — and only when none exists answer [`ServeError::Unavailable`]
-    /// carrying the earliest half-open probe ETA as its retry hint.
-    fn infer_degraded(
-        &self,
-        model: &str,
-        input: Vec<f32>,
-        deadline: Duration,
-    ) -> Result<Vec<f32>, ServeError> {
-        let now = Instant::now();
-        let holders: Vec<Arc<Shard>> = lock::read(&self.shards)
-            .values()
-            .filter(|s| s.engine().registry().get(model).is_some())
-            .cloned()
-            .collect();
-        for shard in holders {
-            let (admission, transitions) = self.health.admit(shard.index(), now);
-            self.record_transitions(transitions);
-            if admission != Admission::Admit {
-                continue;
-            }
-            let launched = Instant::now();
-            match shard
-                .engine()
-                .infer_deadline(model, input.clone(), deadline)
-            {
-                Ok(output) => {
-                    self.record_transitions(
-                        self.health
-                            .record_success(shard.index(), launched.elapsed()),
-                    );
-                    self.stats.degraded.fetch_add(1, Ordering::Relaxed);
-                    return Ok(output);
-                }
-                Err(e) => {
-                    self.record_failure(shard.index(), &e);
-                    if !e.is_failover() {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        self.stats.unavailable.fetch_add(1, Ordering::Relaxed);
-        let placement = self.placement(model);
-        Err(ServeError::Unavailable {
-            retry_after_ms: self.health.half_open_eta_ms(&placement, Instant::now()),
-        })
     }
 
     fn record_failure(&self, index: usize, e: &ServeError) {
@@ -936,6 +718,355 @@ impl FleetRouter {
         let shards: Vec<Arc<Shard>> = lock::write(&self.shards).values().cloned().collect();
         for shard in shards {
             shard.shutdown();
+        }
+    }
+}
+
+/// Where one routing's shard attempts answer: attempt `k` replies on
+/// `reply` as `(tag + k, result)`, then rings `waker` when an event loop
+/// drives the routing.
+#[derive(Debug)]
+pub(crate) struct ReplySink {
+    pub(crate) reply: mpsc::Sender<TaggedReply>,
+    pub(crate) waker: Option<Arc<Waker>>,
+    pub(crate) tag: u64,
+}
+
+impl ReplySink {
+    fn enqueue(
+        &self,
+        engine: &Engine,
+        model: &str,
+        input: Vec<f32>,
+        deadline: Duration,
+        attempt: usize,
+    ) -> Result<(), ServeError> {
+        let tag = self.tag + attempt as u64;
+        match &self.waker {
+            Some(waker) => engine.enqueue_waking(model, input, deadline, tag, &self.reply, waker),
+            None => engine.enqueue(model, input, deadline, tag, &self.reply),
+        }
+    }
+}
+
+/// One request's routing as a state machine: the single implementation
+/// of selection, breaker admission, failover, hedging and degradation,
+/// driven either in-process ([`FleetRouter::infer_deadline`]) or by the
+/// HTTP front end's reactor (`crate::server`).
+///
+/// Three steps — [`start`](Routing::start), [`on_reply`](Routing::on_reply)
+/// and [`on_timer`](Routing::on_timer) — each return the answer or the
+/// instant to wait until (`None`: until the next reply). Breaker
+/// admission and outcomes, and every [`FleetStats`] counter, update
+/// inside the steps; a request counts as completed or failed exactly
+/// once, when its answer is returned (or when its caller
+/// [`abandon`](Routing::abandon)s it).
+#[derive(Debug)]
+pub(crate) struct Routing {
+    model: String,
+    input: Vec<f32>,
+    sink: ReplySink,
+    deadline: Duration,
+    /// When `deadline` expires.
+    overall: Instant,
+    /// Replicas to try, best first — in the degraded phase, every live
+    /// holder of the model.
+    candidates: Vec<Arc<Shard>>,
+    /// Next candidate to try.
+    next: usize,
+    outstanding: usize,
+    /// Which shard each launched attempt (by index) went to, and when,
+    /// so replies feed the right health record with real latency.
+    attempts: Vec<(usize, Instant)>,
+    /// Candidates that passed their breaker.
+    admitted: usize,
+    last_err: Option<ServeError>,
+    /// When the hedge launches; cleared once it has.
+    hedge_at: Option<Instant>,
+    /// Attempt the hedge actually launched as, if any — failover
+    /// launches also consume attempt indexes, so `attempt > 0` alone
+    /// cannot tell a hedge win from a failover win.
+    hedge_attempt: Option<usize>,
+    /// Set once every on-ring replica turned out quarantined: the
+    /// instant degraded serving admits holders at.
+    degraded: Option<Instant>,
+}
+
+/// A step's outcome before the request counters see it: the failure
+/// that answers the request, or the instant to wait until.
+type Step = Result<Option<Instant>, ServeError>;
+
+impl Routing {
+    /// Begin routing one request: select replicas and launch the first
+    /// attempt (degrading off-ring when every replica is quarantined).
+    ///
+    /// # Errors
+    ///
+    /// The request's answer when it fails before anything is pending.
+    pub(crate) fn start(
+        router: &FleetRouter,
+        model: &str,
+        input: Vec<f32>,
+        deadline: Duration,
+        sink: ReplySink,
+    ) -> Result<(Routing, Option<Instant>), ServeError> {
+        let seq = router.seq.fetch_add(1, Ordering::Relaxed);
+        router.stats.requests.fetch_add(1, Ordering::Relaxed);
+        let candidates = router.selection(model);
+        let start = Instant::now();
+        let hedge = router.cfg.hedge;
+        let mut routing = Routing {
+            model: model.to_string(),
+            input,
+            sink,
+            deadline,
+            overall: start + deadline,
+            candidates,
+            next: 0,
+            outstanding: 0,
+            attempts: Vec::new(),
+            admitted: 0,
+            last_err: None,
+            hedge_at: hedge.enabled().then(|| start + hedge.budget_for(seq)),
+            hedge_attempt: None,
+            degraded: None,
+        };
+        match routing.first_launch(router) {
+            Ok(wake_at) => Ok((routing, wake_at)),
+            Err(e) => {
+                router.stats.failed.fetch_add(1, Ordering::Relaxed);
+                Err(e)
+            }
+        }
+    }
+
+    fn first_launch(&mut self, router: &FleetRouter) -> Step {
+        if self.candidates.is_empty() {
+            return Err(ServeError::UnknownModel(self.model.clone()));
+        }
+        if let Some(e) = self.launch(router) {
+            if self.admitted == 0 && self.last_err.is_none() {
+                // Every live replica is quarantined (no breaker let a
+                // single attempt through, and nothing else failed).
+                return self.degrade(router);
+            }
+            return Err(e);
+        }
+        self.wait()
+    }
+
+    /// One attempt answered (`tag` as sent on the [`ReplySink`]).
+    pub(crate) fn on_reply(
+        &mut self,
+        router: &FleetRouter,
+        tag: u64,
+        result: Result<Vec<f32>, ServeError>,
+    ) -> Progress {
+        let attempt = tag.wrapping_sub(self.sink.tag) as usize;
+        let launched = self.attempts.get(attempt).copied();
+        let step = match result {
+            Ok(output) => {
+                if let Some((index, at)) = launched {
+                    router.record_transitions(router.health.record_success(index, at.elapsed()));
+                }
+                if self.hedge_attempt == Some(attempt) {
+                    router.stats.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                }
+                if self.degraded.is_some() {
+                    router.stats.degraded.fetch_add(1, Ordering::Relaxed);
+                }
+                router.stats.completed.fetch_add(1, Ordering::Relaxed);
+                return Progress::Done(Ok(output));
+            }
+            Err(e) => {
+                if let Some((index, _)) = launched {
+                    router.record_failure(index, &e);
+                }
+                self.failed_attempt(router, e)
+            }
+        };
+        settle(router, step)
+    }
+
+    fn failed_attempt(&mut self, router: &FleetRouter, e: ServeError) -> Step {
+        if !e.is_failover() {
+            return Err(e);
+        }
+        if self.degraded.is_some() {
+            return self.launch_degraded(router);
+        }
+        self.outstanding = self.outstanding.saturating_sub(1);
+        self.last_err = Some(e);
+        if self.next < self.candidates.len() {
+            router.stats.failovers.fetch_add(1, Ordering::Relaxed);
+            let _ = self.launch(router);
+        }
+        if self.outstanding == 0 {
+            return Err(self.last_err.take().unwrap_or(ServeError::Internal));
+        }
+        self.wait()
+    }
+
+    /// The instant last returned has passed: launch the hedge when its
+    /// budget ran out, answer `DeadlineExceeded` when the deadline did.
+    pub(crate) fn on_timer(&mut self, router: &FleetRouter, now: Instant) -> Progress {
+        let step = self.hedge(router, now).and_then(|()| self.wait());
+        settle(router, step)
+    }
+
+    fn hedge(&mut self, router: &FleetRouter, now: Instant) -> Result<(), ServeError> {
+        let due = self.hedge_at.is_some_and(|h| now >= h);
+        if !due || self.next >= self.candidates.len() {
+            return Ok(());
+        }
+        self.hedge_at = None;
+        router.stats.hedges.fetch_add(1, Ordering::Relaxed);
+        let before = self.attempts.len();
+        let _ = self.launch(router);
+        if self.attempts.len() > before {
+            self.hedge_attempt = Some(before);
+        }
+        if self.outstanding == 0 {
+            return Err(self.last_err.take().unwrap_or(ServeError::DeadlineExceeded));
+        }
+        Ok(())
+    }
+
+    /// The caller gave up on the request (its connection closed): it
+    /// counts as failed, and its outstanding replies are dropped
+    /// unread.
+    pub(crate) fn abandon(self, router: &FleetRouter) {
+        router.stats.failed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// What to wait for next: nothing once the deadline passed, else
+    /// the pending hedge or the deadline. Degraded attempts wait for
+    /// their reply alone, under the deadline each carries.
+    fn wait(&mut self) -> Step {
+        if self.degraded.is_some() {
+            return Ok(None);
+        }
+        if Instant::now() >= self.overall {
+            return Err(self.last_err.take().unwrap_or(ServeError::DeadlineExceeded));
+        }
+        Ok(Some(match self.hedge_at {
+            Some(h) if self.next < self.candidates.len() => h.min(self.overall),
+            _ => self.overall,
+        }))
+    }
+
+    /// Launch one attempt on the next viable candidate. The breaker is
+    /// consulted here, at launch time — never for a candidate the
+    /// request doesn't actually reach — so a half-open shard's single
+    /// probe token is only consumed by an attempt whose outcome will be
+    /// recorded. Breaker rejections and admission-time shard errors
+    /// fail over to the next candidate on the spot. Returns the error
+    /// that ended the search when nothing launched.
+    fn launch(&mut self, router: &FleetRouter) -> Option<ServeError> {
+        while self.next < self.candidates.len() {
+            let shard = &self.candidates[self.next];
+            self.next += 1;
+            let (admission, transitions) = router.health.admit(shard.index(), Instant::now());
+            router.record_transitions(transitions);
+            if let Admission::Reject { .. } = admission {
+                router
+                    .stats
+                    .breaker_rejections
+                    .fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            self.admitted += 1;
+            let remaining = self.overall.saturating_duration_since(Instant::now());
+            let attempt = self.attempts.len();
+            let launched = shard.admit_fault().and_then(|()| {
+                let input = self.input.clone();
+                self.sink
+                    .enqueue(shard.engine(), &self.model, input, remaining, attempt)
+            });
+            match launched {
+                Ok(()) => {
+                    self.attempts.push((shard.index(), Instant::now()));
+                    self.outstanding += 1;
+                    return None;
+                }
+                Err(e) => {
+                    router.record_failure(shard.index(), &e);
+                    if e.is_failover() && self.next < self.candidates.len() {
+                        router.stats.failovers.fetch_add(1, Ordering::Relaxed);
+                        self.last_err = Some(e);
+                    } else {
+                        return Some(e);
+                    }
+                }
+            }
+        }
+        Some(self.last_err.clone().unwrap_or(ServeError::Internal))
+    }
+
+    /// Graceful degradation: every live on-ring replica is quarantined,
+    /// so serve from **any** healthy live shard still holding the
+    /// variant — even one the ring no longer assigns it to — one holder
+    /// at a time, each attempt under the full deadline and straight to
+    /// the holder's engine (the chaos fault seam is not consulted).
+    fn degrade(&mut self, router: &FleetRouter) -> Step {
+        self.degraded = Some(Instant::now());
+        self.hedge_at = None;
+        self.candidates = lock::read(&router.shards)
+            .values()
+            .filter(|s| s.engine().registry().get(&self.model).is_some())
+            .cloned()
+            .collect();
+        self.next = 0;
+        self.launch_degraded(router)
+    }
+
+    /// Admit the next healthy holder. When none is left, answer
+    /// [`ServeError::Unavailable`] carrying the earliest half-open
+    /// probe ETA as its retry hint.
+    fn launch_degraded(&mut self, router: &FleetRouter) -> Step {
+        let now = self.degraded.unwrap_or_else(Instant::now);
+        while self.next < self.candidates.len() {
+            let shard = &self.candidates[self.next];
+            self.next += 1;
+            let (admission, transitions) = router.health.admit(shard.index(), now);
+            router.record_transitions(transitions);
+            if admission != Admission::Admit {
+                continue;
+            }
+            let launched = Instant::now();
+            let attempt = self.attempts.len();
+            let input = self.input.clone();
+            match self
+                .sink
+                .enqueue(shard.engine(), &self.model, input, self.deadline, attempt)
+            {
+                Ok(()) => {
+                    self.attempts.push((shard.index(), launched));
+                    return Ok(None);
+                }
+                Err(e) => {
+                    router.record_failure(shard.index(), &e);
+                    if !e.is_failover() {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        router.stats.unavailable.fetch_add(1, Ordering::Relaxed);
+        let placement = router.placement(&self.model);
+        Err(ServeError::Unavailable {
+            retry_after_ms: router.health.half_open_eta_ms(&placement, Instant::now()),
+        })
+    }
+}
+
+/// Count a finished request and turn a step into [`Progress`].
+fn settle(router: &FleetRouter, step: Step) -> Progress {
+    match step {
+        Ok(wake_at) => Progress::Pending(wake_at),
+        Err(e) => {
+            router.stats.failed.fetch_add(1, Ordering::Relaxed);
+            Progress::Done(Err(e))
         }
     }
 }

@@ -6,83 +6,41 @@
 //! document ([`FleetRouter::stats_json`]).
 //!
 //! Connections ride the same epoll reactor as the single-node server
-//! ([`af_serve::reactor`]). Routing itself is a *blocking* operation
-//! (hedged waits, failover retries), so it cannot run on the event
-//! loop: admitted requests cross into a small **routing pool** through
-//! a bounded queue, pool workers call
-//! [`FleetRouter::infer_deadline`] and deliver the tagged reply back
-//! through the reactor's eventfd waker. A full pool queue sheds with
-//! `429`, exactly like a full engine lane.
+//! ([`af_serve::reactor`]), and so does routing: each admitted request
+//! is one routing state machine (`crate::router::Routing`) held as the
+//! connection's pending dispatch state. Shard attempts answer straight
+//! into the reactor's reply channel ([`af_serve::Engine::enqueue_waking`])
+//! tagged with the request and attempt; the reactor feeds each reply,
+//! and each hedge or deadline instant it arms on its timer wheel, back
+//! into the machine. No thread sits between the reactor and the shard
+//! lanes.
+//!
+//! Over HTTP, hedges and deadlines ride the reactor's 10 ms wheel:
+//! never early, at most one tick late. The in-process path
+//! ([`FleetRouter::infer_deadline`]) waits with precise `recv_timeout`s.
 
 use std::io;
 use std::net::SocketAddr;
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
-use af_serve::queue::{BatchQueue, PushError};
 use af_serve::reactor::{self, Dispatch, ReactorConfig, ReactorHandle};
 use af_serve::stats::ConnStats;
 use af_serve::sys::Waker;
-use af_serve::{ServeError, TaggedReply};
+use af_serve::{Progress, ServeError, TaggedReply};
 
-use crate::router::FleetRouter;
+use crate::router::{FleetRouter, ReplySink, Routing};
 
-/// Threads in the routing pool — the concurrency ceiling for blocking
-/// hedged routing (each in-flight request occupies one pool thread).
-const POOL_THREADS: usize = 32;
-
-/// Bound on requests admitted but not yet picked up by a pool thread.
-const POOL_QUEUE_CAP: usize = 1024;
-
-/// One admitted request travelling from the reactor to the routing
-/// pool. Answers `500` on drop if no reply was sent — the reactor's
-/// "exactly one reply per admitted request" invariant must hold even
-/// when the pool is torn down with work still queued.
-struct PoolJob {
-    model: String,
-    input: Vec<f32>,
-    deadline: Option<Duration>,
-    tag: u64,
-    reply: Option<(mpsc::Sender<TaggedReply>, Arc<Waker>)>,
-}
-
-impl std::fmt::Debug for PoolJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolJob")
-            .field("model", &self.model)
-            .field("tag", &self.tag)
-            .finish_non_exhaustive()
-    }
-}
-
-impl PoolJob {
-    fn answer(mut self, result: Result<Vec<f32>, ServeError>) {
-        if let Some((sender, waker)) = self.reply.take() {
-            let _ = sender.send((self.tag, result));
-            waker.wake();
-        }
-    }
-}
-
-impl Drop for PoolJob {
-    fn drop(&mut self) {
-        if let Some((sender, waker)) = self.reply.take() {
-            let _ = sender.send((self.tag, Err(ServeError::Internal)));
-            waker.wake();
-        }
-    }
-}
-
-/// [`Dispatch`] for a [`FleetRouter`]: admission is a non-blocking push
-/// into the routing pool's bounded queue.
+/// [`Dispatch`] for a [`FleetRouter`]: each request's pending state is
+/// its [`Routing`], stepped by replies and timers on the reactor.
 #[derive(Debug)]
 struct RouterDispatch {
     router: Arc<FleetRouter>,
-    pool: Arc<BatchQueue<PoolJob>>,
 }
 
 impl Dispatch for RouterDispatch {
+    type Pending = Routing;
+
     fn stats_json(&self, connections: &str) -> String {
         self.router.stats_json_with(Some(connections))
     }
@@ -95,48 +53,40 @@ impl Dispatch for RouterDispatch {
         tag: u64,
         reply: &mpsc::Sender<TaggedReply>,
         waker: &Arc<Waker>,
-    ) -> Result<(), ServeError> {
-        let job = PoolJob {
-            model: model.to_string(),
-            input,
-            deadline,
+    ) -> Result<(Routing, Option<Instant>), ServeError> {
+        let deadline = deadline.unwrap_or(self.router.config().default_deadline);
+        let sink = ReplySink {
+            reply: reply.clone(),
+            waker: Some(Arc::clone(waker)),
             tag,
-            reply: Some((reply.clone(), Arc::clone(waker))),
         };
-        self.pool.try_push_reclaim(job).map_err(|(mut job, e)| {
-            // Refused at admission: the reactor answers directly, so
-            // the job must not also reply from its destructor.
-            job.reply = None;
-            match e {
-                PushError::Full => ServeError::Overloaded,
-                PushError::Closed => ServeError::ShuttingDown,
-            }
-        })
+        Routing::start(&self.router, model, input, deadline, sink)
     }
-}
 
-fn pool_worker(queue: &BatchQueue<PoolJob>, router: &FleetRouter) {
-    // Single-item pops: routing is blocking per request, there is no
-    // batch to form here (shard engines batch on their own lanes).
-    while let Some(batch) = queue.pop_batch(1) {
-        for job in batch {
-            let result = match job.deadline {
-                Some(d) => router.infer_deadline(&job.model, job.input.clone(), d),
-                None => router.infer(&job.model, job.input.clone()),
-            };
-            job.answer(result);
-        }
+    fn on_reply(
+        &self,
+        routing: &mut Routing,
+        tag: u64,
+        result: Result<Vec<f32>, ServeError>,
+    ) -> Progress {
+        routing.on_reply(&self.router, tag, result)
+    }
+
+    fn on_timer(&self, routing: &mut Routing, now: Instant) -> Progress {
+        routing.on_timer(&self.router, now)
+    }
+
+    fn abandon(&self, routing: Routing) {
+        routing.abandon(&self.router);
     }
 }
 
 /// A running fleet endpoint bound to a local address: epoll reactor in
-/// front, routing pool behind, shard engines below.
+/// front, routing on the reactor, shard engines below.
 #[derive(Debug)]
 pub struct FleetServer {
     handle: ReactorHandle,
     router: Arc<FleetRouter>,
-    pool: Arc<BatchQueue<PoolJob>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl FleetServer {
@@ -161,27 +111,11 @@ impl FleetServer {
         router: Arc<FleetRouter>,
         cfg: ReactorConfig,
     ) -> io::Result<FleetServer> {
-        let pool = Arc::new(BatchQueue::bounded(POOL_QUEUE_CAP));
-        let mut workers = Vec::with_capacity(POOL_THREADS);
-        for i in 0..POOL_THREADS {
-            let (queue, router) = (Arc::clone(&pool), Arc::clone(&router));
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("af-fleet:route-{i}"))
-                    .spawn(move || pool_worker(&queue, &router))?,
-            );
-        }
         let dispatch = Arc::new(RouterDispatch {
             router: Arc::clone(&router),
-            pool: Arc::clone(&pool),
         });
         let handle = reactor::spawn(addr, dispatch, cfg)?;
-        Ok(FleetServer {
-            handle,
-            router,
-            pool,
-            workers: Mutex::new(workers),
-        })
+        Ok(FleetServer { handle, router })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -200,22 +134,9 @@ impl FleetServer {
         self.handle.conn_stats()
     }
 
-    /// Stop accepting, drain in-flight requests, join the reactor and
-    /// the routing pool. Idempotent.
+    /// Stop accepting, drain in-flight requests and join the reactor.
+    /// Idempotent (and run on drop).
     pub fn shutdown(&self) {
-        // Reactor first: it drains in-flight requests, which need live
-        // pool workers to produce their replies.
         self.handle.shutdown();
-        self.pool.close();
-        let workers: Vec<_> = crate::lock::lock(&self.workers).drain(..).collect();
-        for handle in workers {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for FleetServer {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }

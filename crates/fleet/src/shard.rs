@@ -163,6 +163,13 @@ impl Shard {
         tag: u64,
         reply: &std::sync::mpsc::Sender<TaggedReply>,
     ) -> Result<(), ServeError> {
+        self.admit_fault()?;
+        self.engine.enqueue(model, input, deadline, tag, reply)
+    }
+
+    /// The chaos seam every routed attempt passes before its engine
+    /// admission: apply the injected fault, if any.
+    pub(crate) fn admit_fault(&self) -> Result<(), ServeError> {
         if let Some(fault) = *lock::read(&self.fault) {
             let n = self.admissions.fetch_add(1, Ordering::Relaxed);
             if !fault.delay.is_zero() {
@@ -175,13 +182,23 @@ impl Shard {
                 }
             }
         }
-        self.engine.enqueue(model, input, deadline, tag, reply)
+        Ok(())
     }
 
     /// Install (or with `None`, clear) a chaos fault on this shard's
     /// admission seam. The per-shard admission counter keeps running
     /// across installs, so a fixed `(fault.seed, schedule)` yields one
     /// deterministic error sequence per shard lifetime.
+    ///
+    /// A fault's `delay` sleeps on the thread that admits the attempt.
+    /// In-process callers ([`FleetRouter::infer`], the chaos harness)
+    /// admit on their own thread; over HTTP ([`FleetServer`]) that
+    /// thread is the reactor, so a delayed shard stalls every
+    /// connection for the delay — a straggler model for in-process
+    /// chaos runs, not for HTTP load.
+    ///
+    /// [`FleetRouter::infer`]: crate::FleetRouter::infer
+    /// [`FleetServer`]: crate::FleetServer
     pub fn inject_fault(&self, fault: Option<InjectedFault>) {
         *lock::write(&self.fault) = fault;
     }

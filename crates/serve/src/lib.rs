@@ -91,7 +91,7 @@ pub use batcher::{Engine, EngineConfig, ServeError, TaggedReply};
 pub use client::{Client, ClientBuilder, ClientError, ClientTimeouts, RetryPolicy};
 pub use durable::{DurableOpen, DurableStore, RecoveryReport};
 pub use protect::ProtectedWeights;
-pub use reactor::{Dispatch, ReactorConfig, ReactorHandle};
+pub use reactor::{Dispatch, Progress, ReactorConfig, ReactorHandle};
 pub use registry::{
     BuiltVariant, ModelRegistry, ModelVariant, RegistryJournal, RestoredParts, ScrubOutcome,
     VariantSpec,

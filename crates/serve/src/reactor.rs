@@ -11,25 +11,49 @@
 //! control are untouched behind the [`Dispatch`] seam) — blocking
 //! matmuls have no place on an event loop, and the lanes' bounded
 //! queues already give the backpressure story. The two tiers meet at
-//! two points:
+//! three points:
 //!
 //! * **Request**: a parsed request is admitted through
-//!   [`Dispatch::begin_infer`] (the engine's tagged
-//!   [`Engine::enqueue_waking`](crate::batcher::Engine::enqueue_waking)
-//!   seam), with the connection's slab token as the tag. Admission
-//!   errors answer immediately; admitted requests park the connection.
-//! * **Reply**: the lane worker sends `(token, result)` on the shared
-//!   channel and rings the reactor's eventfd [`Waker`]. The loop wakes,
-//!   drains the channel, matches tokens back to live connections
-//!   (generation-checked, so a reply for a closed-and-recycled slot is
-//!   dropped), serializes the response, and resumes writing.
+//!   [`Dispatch::begin_infer`] with a tag naming the request (see
+//!   below). Admission errors answer immediately; an admitted request
+//!   parks the connection with the dispatch's per-request state.
+//! * **Reply**: a lane worker sends `(tag, result)` on the shared
+//!   channel and rings the reactor's eventfd [`Waker`]
+//!   ([`Engine::enqueue_waking`](crate::batcher::Engine::enqueue_waking)).
+//!   The loop wakes, drains the channel, matches each tag back to its
+//!   live request and hands the reply to [`Dispatch::on_reply`]. A
+//!   [`Progress::Done`] answer is serialized and writing resumes;
+//!   [`Progress::Pending`] keeps the request parked.
+//! * **Timer**: a pending request may ask to be woken at an instant
+//!   (a fleet router's hedge or overall deadline). The reactor arms it
+//!   on the same wheel as the connection deadlines and calls
+//!   [`Dispatch::on_timer`] when it fires — never early, at most one
+//!   10 ms wheel tick late.
+//!
+//! ## The `Dispatch` contract
+//!
+//! * `begin_infer` receives a tag whose low 8 bits are zero. Everything
+//!   it launches answers on `reply` as `(tag + k, result)` for some
+//!   attempt index `k < 256`, followed by `waker.wake()`.
+//! * Tags carry the connection's slab slot and generation **and** a
+//!   per-connection request sequence, so a reply that outlives its
+//!   request — a hedge loser answering after the connection sent its
+//!   next pipelined request, or a reply for a closed-and-recycled slot
+//!   — is dropped, never handed to the wrong request.
+//! * Every step runs on the reactor thread, so a step must not block.
+//!   A request is answered exactly once: by its admission error, or by
+//!   the step that returns [`Progress::Done`]. A connection that closes
+//!   with a request still pending hands the state to
+//!   [`Dispatch::abandon`] instead.
 //!
 //! ## Connection state machine
 //!
 //! ```text
-//!   Reading ──parse──▶ Dispatched ──reply──▶ (write) ──flushed──▶ Reading
-//!      │                                        │
-//!      └── idle/header deadline → 408 + close   └── stalled write → close
+//!   Reading ──parse──▶ Dispatched ──Done──▶ (write) ──flushed──▶ Reading
+//!      │                 │    ▲                │
+//!      │                 └────┘ reply/timer:   └── stalled write → close
+//!      │                        Pending
+//!      └── idle/header deadline → 408 + close
 //! ```
 //!
 //! While a response is pending or buffered, the connection's read
@@ -67,17 +91,36 @@ const WAKER_TOKEN: u64 = u64::MAX - 1;
 /// connection's buffer growth fair).
 const READ_CHUNK: usize = 16 * 1024;
 
+/// Low tag bits a [`Dispatch`] may use to number the attempts of one
+/// request; the bits above name the request itself.
+const ATTEMPT_BITS: u32 = 8;
+
+/// What a pending request's dispatch step decided.
+#[derive(Debug)]
+pub enum Progress {
+    /// The request is answered.
+    Done(Result<Vec<f32>, ServeError>),
+    /// Still waiting: for the next reply, or — when an instant is given
+    /// — at the latest until then, when [`Dispatch::on_timer`] runs.
+    Pending(Option<Instant>),
+}
+
 /// What the reactor serves: the seam both the single-engine server and
-/// the fleet front end plug into.
+/// the fleet front end plug into. See the module docs for the contract.
 pub trait Dispatch: Send + Sync + 'static {
+    /// Per-request state the reactor keeps while a request is pending
+    /// and hands back with each of its replies and timers.
+    type Pending: Send + 'static;
+
     /// The body of `GET /stats`, with the reactor's connection-tier
     /// gauges pre-rendered as a JSON object for splicing.
     fn stats_json(&self, connections: &str) -> String;
 
-    /// Begin one inference. `Ok(())` promises that exactly one
-    /// `(tag, result)` will eventually arrive on `reply` followed by a
-    /// `waker.wake()`; `Err` means the request was answered at
-    /// admission and nothing is pending.
+    /// Begin one inference. `Ok` returns the request's pending state
+    /// and the instant (if any) at which [`on_timer`](Self::on_timer)
+    /// must run; replies then arrive on `reply` tagged `tag + k`
+    /// (module docs). `Err` means the request was answered at admission
+    /// and nothing is pending.
     ///
     /// # Errors
     ///
@@ -91,7 +134,24 @@ pub trait Dispatch: Send + Sync + 'static {
         tag: u64,
         reply: &mpsc::Sender<TaggedReply>,
         waker: &Arc<Waker>,
-    ) -> Result<(), ServeError>;
+    ) -> Result<(Self::Pending, Option<Instant>), ServeError>;
+
+    /// One reply for a pending request arrived.
+    fn on_reply(
+        &self,
+        pending: &mut Self::Pending,
+        tag: u64,
+        result: Result<Vec<f32>, ServeError>,
+    ) -> Progress;
+
+    /// The instant a pending request asked for has passed. The default
+    /// serves dispatches that never ask for one.
+    fn on_timer(&self, _pending: &mut Self::Pending, _now: Instant) -> Progress {
+        Progress::Pending(None)
+    }
+
+    /// The request's connection closed before it was answered.
+    fn abandon(&self, _pending: Self::Pending) {}
 }
 
 /// Deadlines and limits for the connection tier.
@@ -224,14 +284,6 @@ pub fn spawn<D: Dispatch>(
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnState {
-    /// Parsing/awaiting request bytes.
-    Reading,
-    /// A request was admitted; its reply will arrive on the channel.
-    Dispatched,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimerKind {
     /// Idle between requests too long → 408 + close.
     Idle,
@@ -239,14 +291,21 @@ enum TimerKind {
     Header,
     /// Buffered response making no write progress → close.
     Write,
+    /// The pending request's dispatch asked to be woken.
+    Dispatch,
 }
 
 #[derive(Debug)]
-struct Conn {
+struct Conn<P> {
     stream: TcpStream,
     gen: u64,
     parser: RequestParser,
-    state: ConnState,
+    /// Requests admitted on this connection so far; the latest one's
+    /// number rides in its reply tags.
+    seq: u64,
+    /// The admitted request's dispatch state: `Some` while a request is
+    /// pending (the connection is "dispatched"), `None` while reading.
+    pending: Option<P>,
     write_buf: Vec<u8>,
     write_pos: usize,
     interest: Interest,
@@ -264,13 +323,20 @@ struct Conn {
     stall_pos: usize,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, gen: u64) -> Conn {
+impl<P> Conn<P> {
+    /// Lazily cancel the armed timer: its fire no longer matches.
+    fn cancel_timer(&mut self) {
+        self.timer_gen += 1;
+        self.timer_kind = None;
+    }
+
+    fn new(stream: TcpStream, gen: u64) -> Conn<P> {
         Conn {
             stream,
             gen,
             parser: RequestParser::new(),
-            state: ConnState::Reading,
+            seq: 0,
+            pending: None,
             write_buf: Vec::new(),
             write_pos: 0,
             interest: Interest::READ,
@@ -285,11 +351,11 @@ impl Conn {
 }
 
 /// A generation-tagged slab: tokens are `gen << 32 | index`, so a
-/// readiness event, timer, or reply that outlives its connection can
-/// never touch the slot's next tenant.
+/// readiness event or timer that outlives its connection can never
+/// touch the slot's next tenant.
 #[derive(Debug)]
-struct Slab {
-    slots: Vec<Option<Conn>>,
+struct Slab<P> {
+    slots: Vec<Option<Conn<P>>>,
     free: Vec<usize>,
     live: usize,
     next_gen: u64,
@@ -303,8 +369,16 @@ fn split_token(token: u64) -> (usize, u64) {
     ((token & 0xFFFF_FFFF) as usize, token >> 32)
 }
 
-impl Slab {
-    fn new() -> Slab {
+/// The tag of a connection's `seq`-th request:
+/// `idx:24 | gen:16 | seq:16 | attempt:ATTEMPT_BITS`, the attempt bits
+/// zero. A reply names its slot, the slot's tenant, and which of that
+/// tenant's requests it answers.
+fn request_tag(idx: usize, gen: u64, seq: u64) -> u64 {
+    ((idx as u64) << 40) | ((gen & 0xFFFF) << 24) | ((seq & 0xFFFF) << ATTEMPT_BITS)
+}
+
+impl<P> Slab<P> {
+    fn new() -> Slab<P> {
         Slab {
             slots: Vec::new(),
             free: Vec::new(),
@@ -329,11 +403,11 @@ impl Slab {
         }
     }
 
-    fn get_mut(&mut self, idx: usize) -> Option<&mut Conn> {
+    fn get_mut(&mut self, idx: usize) -> Option<&mut Conn<P>> {
         self.slots.get_mut(idx)?.as_mut()
     }
 
-    fn remove(&mut self, idx: usize) -> Option<Conn> {
+    fn remove(&mut self, idx: usize) -> Option<Conn<P>> {
         let conn = self.slots.get_mut(idx)?.take()?;
         self.free.push(idx);
         self.live -= 1;
@@ -367,7 +441,7 @@ struct Reactor<D: Dispatch> {
     stats: Arc<ConnStats>,
     reply_tx: mpsc::Sender<TaggedReply>,
     reply_rx: mpsc::Receiver<TaggedReply>,
-    conns: Slab,
+    conns: Slab<D::Pending>,
     timers: TimerWheel,
     /// `Some(deadline)` once shutdown began: no new accepts or
     /// requests, existing responses flush until the deadline.
@@ -444,7 +518,7 @@ impl<D: Dispatch> Reactor<D> {
             let idle = self
                 .conns
                 .get_mut(idx)
-                .is_some_and(|c| c.state == ConnState::Reading && c.write_buf.is_empty());
+                .is_some_and(|c| c.pending.is_none() && c.write_buf.is_empty());
             if idle {
                 self.close_conn(idx);
             }
@@ -605,18 +679,51 @@ impl<D: Dispatch> Reactor<D> {
         let Some(conn) = self.conns.get_mut(idx) else {
             return;
         };
-        let tag = token_of(idx, conn.gen);
-        let dispatch = Arc::clone(&self.dispatch);
-        match dispatch.begin_infer(variant, input, deadline, tag, &self.reply_tx, &self.waker) {
-            Ok(()) => {
-                let Some(conn) = self.conns.get_mut(idx) else {
-                    return;
-                };
-                conn.state = ConnState::Dispatched;
+        conn.seq += 1;
+        let tag = request_tag(idx, conn.gen, conn.seq);
+        match self
+            .dispatch
+            .begin_infer(variant, input, deadline, tag, &self.reply_tx, &self.waker)
+        {
+            Ok((pending, wake_at)) => {
+                conn.pending = Some(pending);
+                if let Some(at) = wake_at {
+                    self.arm_timer(idx, TimerKind::Dispatch, at);
+                }
             }
             Err(e) => {
                 self.respond_error(idx, &e);
             }
+        }
+    }
+
+    /// Act on a pending request's step: answer it and resume the
+    /// connection, or keep waiting with the wake-up instant re-armed.
+    fn resolve(&mut self, idx: usize, progress: Progress) {
+        let Some(conn) = self.conns.get_mut(idx) else {
+            return;
+        };
+        match progress {
+            Progress::Done(result) => {
+                conn.pending = None;
+                conn.cancel_timer();
+                match result {
+                    Ok(output) => {
+                        self.respond(
+                            idx,
+                            200,
+                            "application/octet-stream",
+                            &encode_f32_body(&output),
+                        );
+                    }
+                    Err(e) => {
+                        self.respond_error(idx, &e);
+                    }
+                }
+                self.advance(idx);
+            }
+            Progress::Pending(Some(at)) => self.arm_timer(idx, TimerKind::Dispatch, at),
+            Progress::Pending(None) => conn.cancel_timer(),
         }
     }
 
@@ -676,10 +783,11 @@ impl<D: Dispatch> Reactor<D> {
                     Some((TimerKind::Idle, now + self.cfg.idle_timeout))
                 }
             } else {
-                // Dispatched: the engine's deadline machinery owns the
-                // clock; any armed reactor timer is cancelled (lazily).
-                conn.timer_gen += 1;
-                conn.timer_kind = None;
+                // Dispatched: only the dispatch's own wake-up (if any)
+                // stays armed; any other timer is cancelled (lazily).
+                if conn.timer_kind != Some(TimerKind::Dispatch) {
+                    conn.cancel_timer();
+                }
                 None
             };
             if interest.writable {
@@ -758,38 +866,36 @@ impl<D: Dispatch> Reactor<D> {
                     self.close_conn(idx);
                 }
             }
+            Some(TimerKind::Dispatch) => {
+                let Some(conn) = self.conns.get_mut(idx) else {
+                    return;
+                };
+                conn.timer_kind = None;
+                let Some(pending) = conn.pending.as_mut() else {
+                    return;
+                };
+                let progress = self.dispatch.on_timer(pending, Instant::now());
+                self.resolve(idx, progress);
+            }
         }
     }
 
     fn drain_replies(&mut self) {
-        while let Ok((token, result)) = self.reply_rx.try_recv() {
-            let (idx, gen) = split_token(token);
-            let live = {
-                let Some(conn) = self.conns.get_mut(idx) else {
-                    continue;
-                };
-                conn.gen == gen && conn.state == ConnState::Dispatched
+        while let Ok((tag, result)) = self.reply_rx.try_recv() {
+            let idx = (tag >> 40) as usize;
+            let Some(conn) = self.conns.get_mut(idx) else {
+                continue;
             };
-            if !live {
-                continue; // the connection died while its request ran
+            // A reply for another request — the connection died, or it
+            // moved on to its next request while a hedge loser ran.
+            if tag >> ATTEMPT_BITS != request_tag(idx, conn.gen, conn.seq) >> ATTEMPT_BITS {
+                continue;
             }
-            if let Some(conn) = self.conns.get_mut(idx) {
-                conn.state = ConnState::Reading;
-            }
-            match result {
-                Ok(output) => {
-                    self.respond(
-                        idx,
-                        200,
-                        "application/octet-stream",
-                        &encode_f32_body(&output),
-                    );
-                }
-                Err(e) => {
-                    self.respond_error(idx, &e);
-                }
-            }
-            self.advance(idx);
+            let Some(pending) = conn.pending.as_mut() else {
+                continue;
+            };
+            let progress = self.dispatch.on_reply(pending, tag, result);
+            self.resolve(idx, progress);
         }
     }
 
@@ -797,14 +903,17 @@ impl<D: Dispatch> Reactor<D> {
         if let Some(conn) = self.conns.remove(idx) {
             self.epoll.delete(conn.stream.as_raw_fd());
             self.stats.on_close();
-            // conn (and its fd) drops here
+            if let Some(pending) = conn.pending {
+                self.dispatch.abandon(pending);
+            }
+            // the stream (and its fd) drops here
         }
     }
 }
 
 /// One pump step over a connection: returns what the reactor should do.
 /// Free function so the borrow of the connection is clearly scoped.
-fn pump(conn: &mut Conn, draining: bool) -> Next {
+fn pump<P>(conn: &mut Conn<P>, draining: bool) -> Next {
     // 1) Flush buffered response bytes.
     while conn.write_pos < conn.write_buf.len() {
         match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
@@ -829,7 +938,7 @@ fn pump(conn: &mut Conn, draining: bool) -> Next {
     }
     // 2) A dispatched request parks the connection with no interests:
     //    no reads (bounded buffering), the reply waker resumes us.
-    if conn.state == ConnState::Dispatched {
+    if conn.pending.is_some() {
         return Next::Park(Interest::NONE);
     }
     // 3) During drain, finish the in-flight exchange and stop there.

@@ -32,14 +32,14 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::batcher::{Engine, ServeError, TaggedReply};
 use crate::http::{
     decode_f32_body, encode_f32_body, read_request, violation_status, write_response,
     write_response_with, Request,
 };
-use crate::reactor::{self, Dispatch, ReactorConfig, ReactorHandle};
+use crate::reactor::{self, Dispatch, Progress, ReactorConfig, ReactorHandle};
 use crate::stats::ConnStats;
 use crate::sys::Waker;
 
@@ -53,13 +53,16 @@ const READ_POLL: Duration = Duration::from_millis(200);
 
 /// [`Dispatch`] for a single [`Engine`]: requests admit through the
 /// tagged waking enqueue, missing per-request deadlines fall back to
-/// the engine default.
+/// the engine default, and the one reply is the answer — no state, no
+/// timer.
 #[derive(Debug)]
 struct EngineDispatch {
     engine: Arc<Engine>,
 }
 
 impl Dispatch for EngineDispatch {
+    type Pending = ();
+
     fn stats_json(&self, connections: &str) -> String {
         self.engine.stats_json_with(Some(connections))
     }
@@ -72,10 +75,15 @@ impl Dispatch for EngineDispatch {
         tag: u64,
         reply: &mpsc::Sender<TaggedReply>,
         waker: &Arc<Waker>,
-    ) -> Result<(), ServeError> {
+    ) -> Result<((), Option<Instant>), ServeError> {
         let deadline = deadline.unwrap_or(self.engine.config().default_deadline);
         self.engine
-            .enqueue_waking(model, input, deadline, tag, reply, waker)
+            .enqueue_waking(model, input, deadline, tag, reply, waker)?;
+        Ok(((), None))
+    }
+
+    fn on_reply(&self, _: &mut (), _: u64, result: Result<Vec<f32>, ServeError>) -> Progress {
+        Progress::Done(result)
     }
 }
 

@@ -222,12 +222,15 @@ PY
 echo "== fleet smoke (3 shards x 2 replicas, kill + warm-start) =="
 # Kill one replica mid-load: with R=2 every model keeps a live replica,
 # so the client herd must see zero failures, and the revived shard must
-# replay its WAL and serve bit-identical answers. Forced serial
-# (AF_NUM_THREADS=1) so the epoll front end is exercised with exactly
-# one compute thread per shard under it.
-AF_NUM_THREADS=1 cargo run --release -q -p af-bench --bin fleet_smoke -- \
-    --out "$TMP_DIR/fleet_smoke.json" >/dev/null
-python3 - "$TMP_DIR/fleet_smoke.json" <<'PY'
+# replay its WAL and serve bit-identical answers. The kill drives the
+# HTTP failover path, which routes on the epoll reactor: run it at the
+# default thread count and forced serial (AF_NUM_THREADS=1, exactly one
+# compute thread per shard under the event loop).
+for THREADS in "" 1; do
+SMOKE_JSON="$TMP_DIR/fleet_smoke${THREADS:+_threads$THREADS}.json"
+env ${THREADS:+AF_NUM_THREADS=$THREADS} cargo run --release -q -p af-bench --bin fleet_smoke -- \
+    --out "$SMOKE_JSON" >/dev/null
+python3 - "$SMOKE_JSON" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -246,6 +249,7 @@ print(
     f"{doc['recovered_variants']} variants warm-started bit-identically"
 )
 PY
+done
 
 echo "== chaos smoke (sicken + kill + revive, deterministic) =="
 # The chaos harness end to end: a scripted sicken/kill/revive campaign

@@ -18,6 +18,10 @@
 //! 5. **Fleet operations** — register/hot-swap fan-out with per-shard
 //!    generations, scrub fan-out, rebalancing on join/leave, and the
 //!    HTTP front end speaking the single-node wire protocol.
+//! 6. **HTTP parity** — hedging and lane-panic failover behave the same
+//!    when the reactor drives routing, `/stats` conserves
+//!    `requests == completed + failed`, and a hedge loser's late reply
+//!    never answers a later pipelined request on its connection.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -483,6 +487,245 @@ fn fleet_http_front_end_speaks_the_single_node_protocol() {
         err,
         af_serve::ClientError::Http { status: 404, .. }
     ));
+    server.shutdown();
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The first `"key":<integer>` of a stats document — the fleet-level
+/// counters lead it, ahead of the per-shard sections.
+fn stat(doc: &str, key: &str) -> u64 {
+    let pattern = format!("\"{key}\":");
+    let at = doc
+        .find(&pattern)
+        .unwrap_or_else(|| panic!("no {key} in {doc}"))
+        + pattern.len();
+    let digits: String = doc[at..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("integer counter")
+}
+
+/// Read `GET /stats` and check conservation: every request the router
+/// saw was answered exactly once, as completed or failed.
+fn conserved_stats(client: &mut af_serve::Client) -> String {
+    let doc = client.stats_json().unwrap();
+    assert_eq!(
+        stat(&doc, "requests"),
+        stat(&doc, "completed") + stat(&doc, "failed"),
+        "requests must equal completed + failed: {doc}"
+    );
+    doc
+}
+
+#[test]
+fn http_straggler_is_hedged_around_bit_identically() {
+    // `straggler_is_hedged_around_with_p99_below_its_latency`, driven
+    // through the HTTP front end: the reactor's timer wheel launches the
+    // hedge instead of an in-process `recv_timeout`.
+    let root = tmp_root("http-straggle");
+    let straggle = Duration::from_millis(300);
+    let hedge = HedgePolicy {
+        budget: Duration::from_millis(40),
+        jitter_seed: 0xFEED,
+    };
+    let router = Arc::new(FleetRouter::new(
+        &root,
+        FleetConfig {
+            replicas: 2,
+            hedge,
+            ..FleetConfig::default()
+        },
+    ));
+    router
+        .join(
+            0,
+            shard_cfg(EngineConfig {
+                service_delay: straggle,
+                ..quick_engine()
+            }),
+        )
+        .unwrap();
+    for i in 1..3 {
+        router.join(i, shard_cfg(quick_engine())).unwrap();
+    }
+    let id = model_with_primary(&router, 0, "http-straggled");
+    router.register_model(&spec(&id, 42)).unwrap();
+    let input = probe_input(5);
+    let reference = bits(
+        &router
+            .shard(router.placement(&id)[1])
+            .unwrap()
+            .engine()
+            .registry()
+            .get(&id)
+            .unwrap()
+            .model
+            .evaluate(&input),
+    );
+    let server = FleetServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
+    let mut client = af_serve::Client::connect(server.addr()).unwrap();
+
+    let mut latencies = Vec::new();
+    let rounds = 15;
+    for _ in 0..rounds {
+        let t0 = Instant::now();
+        let out = client.infer(&id, &input).expect("hedged infer over HTTP");
+        latencies.push(t0.elapsed());
+        assert_eq!(bits(&out), reference, "hedged answers stay bit-identical");
+        std::thread::sleep(straggle + Duration::from_millis(20));
+    }
+    latencies.sort();
+    let p99 = latencies[(latencies.len() * 99).div_ceil(100) - 1];
+    assert!(
+        p99 < straggle / 2,
+        "p99 {p99:?} should sit far below the {straggle:?} straggler"
+    );
+    let doc = conserved_stats(&mut client);
+    assert!(stat(&doc, "hedges") > 0, "hedges must launch: {doc}");
+    assert!(stat(&doc, "hedge_wins") > 0, "hedges must win: {doc}");
+    assert_eq!(stat(&doc, "failed"), 0, "{doc}");
+    server.shutdown();
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn http_lane_panic_on_the_primary_fails_over_to_the_reference_bits() {
+    let root = tmp_root("http-panic");
+    let trigger = 7.75f32;
+    let router = Arc::new(FleetRouter::new(
+        &root,
+        FleetConfig {
+            replicas: 2,
+            hedge: no_hedge(),
+            health: test_health(),
+            ..FleetConfig::default()
+        },
+    ));
+    router
+        .join(
+            0,
+            shard_cfg(EngineConfig {
+                panic_trigger: Some(trigger),
+                ..quick_engine()
+            }),
+        )
+        .unwrap();
+    for i in 1..3 {
+        router.join(i, shard_cfg(quick_engine())).unwrap();
+    }
+    let id = model_with_primary(&router, 0, "http-panic");
+    router.register_model(&spec(&id, 77)).unwrap();
+    let mut poisoned = probe_input(8);
+    poisoned[0] = trigger;
+    let reference = bits(
+        &router
+            .shard(router.placement(&id)[1])
+            .unwrap()
+            .engine()
+            .registry()
+            .get(&id)
+            .unwrap()
+            .model
+            .evaluate(&poisoned),
+    );
+    let server = FleetServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
+    let mut client = af_serve::Client::connect(server.addr()).unwrap();
+    let out = client
+        .infer(&id, &poisoned)
+        .expect("the secondary answers after the primary's lane panics");
+    assert_eq!(bits(&out), reference);
+    let doc = conserved_stats(&mut client);
+    assert_eq!(stat(&doc, "failovers"), 1, "{doc}");
+    assert_eq!(stat(&doc, "failed"), 0, "{doc}");
+    assert_eq!(router.health().snapshot(0).failures, 1);
+    server.shutdown();
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn pipelined_replies_never_answer_the_wrong_request() {
+    // One keep-alive connection, many distinct pipelined inputs, and a
+    // straggling primary: every early request hedges, and the
+    // straggler's losing reply lands while the connection is already
+    // waiting on a later request. Reply tags name the request, not just
+    // the connection, so each response must carry its own input's bits.
+    let root = tmp_root("http-stale");
+    let hedge = HedgePolicy {
+        budget: Duration::from_millis(2),
+        jitter_seed: 0x57A1E,
+    };
+    let router = Arc::new(FleetRouter::new(
+        &root,
+        FleetConfig {
+            replicas: 2,
+            hedge,
+            ..FleetConfig::default()
+        },
+    ));
+    router
+        .join(
+            0,
+            shard_cfg(EngineConfig {
+                service_delay: Duration::from_millis(30),
+                ..quick_engine()
+            }),
+        )
+        .unwrap();
+    for i in 1..3 {
+        let fast = EngineConfig {
+            service_delay: Duration::from_millis(2),
+            ..quick_engine()
+        };
+        router.join(i, shard_cfg(fast)).unwrap();
+    }
+    let id = model_with_primary(&router, 0, "http-stale");
+    router.register_model(&spec(&id, 31)).unwrap();
+    let n = 48;
+    let inputs = FrozenMlp::synth_inputs(99, n, IN_DIM);
+    let variant = router
+        .shard(router.placement(&id)[1])
+        .unwrap()
+        .engine()
+        .registry()
+        .get(&id)
+        .unwrap();
+    let server = FleetServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
+
+    let mut wire = Vec::new();
+    for r in 0..n {
+        let body = af_serve::http::encode_f32_body(inputs.row(r));
+        wire.extend_from_slice(
+            format!(
+                "POST /v1/infer/{id} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+                body.len()
+            )
+            .as_bytes(),
+        );
+        wire.extend_from_slice(&body);
+    }
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    std::io::Write::write_all(&mut stream, &wire).unwrap();
+    let mut reader = std::io::BufReader::new(stream);
+    for r in 0..n {
+        let response = af_serve::http::read_response(&mut reader).expect("pipelined response");
+        assert_eq!(response.status, 200, "request {r}");
+        let served = af_serve::http::decode_f32_body(&response.body).expect("f32 body");
+        assert_eq!(
+            bits(&served),
+            bits(&variant.model.evaluate(inputs.row(r))),
+            "response {r} must answer its own input"
+        );
+    }
+    let mut client = af_serve::Client::connect(server.addr()).unwrap();
+    let doc = conserved_stats(&mut client);
+    assert!(
+        stat(&doc, "hedges") > 0,
+        "the straggler must be hedged: {doc}"
+    );
     server.shutdown();
     router.shutdown();
     let _ = std::fs::remove_dir_all(&root);
