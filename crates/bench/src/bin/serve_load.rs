@@ -2,15 +2,16 @@
 //!
 //! Usage: `cargo run --release -p af-bench --bin serve_load
 //! [--quick] [--packed] [--shards N] [--replicas R] [--connections C]
-//! [--requests P] [--reactor-conns N] [--out PATH]`
+//! [--requests P] [--out PATH]`
 //!
 //! `--packed` restricts the run to dequantize-vs-fused twins of the same
 //! model (the packed-weights comparison mode; skips the fleet sweep).
 //! `--shards/--replicas/--connections/--requests` reshape the fleet
 //! scaling sweep (defaults: 4 shards × 2 replicas; 32 connections quick,
 //! 256 full — the high-connection closed-loop mode).
-//! `--reactor-conns N` adds an extra rung to the epoll-vs-threaded
-//! connection ladder (defaults: 64/512 quick, 64/256/1024 full).
+//! The reactor's connection ladder runs 64/512 connections quick and
+//! 64/256/1024 full, with every rung's probe checked bit for bit
+//! against direct evaluation.
 
 fn arg_usize(args: &[String], flag: &str) -> Option<usize> {
     args.iter()
@@ -45,11 +46,10 @@ fn main() {
     if let Some(p) = arg_usize(&args, "--requests") {
         fleet_opts.per_conn = p;
     }
-    let reactor_conns = arg_usize(&args, "--reactor-conns");
     let serving = if packed {
         af_bench::serving::run_packed(quick)
     } else {
-        af_bench::serving::run_with_reactor(quick, fleet_opts, reactor_conns)
+        af_bench::serving::run_with_fleet(quick, fleet_opts)
     };
     println!("{}", serving.rendered);
     if let Some(s) = &serving.store {
@@ -75,15 +75,10 @@ fn main() {
         );
     }
     if let Some(r) = &serving.reactor {
-        let top = r
-            .cells
-            .iter()
-            .filter(|c| c.server == "epoll")
-            .max_by_key(|c| c.connections);
-        if let Some(c) = top {
+        if let Some(c) = r.cells.iter().max_by_key(|c| c.connections) {
             println!(
                 "\nreactor: {} connections on one epoll thread — {}/{} completed, \
-                 {} failed, p99 {} us, bit-identical to threaded: {}",
+                 {} failed, p99 {} us, bit-identical to direct evaluation: {}",
                 c.connections, c.completed, c.requests, c.failed, c.p99_us, r.bit_identical,
             );
         }

@@ -20,8 +20,7 @@ use std::time::Instant;
 use adaptivfloat::FormatKind;
 use af_models::{FrozenMlp, ModelFamily};
 use af_serve::{
-    Client, ClientError, DurableStore, Engine, EngineConfig, ModelRegistry, Server, ThreadedServer,
-    VariantSpec,
+    Client, ClientError, DurableStore, Engine, EngineConfig, ModelRegistry, Server, VariantSpec,
 };
 use af_store::SyncPolicy;
 
@@ -94,22 +93,17 @@ pub struct StoreBench {
     pub bit_identical: bool,
 }
 
-/// One point of the connection-scaling ladder: one server flavor under
-/// a fixed closed loop of concurrent connections.
+/// One point of the connection-scaling ladder: the reactor [`Server`]
+/// under a fixed closed loop of concurrent connections.
 #[derive(Debug, Clone)]
 pub struct ReactorCell {
-    /// `"epoll"` (the reactor [`Server`]) or `"threaded"`
-    /// (thread-per-connection [`ThreadedServer`]).
-    pub server: String,
     /// Concurrent closed-loop connections.
     pub connections: usize,
     /// Requests attempted across all connections.
     pub requests: usize,
     /// Requests answered `200`.
     pub completed: u64,
-    /// Requests that failed for any reason (connect refused, reset,
-    /// I/O error, non-`200`) — the capacity-cliff signal for the
-    /// threaded baseline.
+    /// Requests shed with `429` (any other failure panics the run).
     pub failed: u64,
     /// Completed requests per second over the point's wall time.
     pub throughput_rps: f64,
@@ -121,14 +115,14 @@ pub struct ReactorCell {
     pub p99_us: u64,
 }
 
-/// Connection-scaling comparison of the epoll reactor against the
-/// thread-per-connection baseline, plus an A/B byte-identity probe.
+/// Connection scaling of the epoll reactor, one ladder rung per
+/// connection count.
 #[derive(Debug, Clone)]
 pub struct ReactorBench {
-    /// Ladder points, epoll and threaded interleaved per rung.
+    /// Ladder points, in ascending connection count.
     pub cells: Vec<ReactorCell>,
-    /// Whether both servers answered an identical probe stream with
-    /// identical bytes (the run panics otherwise; recorded for JSON).
+    /// Whether every rung's probe answer equalled direct evaluation bit
+    /// for bit (the run panics otherwise; recorded for JSON).
     pub bit_identical: bool,
     /// Rendered text table.
     pub rendered: String,
@@ -143,8 +137,7 @@ pub struct Serving {
     pub store: Option<StoreBench>,
     /// Fleet scaling sweep (`None` in `--packed` mode).
     pub fleet: Option<crate::fleet::FleetBench>,
-    /// Reactor-vs-threaded connection ladder (`None` in `--packed`
-    /// mode).
+    /// Reactor connection ladder (`None` in `--packed` mode).
     pub reactor: Option<ReactorBench>,
     /// `BENCH_serving.json` contents.
     pub json: String,
@@ -377,125 +370,17 @@ pub fn measure_store(quick: bool) -> StoreBench {
     }
 }
 
-/// Closed-loop driver that records failures instead of panicking — the
-/// thread-per-connection baseline is *expected* to refuse or reset
-/// connections near its capacity cliff, and that is the measurement.
-fn drive_tolerant(
-    addr: std::net::SocketAddr,
-    variant: &str,
-    in_dim: usize,
-    connections: usize,
-    per_conn: usize,
-) -> (Vec<u64>, u64, u64) {
-    let handles: Vec<_> = (0..connections)
-        .map(|c| {
-            let (addr, variant) = (addr, variant.to_string());
-            std::thread::Builder::new()
-                .stack_size(128 * 1024)
-                .spawn(move || {
-                    let inputs = FrozenMlp::synth_inputs(3000 + c as u64, 4, in_dim);
-                    let mut latencies = Vec::with_capacity(per_conn);
-                    let (mut completed, mut failed) = (0u64, 0u64);
-                    let mut client = match Client::connect(addr) {
-                        Ok(client) => client,
-                        Err(_) => return (latencies, completed, per_conn as u64),
-                    };
-                    for r in 0..per_conn {
-                        let input = inputs.row(r % inputs.rows());
-                        let t0 = Instant::now();
-                        match client.infer(&variant, input) {
-                            Ok(_) => {
-                                latencies.push(t0.elapsed().as_micros() as u64);
-                                completed += 1;
-                            }
-                            Err(_) => {
-                                failed += 1;
-                                // One reconnect attempt; a dead listener
-                                // fails the rest of this connection's quota.
-                                match Client::connect(addr) {
-                                    Ok(next) => client = next,
-                                    Err(_) => {
-                                        failed += (per_conn - r - 1) as u64;
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (latencies, completed, failed)
-                })
-        })
-        .map(|h| h.expect("spawn load connection"))
-        .collect();
-    let mut latencies = Vec::new();
-    let (mut completed, mut failed) = (0u64, 0u64);
-    for h in handles {
-        let (l, c, f) = h.join().expect("load connection panicked");
-        latencies.extend(l);
-        completed += c;
-        failed += f;
-    }
-    (latencies, completed, failed)
-}
-
-/// Probe both front ends with the same request stream and assert the
-/// response bytes match (status, headers, body — `/stats` excluded, its
-/// counters legitimately differ).
-fn probe_bit_identity(registry: &Arc<ModelRegistry>, variant: &str, in_dim: usize) -> bool {
-    let epoll = {
-        let engine = Arc::new(Engine::start(Arc::clone(registry), EngineConfig::default()));
-        Server::bind("127.0.0.1:0", engine).expect("bind epoll probe")
-    };
-    let threaded = {
-        let engine = Arc::new(Engine::start(Arc::clone(registry), EngineConfig::default()));
-        ThreadedServer::bind("127.0.0.1:0", engine).expect("bind threaded probe")
-    };
-    let inputs = FrozenMlp::synth_inputs(4100, 4, in_dim);
-    let drive_probe = |addr: std::net::SocketAddr| -> Vec<(u16, Vec<u32>)> {
-        let mut client = Client::connect(addr).expect("connect probe");
-        let mut out = Vec::new();
-        for r in 0..inputs.rows() {
-            let served = client.infer(variant, inputs.row(r)).expect("probe infer");
-            out.push((200, served.iter().map(|v| v.to_bits()).collect()));
-        }
-        let err = client.infer("no/such", inputs.row(0)).unwrap_err();
-        let status = match err {
-            ClientError::Http { status, .. } => status,
-            e => panic!("probe expected HTTP error, got {e}"),
-        };
-        out.push((status, Vec::new()));
-        out
-    };
-    let a = drive_probe(epoll.addr());
-    let b = drive_probe(threaded.addr());
-    epoll.shutdown();
-    threaded.shutdown();
-    assert_eq!(a, b, "epoll and threaded answers must be bit-identical");
-    true
-}
-
-/// Measure the connection-scaling ladder: the epoll reactor and the
-/// thread-per-connection baseline drive the same closed-loop workload
-/// at each rung. The epoll arm is sized (queue capacity ≥ 2×
-/// connections) so any failure there is a real regression; the
-/// threaded arm records whatever its capacity cliff produces.
+/// Measure the connection-scaling ladder: the epoll reactor under a
+/// closed loop at each rung, sized (queue capacity ≥ 2× connections) so
+/// every request must complete. Each rung opens with the untimed
+/// bit-identity probe every serving cell opens with.
 ///
 /// # Panics
 ///
-/// Panics if a server fails to bind or the A/B probe detects
-/// non-identical responses.
-pub fn measure_reactor(quick: bool, extra_connections: Option<usize>) -> ReactorBench {
-    let mut ladder = if quick {
-        vec![64, 512]
-    } else {
-        vec![64, 256, 1024]
-    };
-    if let Some(c) = extra_connections {
-        if !ladder.contains(&c) {
-            ladder.push(c);
-            ladder.sort_unstable();
-        }
-    }
+/// Panics if the server fails to bind, a request fails, or the probe
+/// answer differs from direct evaluation.
+pub fn measure_reactor(quick: bool) -> ReactorBench {
+    let ladder: &[usize] = if quick { &[64, 512] } else { &[64, 256, 1024] };
     let per_conn = if quick { 4 } else { 8 };
     let variant = "transformer/fp32";
     let registry = Arc::new(ModelRegistry::new());
@@ -507,65 +392,49 @@ pub fn measure_reactor(quick: bool, extra_connections: Option<usize>) -> Reactor
             &DIMS,
         ))
         .expect("register ladder variant");
-    let bit_identical = probe_bit_identity(&registry, variant, DIMS[0]);
+    let reference = registry.get(variant).expect("registered variant");
 
     let mut cells = Vec::new();
-    for &connections in &ladder {
-        for flavor in ["epoll", "threaded"] {
-            let engine = Arc::new(Engine::start(
-                Arc::clone(&registry),
-                EngineConfig {
-                    max_batch: 32,
-                    queue_cap: (2 * connections).max(64),
-                    ..EngineConfig::default()
-                },
-            ));
-            let (addr, server) = match flavor {
-                "epoll" => {
-                    let s = Server::bind("127.0.0.1:0", Arc::clone(&engine)).expect("bind epoll");
-                    (s.addr(), Ok(s))
-                }
-                _ => {
-                    let s = ThreadedServer::bind("127.0.0.1:0", Arc::clone(&engine))
-                        .expect("bind threaded");
-                    (s.addr(), Err(s))
-                }
-            };
-            let t0 = Instant::now();
-            let (mut latencies, completed, failed) =
-                drive_tolerant(addr, variant, DIMS[0], connections, per_conn);
-            let wall = t0.elapsed().as_secs_f64();
-            latencies.sort_unstable();
-            cells.push(ReactorCell {
-                server: flavor.to_string(),
-                connections,
-                requests: connections * per_conn,
-                completed,
-                failed,
-                throughput_rps: completed as f64 / wall.max(1e-9),
-                p50_us: percentile(&latencies, 0.50),
-                p95_us: percentile(&latencies, 0.95),
-                p99_us: percentile(&latencies, 0.99),
-            });
-            match server {
-                Ok(s) => s.shutdown(),
-                Err(s) => s.shutdown(),
-            }
-            engine.shutdown();
-        }
+    for &connections in ladder {
+        let engine = Arc::new(Engine::start(
+            Arc::clone(&registry),
+            EngineConfig {
+                max_batch: 32,
+                queue_cap: (2 * connections).max(64),
+                ..EngineConfig::default()
+            },
+        ));
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&engine)).expect("bind epoll");
+        probe(server.addr(), variant, &reference.model);
+        let t0 = Instant::now();
+        let (mut latencies, failed) = drive(server.addr(), variant, DIMS[0], connections, per_conn);
+        let wall = t0.elapsed().as_secs_f64();
+        latencies.sort_unstable();
+        let completed = latencies.len() as u64;
+        cells.push(ReactorCell {
+            connections,
+            requests: connections * per_conn,
+            completed,
+            failed,
+            throughput_rps: completed as f64 / wall.max(1e-9),
+            p50_us: percentile(&latencies, 0.50),
+            p95_us: percentile(&latencies, 0.95),
+            p99_us: percentile(&latencies, 0.99),
+        });
+        server.shutdown();
+        engine.shutdown();
     }
 
     let rendered = render_reactor_table(&cells);
     ReactorBench {
         cells,
-        bit_identical,
+        bit_identical: true,
         rendered,
     }
 }
 
 fn render_reactor_table(cells: &[ReactorCell]) -> String {
     let mut t = TextTable::new([
-        "server",
         "conns",
         "requests",
         "completed",
@@ -577,7 +446,6 @@ fn render_reactor_table(cells: &[ReactorCell]) -> String {
     ]);
     for c in cells {
         t.row([
-            c.server.clone(),
             c.connections.to_string(),
             c.requests.to_string(),
             c.completed.to_string(),
@@ -608,25 +476,11 @@ pub fn run(quick: bool) -> Serving {
 ///
 /// # Panics
 ///
-/// See [`run`] and [`crate::fleet::run_with`].
-pub fn run_with_fleet(quick: bool, fleet_opts: crate::fleet::FleetOpts) -> Serving {
-    run_with_reactor(quick, fleet_opts, None)
-}
-
-/// [`run_with_fleet`] with an extra connection-ladder rung (the
-/// `serve_load --reactor-conns` high-concurrency mode).
-///
-/// # Panics
-///
 /// See [`run`], [`crate::fleet::run_with`], and [`measure_reactor`].
-pub fn run_with_reactor(
-    quick: bool,
-    fleet_opts: crate::fleet::FleetOpts,
-    reactor_conns: Option<usize>,
-) -> Serving {
+pub fn run_with_fleet(quick: bool, fleet_opts: crate::fleet::FleetOpts) -> Serving {
     let store = measure_store(quick);
     let fleet = crate::fleet::run_with(fleet_opts);
-    let reactor = measure_reactor(quick, reactor_conns);
+    let reactor = measure_reactor(quick);
     run_with_specs(
         quick,
         variant_specs(quick),
@@ -785,10 +639,9 @@ fn render_json(
         ));
         for (i, c) in r.cells.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"server\": \"{}\", \"connections\": {}, \"requests\": {}, \
-                 \"completed\": {}, \"failed\": {}, \"throughput_rps\": {:.1}, \
-                 \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}{}\n",
-                c.server,
+                "    {{\"connections\": {}, \"requests\": {}, \"completed\": {}, \
+                 \"failed\": {}, \"throughput_rps\": {:.1}, \"p50_us\": {}, \
+                 \"p95_us\": {}, \"p99_us\": {}}}{}\n",
                 c.connections,
                 c.requests,
                 c.completed,

@@ -606,9 +606,8 @@ impl Engine {
     }
 
     /// Engine-wide stats plus per-lane detail as a JSON document (the
-    /// body of `GET /stats`). Callers without a connection tier (the
-    /// in-process path, the legacy threaded front end) report
-    /// `"connections":null`.
+    /// body of `GET /stats`). The in-process path has no connection
+    /// tier, so it reports `"connections":null`.
     pub fn stats_json(&self) -> String {
         self.stats_json_with(None)
     }

@@ -216,10 +216,11 @@ pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
 /// [`next_request`](RequestParser::next_request).
 ///
 /// Semantics mirror [`read_request`] exactly: same line/header/body
-/// caps, same [`HttpViolation`] statuses and messages, so the epoll
-/// front end answers protocol errors byte-identically to the threaded
-/// one. Violations are sticky — after one, every further call returns
-/// the same error and the connection must close.
+/// caps, same [`HttpViolation`] statuses and messages. The blocking
+/// reader is the simpler reference, and this module's tests hold the
+/// parser to it at every segmentation. Violations are sticky — after
+/// one, every further call returns the same error and the connection
+/// must close.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buf: Vec<u8>,

@@ -34,10 +34,7 @@
 //!    idle and slow-loris connections (`408`) and an eventfd waking the
 //!    loop when lane workers finish a reply. Compute never runs on the
 //!    reactor thread — requests cross into the engine through the same
-//!    tagged non-blocking enqueue the fleet tier uses. The previous
-//!    thread-per-connection front end survives as
-//!    [`server::ThreadedServer`], the byte-identity and capacity
-//!    baseline.
+//!    tagged non-blocking enqueue the fleet tier uses.
 //! 5. **Protected storage & self-healing** ([`protect`], [`scrub`]) —
 //!    variants registered with [`VariantSpec::protected`] keep their
 //!    frozen weight codes behind SEC-DED parity
@@ -97,6 +94,6 @@ pub use registry::{
     VariantSpec,
 };
 pub use scrub::{ScrubSummary, Scrubber};
-pub use server::{Server, ThreadedServer};
+pub use server::Server;
 pub use stats::{ConnSnapshot, ConnStats, ServeStats, StatsSnapshot};
 pub use sys::{Interest, Waker};

@@ -1,6 +1,7 @@
 //! The epoll reactor: a single-threaded, non-blocking connection tier
 //! that multiplexes every socket of a serving endpoint over one
-//! [`Epoll`] instance, replacing the thread-per-connection front end.
+//! [`Epoll`] instance, so an idle connection costs a slab slot rather
+//! than a thread.
 //!
 //! ## Architecture
 //!
@@ -640,8 +641,8 @@ impl<D: Dispatch> Reactor<D> {
         }
     }
 
-    /// Route one request — the exact threaded-server routing table, so
-    /// responses stay byte-identical across front ends.
+    /// Route one request: the server's one routing table. Every route
+    /// answers on the connection it arrived on, in arrival order.
     fn handle_request(&mut self, idx: usize, request: &Request) {
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => self.respond(idx, 200, "text/plain", b"ok"),
@@ -739,8 +740,8 @@ impl<D: Dispatch> Reactor<D> {
 
     /// Serialize a [`ServeError`] response, carrying `Retry-After` on
     /// the statuses that take one (`429` shed, `503` shutdown or
-    /// breaker-open degradation) — byte-identical to the threaded
-    /// server's error path.
+    /// breaker-open degradation), so a client knows when a retry can
+    /// succeed.
     fn respond_error(&mut self, idx: usize, e: &ServeError) {
         let Some(conn) = self.conns.get_mut(idx) else {
             return;
@@ -953,8 +954,8 @@ fn pump<P>(conn: &mut Conn<P>, draining: bool) -> Next {
         }
         Ok(None) => {
             if conn.read_eof {
-                // Clean EOF at a boundary, or mid-request cut — either
-                // way the threaded server just closes; so do we.
+                // Clean EOF at a boundary, or a request cut short: the
+                // peer can send nothing more, so no request can complete.
                 Next::Close
             } else {
                 Next::Park(Interest::READ)
@@ -962,7 +963,8 @@ fn pump<P>(conn: &mut Conn<P>, draining: bool) -> Next {
         }
         Err(e) => {
             // Protocol violation: answer its status (413 for oversized,
-            // else 400) exactly as the threaded front end, then close.
+            // else 400), then close — the parser cannot find the next
+            // request boundary in a stream it failed to frame.
             let status = violation_status(&e).unwrap_or(400);
             let _ = write_response(
                 &mut conn.write_buf,

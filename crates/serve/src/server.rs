@@ -1,21 +1,15 @@
-//! The TCP front end, in two generations sharing one routing table:
+//! The TCP front end: [`Server`], an epoll reactor thread
+//! ([`crate::reactor`]) that multiplexes every connection non-blocking,
+//! parses incrementally, admits through the engine's tagged
+//! [`Engine::enqueue_waking`] seam, and resumes writes on readiness.
+//! One thread serves thousands of connections; compute stays on the
+//! engine's lane workers.
 //!
-//! * [`Server`] — the production endpoint: an epoll [`reactor`] thread
-//!   ([`crate::reactor`]) multiplexes every connection non-blocking,
-//!   parses incrementally, admits through the engine's tagged
-//!   [`Engine::enqueue_waking`] seam, and resumes writes on readiness.
-//!   One thread serves thousands of connections.
-//! * [`ThreadedServer`] — the original thread-per-connection
-//!   implementation, kept as the A/B baseline: benches and tests drive
-//!   the same request stream through both and assert byte-identical
-//!   responses (and measure where the per-connection threads fall over).
-//!
-//! Routes (identical on both):
+//! Routes:
 //!
 //! * `GET /healthz` — `200 ok` while the server is accepting.
-//! * `GET /stats` — engine counters and per-variant detail as JSON (the
-//!   reactor adds a `"connections"` object; the threaded server reports
-//!   `"connections":null`).
+//! * `GET /stats` — engine counters and per-variant detail as JSON,
+//!   with the reactor's connection gauges as a `"connections"` object.
 //! * `POST /v1/infer/<variant>` — body is a length-delimited `f32`
 //!   vector ([`crate::http::encode_f32_body`]); an optional
 //!   `x-deadline-ms` header overrides the engine's default deadline.
@@ -23,33 +17,18 @@
 //!   400 bad width or framing, 429 shed, 504 deadline, 503 shutdown,
 //!   500 worker fault. Protocol violations answer before the engine is
 //!   involved: missing or garbage `Content-Length` is a 400, one
-//!   exceeding [`crate::http::MAX_BODY`] is a 413. The reactor adds 408
-//!   for idle/slow-loris deadline closes, which the blocking server
-//!   (with no connection deadlines) never sends.
+//!   exceeding [`crate::http::MAX_BODY`] is a 413. Idle and slow-loris
+//!   connections are answered 408 at their deadline and closed.
 
-use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::io;
+use std::net::SocketAddr;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use crate::batcher::{Engine, ServeError, TaggedReply};
-use crate::http::{
-    decode_f32_body, encode_f32_body, read_request, violation_status, write_response,
-    write_response_with, Request,
-};
 use crate::reactor::{self, Dispatch, Progress, ReactorConfig, ReactorHandle};
 use crate::stats::ConnStats;
 use crate::sys::Waker;
-
-/// How long a [`ThreadedServer`] connection handler blocks in `read`
-/// before re-checking for shutdown.
-const READ_POLL: Duration = Duration::from_millis(200);
-
-// ---------------------------------------------------------------------
-// Reactor-backed server (the default front end)
-// ---------------------------------------------------------------------
 
 /// [`Dispatch`] for a single [`Engine`]: requests admit through the
 /// tagged waking enqueue, missing per-request deadlines fall back to
@@ -144,195 +123,6 @@ impl Server {
     }
 }
 
-// ---------------------------------------------------------------------
-// Thread-per-connection server (legacy baseline)
-// ---------------------------------------------------------------------
-
-/// The original thread-per-connection endpoint: a blocking acceptor
-/// thread spawns one handler thread per connection. Retained as the
-/// baseline the reactor is benched and byte-compared against; new code
-/// should front an engine with [`Server`].
-#[derive(Debug)]
-pub struct ThreadedServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: Mutex<Option<JoinHandle<()>>>,
-    engine: Arc<Engine>,
-}
-
-impl ThreadedServer {
-    /// Bind `addr` (use port 0 for an ephemeral port) and start
-    /// accepting connections for `engine`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn bind(addr: &str, engine: Arc<Engine>) -> io::Result<ThreadedServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let (stop, engine) = (Arc::clone(&stop), Arc::clone(&engine));
-            std::thread::Builder::new()
-                .name("af-serve:accept".to_string())
-                .spawn(move || accept_loop(&listener, &stop, &engine))?
-        };
-        Ok(ThreadedServer {
-            addr,
-            stop,
-            acceptor: Mutex::new(Some(acceptor)),
-            engine,
-        })
-    }
-
-    /// The bound address (resolves ephemeral ports).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The engine this server fronts.
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
-    }
-
-    /// Stop accepting, wake the acceptor, and join it. Existing
-    /// connections drain on their next read timeout. Idempotent.
-    pub fn shutdown(&self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.acceptor.lock().expect("acceptor poisoned").take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ThreadedServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, stop: &Arc<AtomicBool>, engine: &Arc<Engine>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        let (stop, engine) = (Arc::clone(stop), Arc::clone(engine));
-        let _ = std::thread::Builder::new()
-            .name("af-serve:conn".to_string())
-            .spawn(move || {
-                let _ = handle_connection(stream, &stop, &engine);
-            });
-    }
-}
-
-fn handle_connection(stream: TcpStream, stop: &AtomicBool, engine: &Engine) -> io::Result<()> {
-    stream.set_read_timeout(Some(READ_POLL))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return Ok(()),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Protocol violations carry their own status (413 for
-                // an oversized body); anything else malformed is a 400.
-                let status = violation_status(&e).unwrap_or(400);
-                write_response(&mut writer, status, "text/plain", e.to_string().as_bytes())?;
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        route(&request, engine, &mut writer)?;
-    }
-}
-
-fn route(request: &Request, engine: &Engine, writer: &mut impl io::Write) -> io::Result<()> {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => write_response(writer, 200, "text/plain", b"ok"),
-        ("GET", "/stats") => write_response(
-            writer,
-            200,
-            "application/json",
-            engine.stats_json().as_bytes(),
-        ),
-        ("POST", path) if path.starts_with("/v1/infer/") => {
-            let variant = &path["/v1/infer/".len()..];
-            infer_route(request, variant, engine, writer)
-        }
-        (_, "/healthz" | "/stats") | ("POST", _) => {
-            write_response(writer, 405, "text/plain", b"method not allowed")
-        }
-        _ => write_response(writer, 404, "text/plain", b"no such route"),
-    }
-}
-
-fn infer_route(
-    request: &Request,
-    variant: &str,
-    engine: &Engine,
-    writer: &mut impl io::Write,
-) -> io::Result<()> {
-    let Some(input) = decode_f32_body(&request.body) else {
-        return write_response(writer, 400, "text/plain", b"malformed f32 body");
-    };
-    let deadline = match request.header("x-deadline-ms") {
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(ms) => Some(Duration::from_millis(ms)),
-            Err(_) => return write_response(writer, 400, "text/plain", b"malformed x-deadline-ms"),
-        },
-        None => None,
-    };
-    let result = match deadline {
-        Some(d) => engine.infer_deadline(variant, input, d),
-        None => engine.infer(variant, input),
-    };
-    match result {
-        Ok(output) => write_response(
-            writer,
-            200,
-            "application/octet-stream",
-            &encode_f32_body(&output),
-        ),
-        Err(e) => {
-            let retry_after = e.retry_after_secs().map(|s| s.to_string());
-            let extra: Vec<(&str, &str)> = retry_after
-                .as_deref()
-                .map(|v| ("retry-after", v))
-                .into_iter()
-                .collect();
-            write_response_with(
-                writer,
-                e.http_status(),
-                "text/plain",
-                &extra,
-                e.to_string().as_bytes(),
-            )
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,7 +175,8 @@ mod tests {
     #[test]
     fn protocol_violations_answer_with_specific_statuses() {
         use crate::http::{read_response, MAX_BODY};
-        use std::io::Write;
+        use std::io::{BufReader, BufWriter, Write};
+        use std::net::TcpStream;
 
         let server = server();
         let exchange = |raw: String| -> u16 {
@@ -429,29 +220,6 @@ mod tests {
         let got: Vec<u32> = served.iter().map(|v| v.to_bits()).collect();
         let want: Vec<u32> = direct.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, want);
-        server.shutdown();
-    }
-
-    #[test]
-    fn threaded_server_still_serves_the_same_routes() {
-        let server = ThreadedServer::bind("127.0.0.1:0", engine()).unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-        assert!(client.healthz().unwrap());
-        let stats = client.stats_json().unwrap();
-        assert!(
-            stats.contains("\"connections\":null"),
-            "no connection tier on the threaded path: {stats}"
-        );
-        let x = af_models::FrozenMlp::synth_inputs(5, 1, 8);
-        let served = client.infer("m", x.row(0)).unwrap();
-        let direct = server
-            .engine()
-            .registry()
-            .get("m")
-            .unwrap()
-            .model
-            .evaluate(x.row(0));
-        assert_eq!(served, direct);
         server.shutdown();
     }
 }

@@ -203,8 +203,8 @@ impl StatsSnapshot {
 /// Connection-tier counters for the epoll reactor, separate from the
 /// engine's request counters: these describe sockets and the event
 /// loop, not inference. Spliced into `GET /stats` as a `"connections"`
-/// object (`null` on the legacy threaded front end), so every
-/// pre-reactor JSON key keeps its position and meaning.
+/// object (`null` on the in-process path, which has no sockets), so
+/// every other JSON key keeps its position and meaning.
 #[derive(Debug, Default)]
 pub struct ConnStats {
     accepted: AtomicU64,

@@ -34,6 +34,10 @@ echo "== default-threads run =="
 run_bench "" "$TMP_DIR/all.jsonl"
 
 COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# A tree with uncommitted changes is not the commit it sits on.
+if ! git diff --quiet HEAD 2>/dev/null; then
+    COMMIT="$COMMIT-dirty"
+fi
 HOST_THREADS="$(nproc 2>/dev/null || echo 1)"
 
 COMMIT="$COMMIT" HOST_THREADS="$HOST_THREADS" TMP_DIR="$TMP_DIR" OUT="$OUT" \
@@ -162,17 +166,16 @@ if fleet:
           f"{fleet['connections']} connections): {points} — "
           f"{fleet['speedup_1_to_max']}x aggregate 1 -> "
           f"{fleet['max_shards']} shards")
-# The reactor section: epoll vs thread-per-connection at each ladder
-# rung. The epoll arm must complete every request everywhere — the
-# snapshot is invalid if the event loop itself dropped work.
+# The reactor section: the epoll server at each ladder rung. Every rung
+# must complete every request — the snapshot is invalid if the event
+# loop dropped work.
 reactor = doc.get("reactor")
 if reactor:
     assert reactor["bit_identical"] is True, reactor
     for c in reactor["ladder"]:
-        if c["server"] == "epoll":
-            assert c["failed"] == 0, c
+        assert c["failed"] == 0, c
     rungs = ", ".join(
-        f"{c['connections']}c {c['server']} {c['throughput_rps']:.0f} rps "
+        f"{c['connections']}c {c['throughput_rps']:.0f} rps "
         f"(p99 {c['p99_us']}us, {c['failed']} failed)"
         for c in reactor["ladder"])
     print(f"reactor ladder: {rungs}")

@@ -182,32 +182,31 @@ for p in fleet["points"]:
     assert p["failed"] == 0, p
     assert p["p50_us"] <= p["p95_us"] <= p["p99_us"], p
     assert len(p["per_shard"]) == p["shards"], p
-# The epoll reactor's connection ladder: the high-connection smoke. The
-# reactor arm must complete every request at every rung (the threaded
-# baseline is allowed to hit its capacity cliff — that is the
-# comparison), reach at least 512 concurrent connections on one event
-# loop thread, and answer byte-identically to the threaded server.
+# The epoll reactor's connection ladder: the high-connection smoke.
+# Every rung must complete every request, the ladder must reach at
+# least 512 concurrent connections on one event loop thread, and each
+# rung's probe answer must equal direct evaluation bit for bit.
 reactor = doc["reactor"]
 assert reactor["bit_identical"] is True, reactor
-epoll = [c for c in reactor["ladder"] if c["server"] == "epoll"]
-assert epoll, "no epoll rungs in reactor ladder"
-for c in epoll:
-    assert c["failed"] == 0, f"epoll arm dropped requests: {c}"
+ladder = reactor["ladder"]
+assert ladder, "no rungs in reactor ladder"
+for c in ladder:
+    assert c["failed"] == 0, f"reactor dropped requests: {c}"
     assert c["completed"] == c["requests"], c
     assert c["p50_us"] <= c["p95_us"] <= c["p99_us"], c
-assert max(c["connections"] for c in epoll) >= 512, (
+assert max(c["connections"] for c in ladder) >= 512, (
     "high-connection smoke needs >= 512 concurrent connections"
 )
 print(
     f"ok: {len(doc['cells'])} serving cells ({len(fused)} fused), store timed, "
     f"fleet scaled {fleet['speedup_1_to_max']}x to {fleet['max_shards']} shards, "
-    f"epoll ladder clean to {max(c['connections'] for c in epoll)} connections"
+    f"epoll ladder clean to {max(c['connections'] for c in ladder)} connections"
 )
 PY
 done
 
 echo "== committed benchmark snapshots carry their provenance stamp =="
-python3 - BENCH_resilience.json BENCH_serving.json <<'PY'
+python3 - BENCH_kernels.json BENCH_resilience.json BENCH_serving.json <<'PY'
 import json, sys
 
 for path in sys.argv[1:]:

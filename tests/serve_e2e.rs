@@ -19,8 +19,7 @@ use adaptivfloat::FormatKind;
 use af_models::{FrozenMlp, ModelFamily};
 use af_serve::http::{encode_f32_body, read_response, Response};
 use af_serve::{
-    Client, ClientError, Engine, EngineConfig, ModelRegistry, ReactorConfig, Server,
-    ThreadedServer, VariantSpec,
+    Client, ClientError, Engine, EngineConfig, ModelRegistry, ReactorConfig, Server, VariantSpec,
 };
 
 fn registry() -> Arc<ModelRegistry> {
@@ -257,8 +256,33 @@ fn infer_wire(variant: &str, input: &[f32], deadline_ms: Option<&str>) -> Vec<u8
     wire
 }
 
-/// Write `wire`, half-close, and collect every response until EOF.
-fn exchange_stream(addr: SocketAddr, wire: &[u8]) -> Vec<Response> {
+/// A `text/plain` response exactly as it appears on the wire.
+fn text_reply(status: &str, body: &str) -> Vec<u8> {
+    format!(
+        "HTTP/1.1 {status}\r\ncontent-type: text/plain\r\ncontent-length: {}\r\n\
+         connection: keep-alive\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// A `200` carrying `model`'s direct evaluation of `input`: a
+/// little-endian `u32` count, then each output's little-endian bits.
+fn f32_reply(model: &FrozenMlp, input: &[f32]) -> Vec<u8> {
+    let out = model.evaluate(input);
+    assert_eq!(out.len(), 12, "the transcript pins a 12-wide output");
+    let mut wire = b"HTTP/1.1 200 OK\r\ncontent-type: application/octet-stream\r\n\
+        content-length: 52\r\nconnection: keep-alive\r\n\r\n"
+        .to_vec();
+    wire.extend_from_slice(&12u32.to_le_bytes());
+    for v in out {
+        wire.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    wire
+}
+
+/// Write `wire`, half-close, and collect every response byte until EOF.
+fn exchange_bytes(addr: SocketAddr, wire: &[u8]) -> Vec<u8> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -267,32 +291,32 @@ fn exchange_stream(addr: SocketAddr, wire: &[u8]) -> Vec<Response> {
     stream
         .shutdown(std::net::Shutdown::Write)
         .expect("half-close");
-    let mut reader = BufReader::new(stream);
-    let mut responses = Vec::new();
-    loop {
-        match read_response(&mut reader) {
-            Ok(response) => responses.push(response),
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return responses,
-            Err(e) => panic!("mid-stream read failure: {e}"),
-        }
-    }
+    let mut got = Vec::new();
+    stream.read_to_end(&mut got).expect("read until EOF");
+    got
 }
 
-#[test]
-fn reactor_answers_byte_identically_to_the_threaded_server() {
-    // Identical registries (same seeds, same dims) behind both front
-    // ends; every request stream must produce identical response
-    // streams — status line, headers, and body bytes.
-    let reactor = {
-        let engine = Arc::new(Engine::start(registry(), EngineConfig::default()));
-        Server::bind("127.0.0.1:0", engine).expect("bind reactor")
-    };
-    let threaded = {
-        let engine = Arc::new(Engine::start(registry(), EngineConfig::default()));
-        ThreadedServer::bind("127.0.0.1:0", engine).expect("bind threaded")
-    };
+/// [`exchange_bytes`], parsed into responses.
+fn exchange_stream(addr: SocketAddr, wire: &[u8]) -> Vec<Response> {
+    let bytes = exchange_bytes(addr, wire);
+    let mut reader = &bytes[..];
+    let mut responses = Vec::new();
+    while !reader.is_empty() {
+        responses.push(read_response(&mut reader).expect("well-framed response"));
+    }
+    responses
+}
 
+/// Golden transcripts: the exact bytes — status line, every header,
+/// body — the server sends back for each request stream. Text bodies
+/// are pinned literally; `f32` bodies are direct evaluation's bits.
+#[test]
+fn golden_wire_transcripts_pin_every_response_byte() {
+    let (server, reg) = serve(EngineConfig::default());
+    let fp32 = &reg.get("transformer/fp32").expect("variant").model;
+    let af8 = &reg.get("transformer/adaptivfloat8").expect("variant").model;
     let x = FrozenMlp::synth_inputs(77, 2, 24);
+
     let mut keep_alive: Vec<u8> = Vec::new();
     keep_alive.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
     keep_alive.extend_from_slice(b"GET /nowhere HTTP/1.1\r\n\r\n");
@@ -306,24 +330,100 @@ fn reactor_answers_byte_identically_to_the_threaded_server() {
     keep_alive.extend_from_slice(
         b"POST /v1/infer/transformer/fp32 HTTP/1.1\r\ncontent-length: 4\r\n\r\nload",
     );
-    let streams: Vec<Vec<u8>> = vec![
-        keep_alive,
-        // Violations terminate the connection after a specific status.
-        b"POST /v1/infer/m HTTP/1.1\r\ncontent-length: junk\r\n\r\n".to_vec(),
-        b"POST /v1/infer/m HTTP/1.1\r\n\r\n".to_vec(),
-        b"GET /healthz HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n".to_vec(),
+    let keep_alive_answers = [
+        text_reply("200 OK", "ok"),
+        text_reply("404 Not Found", "no such route"),
+        text_reply("405 Method Not Allowed", "method not allowed"),
+        text_reply("405 Method Not Allowed", "method not allowed"),
+        f32_reply(fp32, x.row(0)),
+        f32_reply(af8, x.row(1)),
+        text_reply("404 Not Found", "unknown model variant: no/such"),
+        text_reply("400 Bad Request", "bad input width: expected 24, got 3"),
+        text_reply("400 Bad Request", "malformed x-deadline-ms"),
+        text_reply("400 Bad Request", "malformed f32 body"),
+    ]
+    .concat();
+    // Protocol violations answer one specific status, then close.
+    let transcripts: [(&[u8], Vec<u8>); 4] = [
+        (&keep_alive, keep_alive_answers),
+        (
+            b"POST /v1/infer/m HTTP/1.1\r\ncontent-length: junk\r\n\r\n",
+            text_reply("400 Bad Request", "bad content-length"),
+        ),
+        (
+            b"POST /v1/infer/m HTTP/1.1\r\n\r\n",
+            text_reply("400 Bad Request", "missing content-length"),
+        ),
+        (
+            b"GET /healthz HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n",
+            text_reply("413 Payload Too Large", "body too large"),
+        ),
     ];
-    for (i, wire) in streams.iter().enumerate() {
-        let via_reactor = exchange_stream(reactor.addr(), wire);
-        let via_threads = exchange_stream(threaded.addr(), wire);
-        assert!(!via_reactor.is_empty(), "stream {i} must answer");
-        assert_eq!(
-            via_reactor, via_threads,
-            "stream {i}: reactor and threaded responses must be byte-identical"
+    for (i, (wire, want)) in transcripts.iter().enumerate() {
+        let got = exchange_bytes(server.addr(), wire);
+        assert!(
+            got == *want,
+            "stream {i} left the golden transcript\n got: {}\nwant: {}",
+            got.escape_ascii(),
+            want.escape_ascii()
         );
     }
-    reactor.shutdown();
-    threaded.shutdown();
+    server.shutdown();
+}
+
+#[test]
+fn reply_tags_survive_the_request_sequence_wrap() {
+    // A reply tag carries 16 bits of its connection's request sequence,
+    // so one keep-alive connection past 2^16 requests reuses every
+    // sequence value. Each request carries a distinct input, so a reply
+    // matched to the wrong request cannot pass the bit check.
+    const REQUESTS: usize = (1 << 16) + 64;
+    const WINDOW: usize = 32;
+    let reg = ModelRegistry::new();
+    reg.register(&VariantSpec::fp32(
+        "m",
+        ModelFamily::Seq2Seq,
+        11,
+        &[8, 12, 4],
+    ))
+    .expect("register");
+    let reg = Arc::new(reg);
+    let engine = Arc::new(Engine::start(Arc::clone(&reg), EngineConfig::default()));
+    let server = Server::bind("127.0.0.1:0", engine).expect("bind");
+    let model = &reg.get("m").expect("variant").model;
+    // Exact in f32: i * 8 + j < 2^24, divided by a power of two.
+    let input = |i: usize| -> Vec<f32> { (0..8).map(|j| (i * 8 + j) as f32 / 65536.0).collect() };
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut sent = 0;
+    for answered in 0..REQUESTS {
+        while sent < REQUESTS && sent < answered + WINDOW {
+            stream
+                .write_all(&infer_wire("m", &input(sent), None))
+                .expect("send");
+            sent += 1;
+        }
+        let response = read_response(&mut reader).expect("response");
+        assert_eq!(response.status, 200, "request {answered}");
+        let served = af_serve::http::decode_f32_body(&response.body).expect("f32 body");
+        let direct = model.evaluate(&input(answered));
+        assert!(
+            served
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(direct.iter().map(|v| v.to_bits())),
+            "request {answered} must get its own input's answer"
+        );
+    }
+    assert_eq!(
+        server.engine().stats().snapshot().completed,
+        REQUESTS as u64
+    );
+    server.shutdown();
 }
 
 #[test]
