@@ -28,10 +28,10 @@ use std::time::Duration;
 use adaptivfloat::FormatKind;
 use af_fleet::{
     ChaosEvent, ChaosHarness, ChaosReport, ChaosSchedule, FleetConfig, FleetRouter, HealthPolicy,
-    HedgePolicy, InjectedFault, ShardConfig,
+    HedgePolicy, ShardConfig,
 };
 use af_models::ModelFamily;
-use af_serve::{EngineConfig, VariantSpec};
+use af_serve::{EngineConfig, InjectedFault, VariantSpec};
 
 const SHARDS: usize = 3;
 const REPLICAS: usize = 2;
@@ -99,7 +99,7 @@ fn run_once(tag: &str) -> ChaosReport {
     let schedule = ChaosSchedule::scripted(vec![
         ChaosEvent::Sicken {
             shard: 1,
-            fault: InjectedFault::hard_failure(SEED),
+            fault: InjectedFault::hard_failure(),
         },
         ChaosEvent::Traffic { requests: 24 },
         ChaosEvent::Heal { shard: 1 },

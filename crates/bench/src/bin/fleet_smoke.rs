@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use adaptivfloat::FormatKind;
 use af_fleet::{FleetConfig, FleetRouter, FleetServer, ShardConfig};
 use af_models::{FrozenMlp, ModelFamily};
-use af_serve::{Client, EngineConfig, VariantSpec};
+use af_serve::{Client, EngineConfig, InjectedFault, VariantSpec};
 
 const SHARDS: usize = 3;
 const REPLICAS: usize = 2;
@@ -32,8 +32,10 @@ const DIMS: [usize; 3] = [16, 32, 8];
 const SEED: u64 = 0xF1EE_540C;
 const THREADS: usize = 8;
 const PER_THREAD: usize = 200;
-/// Traffic runs ~this long before the kill lands (the per-pass service
-/// delay paces the shards so the kill is genuinely mid-load).
+/// Modelled per-pass service time on every shard, paces the shards so
+/// the kill lands genuinely mid-load.
+const SERVICE_DELAY: Duration = Duration::from_millis(1);
+/// Traffic runs ~this long before the kill lands.
 const KILL_AFTER: Duration = Duration::from_millis(100);
 
 fn main() {
@@ -57,14 +59,16 @@ fn main() {
         engine: EngineConfig {
             max_batch: 4,
             queue_cap: THREADS * 4,
-            service_delay: Duration::from_millis(1),
             compute_slots: Some(1),
             ..EngineConfig::default()
         },
         ..ShardConfig::default()
     };
     for i in 0..SHARDS {
-        router.join(i, shard_cfg).expect("join shard");
+        let shard = router.join(i, shard_cfg).expect("join shard");
+        shard
+            .engine()
+            .inject_fault(Some(InjectedFault::slow(SERVICE_DELAY)));
     }
     for k in 0..MODELS {
         let spec = VariantSpec::quantized(

@@ -6,16 +6,17 @@
 //! zero-duplicated / bit-identity invariants are checked for free):
 //! R=1 placement puts every model's only on-ring replica on shard 0,
 //! while shard 1 holds an operator-positioned off-ring copy. Shard 0
-//! is then turned into a black hole (1 ms admission delay, 100% shed)
-//! under closed-loop traffic, and later killed outright.
+//! is then made to shed every admission
+//! ([`af_serve::InjectedFault::hard_failure`]) under closed-loop
+//! traffic, and later killed outright.
 //!
 //! * **Breakers off** ([`af_fleet::HealthPolicy::disabled`]): every
-//!   request keeps being routed into the black hole and fails —
+//!   request keeps being routed into the sick shard and fails —
 //!   availability collapses for the whole sick phase.
 //! * **Breakers on**: after `failure_threshold` counted failures the
 //!   circuit opens, the sick shard leaves selection, and requests
 //!   degrade to the off-ring holder — availability is bounded below by
-//!   `1 − threshold/N` and p99 sheds the black hole's delay.
+//!   `1 − threshold/N`.
 //!
 //! Both arms run the *same* schedule from the same seeds; the only
 //! difference is the health policy. The `fault_sweep` JSON document
@@ -29,10 +30,10 @@ use std::time::Duration;
 use adaptivfloat::FormatKind;
 use af_fleet::{
     ChaosEvent, ChaosHarness, ChaosSchedule, FleetConfig, FleetRouter, HealthPolicy, HedgePolicy,
-    InjectedFault, ShardConfig,
+    ShardConfig,
 };
 use af_models::ModelFamily;
-use af_serve::{EngineConfig, ModelRegistry, VariantSpec};
+use af_serve::{EngineConfig, InjectedFault, ModelRegistry, VariantSpec};
 
 use crate::render::TextTable;
 
@@ -240,7 +241,7 @@ fn run_arm(breakers: bool, sick: usize, killed: usize) -> ChaosArm {
     let schedule = ChaosSchedule::scripted(vec![
         ChaosEvent::Sicken {
             shard: 0,
-            fault: InjectedFault::black_hole(Duration::from_millis(1), CHAOS_SEED),
+            fault: InjectedFault::hard_failure(),
         },
         ChaosEvent::Traffic { requests: sick },
         ChaosEvent::Kill { shard: 0 },

@@ -2,10 +2,14 @@
 //! same model catalog is served by 1 → N consistent-hash shards.
 //!
 //! Each scaling point builds a fresh [`FleetRouter`] over `n` in-process
-//! shards, every shard capped at **one compute slot** with a synthetic
-//! per-pass service delay — one engine then models one accelerator's
-//! worth of compute, so aggregate throughput can only grow by adding
-//! shards, not by hiding inside one process's thread pool. A closed
+//! shards, every shard capped at **one compute slot** with a modelled
+//! per-pass service time (an [`InjectedFault`] `delay` on each shard's
+//! engine: a sleep inside the slot, not compute) — one engine then
+//! models one accelerator's worth of compute, so aggregate throughput
+//! can only grow by adding shards, not by hiding inside one process's
+//! thread pool. The section records the host's parallelism next to the
+//! speedup, because the sleep scales past the host's cores where real
+//! compute would not. A closed
 //! loop of persistent-connection clients drives the fleet over real TCP
 //! through [`FleetServer`] (the same wire protocol and [`Client`] as
 //! the single-node bench), each connection pinned to one model id so
@@ -26,13 +30,13 @@ use std::time::{Duration, Instant};
 use adaptivfloat::FormatKind;
 use af_fleet::{FleetConfig, FleetRouter, FleetServer, HedgePolicy, ShardConfig};
 use af_models::{FrozenMlp, ModelFamily};
-use af_serve::{Client, EngineConfig, VariantSpec};
+use af_serve::{Client, EngineConfig, InjectedFault, VariantSpec};
 
 use crate::render::TextTable;
 use crate::serving::percentile;
 
-/// Layer widths of every fleet model — small enough that the synthetic
-/// service delay (not arithmetic) dominates a pass, which is what makes
+/// Layer widths of every fleet model — small enough that the modelled
+/// service time (not arithmetic) dominates a pass, which is what makes
 /// the scaling read honest: throughput is bounded by slots × delay.
 pub const FLEET_DIMS: [usize; 3] = [24, 48, 12];
 
@@ -45,7 +49,8 @@ pub const FLEET_MODELS: usize = 16;
 /// pass vacuously).
 pub const FLEET_SEED: u64 = 0xF1EE_0CAF;
 
-/// Synthetic per-pass service time on every shard (the "accelerator").
+/// Modelled per-pass service time on every shard (the "accelerator"):
+/// a sleep on the lane worker, not compute.
 const SERVICE_DELAY: Duration = Duration::from_micros(400);
 
 /// Hedge budget for the bench fleet: far above the saturated
@@ -226,7 +231,6 @@ fn shard_config(connections: usize) -> ShardConfig {
             // The whole closed loop can park on one shard's lanes
             // without tripping admission control.
             queue_cap: connections * 2,
-            service_delay: SERVICE_DELAY,
             compute_slots: Some(1),
             ..EngineConfig::default()
         },
@@ -250,9 +254,12 @@ fn run_point(shards: usize, opts: FleetOpts) -> FleetPoint {
         },
     ));
     for i in 0..shards {
-        router
+        let shard = router
             .join(i, shard_config(opts.connections))
             .expect("join bench shard");
+        shard
+            .engine()
+            .inject_fault(Some(InjectedFault::slow(SERVICE_DELAY)));
     }
 
     // The catalog: FLEET_MODELS quantized variants, distinct weights.
@@ -377,7 +384,8 @@ fn render_json(opts: FleetOpts, points: &[FleetPoint], speedup: f64) -> String {
     out.push_str(&format!(
         "\"replicas\": {}, \"connections\": {}, \"requests_per_connection\": {}, \
          \"models\": {}, \"service_delay_us\": {}, \"compute_slots_per_shard\": 1, \
-         \"max_shards\": {}, \"speedup_1_to_max\": {:.2}, \"points\": [",
+         \"max_shards\": {}, \"speedup_1_to_max\": {:.2}, \"host_parallelism\": {}, \
+         \"points\": [",
         opts.replicas,
         opts.connections,
         opts.per_conn,
@@ -385,6 +393,7 @@ fn render_json(opts: FleetOpts, points: &[FleetPoint], speedup: f64) -> String {
         SERVICE_DELAY.as_micros(),
         opts.max_shards,
         speedup,
+        host_parallelism(),
     ));
     for (i, p) in points.iter().enumerate() {
         if i > 0 {
@@ -474,7 +483,20 @@ fn render_tables(points: &[FleetPoint]) -> String {
             ]);
         }
     }
-    format!("{}\n{}", t.render(), s.render())
+    format!(
+        "Fleet scaling (per-pass service time: {} µs modelled sleep per shard, not compute; \
+         host parallelism {}):\n{}\n{}",
+        SERVICE_DELAY.as_micros(),
+        host_parallelism(),
+        t.render(),
+        s.render()
+    )
+}
+
+/// Cores this process may run on — the ceiling real compute would hit
+/// long before the modelled service time does.
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 #[cfg(test)]
@@ -518,6 +540,7 @@ mod tests {
         let json = render_json(opts, &[p], 1.0);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"speedup_1_to_max\""));
+        assert!(json.contains("\"host_parallelism\""));
         assert!(json.contains("\"per_shard\""));
         // Balanced braces/brackets — a cheap well-formedness check
         // given the hand-built JSON.

@@ -2,8 +2,9 @@
 //!
 //! A [`ChaosHarness`] drives a live [`FleetRouter`] through a
 //! [`ChaosSchedule`] — scripted or seeded-random sequences of shard
-//! kills and revives, injected admission faults ([`InjectedFault`] at
-//! the [`crate::Shard::enqueue`] seam), WAL corruption (via
+//! kills and revives, injected faults ([`InjectedFault`] through the
+//! shard engine's one fault seam, `Engine::inject_fault`), WAL
+//! corruption (via
 //! `af_resilience::FaultSpec` over the shard's `wal.log` bytes), health
 //! probes, and seeded traffic — and checks the fleet's resilience
 //! invariants after every run:
@@ -23,8 +24,9 @@
 //!   for *every* schedule, including seeded-random ones.
 //!
 //! **Determinism.** Schedules, traffic (model and input choice per
-//! request), injected-error draws, and WAL corruption maps all come
-//! from counter-based [`SplitMix64`] streams; run a harness twice over
+//! request), and WAL corruption maps all come from counter-based
+//! [`SplitMix64`] streams, and an injected shed refuses every
+//! admission while it is installed; run a harness twice over
 //! fresh fleets with the same seeds and hedging disabled (plus
 //! time-independent breaker policy, e.g. a large `open_backoff`) and
 //! you get identical request outcomes, transition sequences, and final
@@ -37,6 +39,7 @@ use std::time::{Duration, Instant};
 
 use af_resilience::rng::mix;
 use af_resilience::{FaultSpec, SplitMix64};
+use af_serve::InjectedFault;
 use af_store::shard_root;
 
 use crate::health::{BreakerState, Transition};
@@ -49,48 +52,6 @@ const DOMAIN_TRAFFIC: u64 = 0xC4A0_77AF;
 const DOMAIN_SCHEDULE: u64 = 0xC4A0_5C4E;
 /// Hash domain for the golden input pool.
 const DOMAIN_INPUTS: u64 = 0xC4A0_117A;
-
-/// A fault injected at a shard's admission seam
-/// ([`Shard::enqueue`](crate::Shard::enqueue)): every admission first
-/// sleeps `delay`, then draws against `error_rate` from a
-/// [`SplitMix64`] stream keyed on `(seed, DOMAIN, admission_counter)`
-/// and sheds with `Overloaded` on a hit. `delay` models a straggling
-/// or black-holed shard; `error_rate: 1.0` models a deterministic
-/// hard failure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InjectedFault {
-    /// Added admission latency (callers block for it).
-    pub delay: Duration,
-    /// Probability an admission is shed with `Overloaded`.
-    pub error_rate: f64,
-    /// Seed of the per-admission error draw.
-    pub seed: u64,
-}
-
-impl InjectedFault {
-    /// Hash domain of the per-admission error draw (disjoint from the
-    /// hedge/retry/breaker domains).
-    pub const DOMAIN: u64 = 0xC4A0_5EED;
-
-    /// A shard that deterministically sheds every admission.
-    pub fn hard_failure(seed: u64) -> InjectedFault {
-        InjectedFault {
-            delay: Duration::ZERO,
-            error_rate: 1.0,
-            seed,
-        }
-    }
-
-    /// A slow shard that sheds every admission after `delay` — the
-    /// worst kind: it burns the caller's deadline *and* fails.
-    pub fn black_hole(delay: Duration, seed: u64) -> InjectedFault {
-        InjectedFault {
-            delay,
-            error_rate: 1.0,
-            seed,
-        }
-    }
-}
 
 /// One step of a chaos schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,14 +67,14 @@ pub enum ChaosEvent {
         /// Shard index to warm-start.
         shard: usize,
     },
-    /// Install an admission fault on a live shard.
+    /// Install a fault on a live shard's engine.
     Sicken {
         /// Target shard index.
         shard: usize,
         /// The fault to install.
         fault: InjectedFault,
     },
-    /// Clear any admission fault on a live shard.
+    /// Clear any fault on a live shard's engine.
     Heal {
         /// Target shard index.
         shard: usize,
@@ -158,11 +119,11 @@ impl ChaosSchedule {
     }
 
     /// A seeded-random schedule of `steps` events over shards
-    /// `0..shards`: traffic interleaved with kills, revives, admission
+    /// `0..shards`: traffic interleaved with kills, revives, injected
     /// faults, heals, and probe sweeps, every draw from a
     /// counter-based stream so the same `(seed, steps, shards)` always
-    /// yields the same schedule. Injected faults are deterministic
-    /// hard failures (`error_rate: 1.0`) so request outcomes stay
+    /// yields the same schedule. Injected faults are
+    /// [`InjectedFault::hard_failure`] sheds so request outcomes stay
     /// time-independent; WAL corruption is scripted-only (it makes a
     /// shard unrevivable, which the recovery epilogue would then
     /// depend on timing to absorb).
@@ -181,7 +142,7 @@ impl ChaosSchedule {
                 4 => ChaosEvent::Revive { shard },
                 5 => ChaosEvent::Sicken {
                     shard,
-                    fault: InjectedFault::hard_failure(mix(seed ^ step as u64)),
+                    fault: InjectedFault::hard_failure(),
                 },
                 6 => ChaosEvent::Heal { shard },
                 _ => ChaosEvent::Probe { rounds: 1 },
@@ -465,18 +426,11 @@ impl ChaosHarness {
             ChaosEvent::Revive { shard } => self.revive(shard, report),
             ChaosEvent::Sicken { shard, fault } => {
                 if let Some(s) = self.router.shard(shard) {
-                    s.inject_fault(Some(fault));
+                    s.engine().inject_fault(Some(fault));
                     report.faults_toggled += 1;
                 }
             }
-            ChaosEvent::Heal { shard } => {
-                if let Some(s) = self.router.shard(shard) {
-                    if s.injected_fault().is_some() {
-                        s.inject_fault(None);
-                        report.faults_toggled += 1;
-                    }
-                }
-            }
+            ChaosEvent::Heal { shard } => self.heal(shard, report),
             ChaosEvent::CorruptWal { shard, rate, seed } => {
                 if self.router.shard(shard).is_none() {
                     report.wal_bytes_corrupted +=
@@ -492,6 +446,15 @@ impl ChaosHarness {
                 for _ in 0..rounds {
                     let _ = self.router.probe_health();
                 }
+            }
+        }
+    }
+
+    fn heal(&self, shard: usize, report: &mut ChaosReport) {
+        if let Some(s) = self.router.shard(shard) {
+            if s.engine().injected_fault().is_some() {
+                s.engine().inject_fault(None);
+                report.faults_toggled += 1;
             }
         }
     }
@@ -539,12 +502,7 @@ impl ChaosHarness {
     /// replay every golden.
     fn recover(&mut self, report: &mut ChaosReport) {
         for index in self.router.live_shards() {
-            if let Some(s) = self.router.shard(index) {
-                if s.injected_fault().is_some() {
-                    s.inject_fault(None);
-                    report.faults_toggled += 1;
-                }
-            }
+            self.heal(index, report);
         }
         for index in self.router.ring_members() {
             self.revive(index, report);
@@ -657,15 +615,5 @@ mod tests {
         assert_eq!(percentile_us(&v, 0.50), 50);
         assert_eq!(percentile_us(&v, 0.99), 99);
         assert_eq!(percentile_us(&v, 1.0), 100);
-    }
-
-    #[test]
-    fn injected_fault_constructors() {
-        let hard = InjectedFault::hard_failure(7);
-        assert_eq!(hard.error_rate, 1.0);
-        assert_eq!(hard.delay, Duration::ZERO);
-        let hole = InjectedFault::black_hole(Duration::from_millis(3), 7);
-        assert_eq!(hole.delay, Duration::from_millis(3));
-        assert_eq!(hole.error_rate, 1.0);
     }
 }

@@ -39,6 +39,12 @@
 //! its epoll reactor: the router is one state machine stepped by reply
 //! and timer events, so no thread sits between a connection and the
 //! shard lanes.
+//!
+//! Chaos runs ([`chaos`]) sicken a shard through its engine's one fault
+//! seam (`af_serve::Engine::inject_fault`), so an injected shed meets
+//! every route a request can take — hedged, failed-over or degraded —
+//! and an injected delay stalls only the sick shard's lanes, never the
+//! thread that admitted the request.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -51,7 +57,7 @@ pub mod router;
 pub mod server;
 pub mod shard;
 
-pub use chaos::{ChaosEvent, ChaosHarness, ChaosReport, ChaosSchedule, InjectedFault};
+pub use chaos::{ChaosEvent, ChaosHarness, ChaosReport, ChaosSchedule};
 pub use health::{
     Admission, BreakerState, HealthPolicy, HealthRegistry, HealthSnapshot, Transition,
 };

@@ -892,11 +892,11 @@ impl Routing {
         if !e.is_failover() {
             return Err(e);
         }
+        self.last_err = Some(e);
         if self.degraded.is_some() {
             return self.launch_degraded(router);
         }
         self.outstanding = self.outstanding.saturating_sub(1);
-        self.last_err = Some(e);
         if self.next < self.candidates.len() {
             router.stats.failovers.fetch_add(1, Ordering::Relaxed);
             let _ = self.launch(router);
@@ -978,12 +978,11 @@ impl Routing {
             self.admitted += 1;
             let remaining = self.overall.saturating_duration_since(Instant::now());
             let attempt = self.attempts.len();
-            let launched = shard.admit_fault().and_then(|()| {
-                let input = self.input.clone();
-                self.sink
-                    .enqueue(shard.engine(), &self.model, input, remaining, attempt)
-            });
-            match launched {
+            let input = self.input.clone();
+            match self
+                .sink
+                .enqueue(shard.engine(), &self.model, input, remaining, attempt)
+            {
                 Ok(()) => {
                     self.attempts.push((shard.index(), Instant::now()));
                     self.outstanding += 1;
@@ -1006,8 +1005,7 @@ impl Routing {
     /// Graceful degradation: every live on-ring replica is quarantined,
     /// so serve from **any** healthy live shard still holding the
     /// variant — even one the ring no longer assigns it to — one holder
-    /// at a time, each attempt under the full deadline and straight to
-    /// the holder's engine (the chaos fault seam is not consulted).
+    /// at a time, each attempt under the full deadline.
     fn degrade(&mut self, router: &FleetRouter) -> Step {
         self.degraded = Some(Instant::now());
         self.hedge_at = None;
@@ -1020,7 +1018,8 @@ impl Routing {
         self.launch_degraded(router)
     }
 
-    /// Admit the next healthy holder. When none is left, answer
+    /// Admit the next healthy holder. When none is left, answer the
+    /// last holder's error if one was tried, else
     /// [`ServeError::Unavailable`] carrying the earliest half-open
     /// probe ETA as its retry hint.
     fn launch_degraded(&mut self, router: &FleetRouter) -> Step {
@@ -1049,8 +1048,12 @@ impl Routing {
                     if !e.is_failover() {
                         return Err(e);
                     }
+                    self.last_err = Some(e);
                 }
             }
+        }
+        if let Some(e) = self.last_err.take() {
+            return Err(e);
         }
         router.stats.unavailable.fetch_add(1, Ordering::Relaxed);
         let placement = router.placement(&self.model);
@@ -1092,10 +1095,4 @@ fn probe_input(ring_seed: u64, spec: &VariantSpec) -> Vec<f32> {
     (0..spec.dims[0])
         .map(|_| (rng.next_f64() * 2.0 - 1.0) as f32)
         .collect()
-}
-
-/// Convenience: the engine of a shard (used by benches and tests that
-/// bypass the router for direct comparison).
-pub fn shard_engine(shard: &Shard) -> &Arc<Engine> {
-    shard.engine()
 }

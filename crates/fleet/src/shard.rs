@@ -10,17 +10,10 @@
 //! identity lives anywhere but its own store directory.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-use std::time::Duration;
+use std::sync::Arc;
 
-use af_resilience::SplitMix64;
-use af_serve::batcher::TaggedReply;
-use af_serve::{BuiltVariant, DurableStore, Engine, EngineConfig, RecoveryReport, ServeError};
+use af_serve::{BuiltVariant, DurableStore, Engine, EngineConfig, RecoveryReport};
 use af_store::{shard_root, StoreError, SyncPolicy};
-
-use crate::chaos::InjectedFault;
-use crate::lock;
 
 /// How a shard opens its engine and store.
 #[derive(Debug, Clone, Copy)]
@@ -56,14 +49,6 @@ pub struct Shard {
     engine: Arc<Engine>,
     store: Arc<DurableStore>,
     report: RecoveryReport,
-    /// Chaos seam: an injected fault consulted on every [`enqueue`]
-    /// (`None` outside chaos runs — one relaxed read on the hot path).
-    ///
-    /// [`enqueue`]: Shard::enqueue
-    fault: RwLock<Option<InjectedFault>>,
-    /// Monotone admission counter driving the fault's deterministic
-    /// error draw.
-    admissions: AtomicU64,
 }
 
 impl Shard {
@@ -87,8 +72,6 @@ impl Shard {
             engine,
             store: opened.store,
             report: opened.report,
-            fault: RwLock::new(None),
-            admissions: AtomicU64::new(0),
         })
     }
 
@@ -102,7 +85,8 @@ impl Shard {
         &self.root
     }
 
-    /// The embedded engine.
+    /// The embedded engine — also the shard's fault seam
+    /// ([`Engine::inject_fault`]).
     pub fn engine(&self) -> &Arc<Engine> {
         &self.engine
     }
@@ -145,67 +129,6 @@ impl Shard {
     /// Model ids this shard currently serves.
     pub fn ids(&self) -> Vec<String> {
         self.engine.registry().ids()
-    }
-
-    /// Admit one request into this shard's lane for `model` (the
-    /// router's non-blocking submission seam; see
-    /// [`Engine::enqueue`]).
-    ///
-    /// # Errors
-    ///
-    /// Admission-time [`ServeError`]s only; post-admission outcomes
-    /// arrive on `reply`.
-    pub fn enqueue(
-        &self,
-        model: &str,
-        input: Vec<f32>,
-        deadline: Duration,
-        tag: u64,
-        reply: &std::sync::mpsc::Sender<TaggedReply>,
-    ) -> Result<(), ServeError> {
-        self.admit_fault()?;
-        self.engine.enqueue(model, input, deadline, tag, reply)
-    }
-
-    /// The chaos seam every routed attempt passes before its engine
-    /// admission: apply the injected fault, if any.
-    pub(crate) fn admit_fault(&self) -> Result<(), ServeError> {
-        if let Some(fault) = *lock::read(&self.fault) {
-            let n = self.admissions.fetch_add(1, Ordering::Relaxed);
-            if !fault.delay.is_zero() {
-                std::thread::sleep(fault.delay);
-            }
-            if fault.error_rate > 0.0 {
-                let mut rng = SplitMix64::for_element(fault.seed, InjectedFault::DOMAIN, n);
-                if rng.next_f64() < fault.error_rate {
-                    return Err(ServeError::Overloaded);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Install (or with `None`, clear) a chaos fault on this shard's
-    /// admission seam. The per-shard admission counter keeps running
-    /// across installs, so a fixed `(fault.seed, schedule)` yields one
-    /// deterministic error sequence per shard lifetime.
-    ///
-    /// A fault's `delay` sleeps on the thread that admits the attempt.
-    /// In-process callers ([`FleetRouter::infer`], the chaos harness)
-    /// admit on their own thread; over HTTP ([`FleetServer`]) that
-    /// thread is the reactor, so a delayed shard stalls every
-    /// connection for the delay — a straggler model for in-process
-    /// chaos runs, not for HTTP load.
-    ///
-    /// [`FleetRouter::infer`]: crate::FleetRouter::infer
-    /// [`FleetServer`]: crate::FleetServer
-    pub fn inject_fault(&self, fault: Option<InjectedFault>) {
-        *lock::write(&self.fault) = fault;
-    }
-
-    /// The currently injected chaos fault, if any.
-    pub fn injected_fault(&self) -> Option<InjectedFault> {
-        *lock::read(&self.fault)
     }
 
     /// Fold this shard's WAL into a fresh checkpoint.

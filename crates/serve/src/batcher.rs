@@ -49,17 +49,10 @@ pub struct EngineConfig {
     pub queue_cap: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Duration,
-    /// Synthetic per-batch service time, for load tests and saturation
-    /// experiments (zero in production configurations).
-    pub service_delay: Duration,
     /// How often the background scrubber sweeps protected variant
     /// storage (`None` disables the scrubber thread;
     /// [`Engine::scrub_now`] always works).
     pub scrub_period: Option<Duration>,
-    /// Fault-injection hook for supervisor tests: a lane worker panics
-    /// mid-batch when any batched input's first element bit-equals this
-    /// value (`None` in production configurations).
-    pub panic_trigger: Option<f32>,
     /// Cap on concurrent evaluate passes across *all* lanes of this
     /// engine (`None` = unlimited). One engine then models one shard's
     /// worth of compute — its lanes contend for the slots the way a
@@ -75,13 +68,51 @@ impl Default for EngineConfig {
             max_batch: 16,
             queue_cap: 256,
             default_deadline: Duration::from_secs(2),
-            service_delay: Duration::ZERO,
             scrub_period: None,
-            panic_trigger: None,
             compute_slots: None,
         }
     }
 }
+
+/// A runtime fault installed with [`Engine::inject_fault`], the one seam
+/// through which chaos runs, straggler and supervisor tests make an
+/// engine misbehave. Each part acts where the real fault would, so
+/// every caller (in-process routing, the reactor, degraded serving,
+/// probes) meets it alike.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct InjectedFault {
+    /// A straggling accelerator: every evaluate pass sleeps this long
+    /// on its lane worker, inside its compute slot — never on the
+    /// thread that admitted the request.
+    pub delay: Duration,
+    /// A hard-failing engine: every admission is refused with
+    /// [`ServeError::Overloaded`] before any other check.
+    pub shed: bool,
+    /// A worker fault: a lane worker panics mid-batch when a batched
+    /// input's first element bit-equals this value.
+    pub panic_on: Option<f32>,
+}
+
+impl InjectedFault {
+    /// An engine that deterministically sheds every admission.
+    pub fn hard_failure() -> InjectedFault {
+        InjectedFault {
+            shed: true,
+            ..InjectedFault::default()
+        }
+    }
+
+    /// An engine whose every evaluate pass takes `delay` longer.
+    pub fn slow(delay: Duration) -> InjectedFault {
+        InjectedFault {
+            delay,
+            ..InjectedFault::default()
+        }
+    }
+}
+
+/// The engine's fault slot, shared with every lane worker.
+type FaultSlot = Arc<RwLock<Option<InjectedFault>>>;
 
 /// Why a request was not answered with an output vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,7 +126,8 @@ pub enum ServeError {
         /// What the request carried.
         got: usize,
     },
-    /// The variant's queue is full — request shed.
+    /// The variant's queue is full (or an injected fault sheds every
+    /// admission) — request shed.
     Overloaded,
     /// The deadline passed before the request was evaluated.
     DeadlineExceeded,
@@ -234,11 +266,11 @@ impl Drop for Job {
 
 #[derive(Debug)]
 struct Lane {
-    queue: Arc<BatchQueue<Job>>,
+    queue: BatchQueue<Job>,
     /// Requests inside this lane's current evaluate pass (structural
     /// gauge: written by the worker around the pass, reset by the
     /// supervisor after a panic — it can never drift).
-    evaluating: Arc<AtomicU64>,
+    evaluating: AtomicU64,
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -290,6 +322,7 @@ pub struct Engine {
     scrubber: Mutex<Option<Scrubber>>,
     store: Mutex<Option<Arc<DurableStore>>>,
     slots: Option<Arc<Slots>>,
+    fault: FaultSlot,
 }
 
 impl Engine {
@@ -321,6 +354,7 @@ impl Engine {
                     freed: Condvar::new(),
                 })
             }),
+            fault: FaultSlot::default(),
         };
         for id in engine.registry.ids() {
             engine.ensure_lane(&id);
@@ -349,9 +383,47 @@ impl Engine {
         &self.stats
     }
 
+    /// Check the counter conservation laws: received equals admitted +
+    /// shed + rejected, and admitted equals completed + expired +
+    /// failed once admitted work still queued or evaluating (a hedge
+    /// loser, say) is answered, which this waits up to 10 s for.
+    ///
+    /// # Panics
+    ///
+    /// If either law fails.
+    pub fn assert_conserved(&self) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        let mut s = self.stats.snapshot();
+        while s.admitted != s.answered() && Instant::now() < give_up {
+            std::thread::sleep(Duration::from_millis(1));
+            s = self.stats.snapshot();
+        }
+        assert_eq!(
+            s.received,
+            s.admitted + s.shed + s.rejected,
+            "received must equal admitted + shed + rejected: {s:?}"
+        );
+        assert_eq!(
+            s.admitted,
+            s.answered(),
+            "admitted must equal completed + expired + failed: {s:?}"
+        );
+    }
+
     /// The engine's policy.
     pub fn config(&self) -> EngineConfig {
         self.cfg
+    }
+
+    /// Install (or with `None`, clear) this engine's fault, effective
+    /// from the next admission and the next evaluate pass.
+    pub fn inject_fault(&self, fault: Option<InjectedFault>) {
+        *self.fault.write().expect("fault slot poisoned") = fault;
+    }
+
+    /// The fault currently installed, if any.
+    pub fn injected_fault(&self) -> Option<InjectedFault> {
+        *self.fault.read().expect("fault slot poisoned")
     }
 
     /// Current queue depth of a lane.
@@ -384,44 +456,39 @@ impl Engine {
         if lanes.contains_key(id) {
             return false;
         }
-        let queue = Arc::new(BatchQueue::bounded(self.cfg.queue_cap));
-        let evaluating = Arc::new(AtomicU64::new(0));
+        let lane = Arc::new(Lane {
+            queue: BatchQueue::bounded(self.cfg.queue_cap),
+            evaluating: AtomicU64::new(0),
+            worker: Mutex::new(None),
+        });
         let worker = {
-            let (id, queue) = (id.to_string(), Arc::clone(&queue));
+            let (id, lane) = (id.to_string(), Arc::clone(&lane));
             let (registry, stats) = (Arc::clone(&self.registry), Arc::clone(&self.stats));
-            let evaluating = Arc::clone(&evaluating);
-            let slots = self.slots.clone();
-            let cfg = self.cfg;
+            let (slots, fault, cfg) = (self.slots.clone(), Arc::clone(&self.fault), self.cfg);
             std::thread::Builder::new()
                 .name(format!("af-serve:{id}"))
                 .spawn(move || loop {
                     // Supervisor: run_lane returns only when the
                     // queue closes; a panic unwinds here, dropping
-                    // the in-flight batch's reply senders (each
-                    // caller sees Internal), and the lane restarts.
+                    // the in-flight batch's jobs (each answers
+                    // Internal on drop), and the lane restarts.
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        run_lane(&id, &queue, &registry, &stats, &evaluating, &slots, cfg);
+                        run_lane(&id, &lane, &registry, &stats, &slots, &fault, cfg);
                     }));
                     match outcome {
                         Ok(()) => break,
                         Err(_) => {
-                            // The unwound pass's requests are gone; the
-                            // structural gauge must say so.
-                            evaluating.store(0, Ordering::Relaxed);
+                            // The unwound pass's requests failed; count
+                            // them and clear the structural gauge.
+                            stats.on_failed(lane.evaluating.swap(0, Ordering::Relaxed));
                             stats.on_worker_restart();
                         }
                     }
                 })
                 .expect("spawn lane worker")
         };
-        lanes.insert(
-            id.to_string(),
-            Arc::new(Lane {
-                queue,
-                evaluating,
-                worker: Mutex::new(Some(worker)),
-            }),
-        );
+        *lane.worker.lock().expect("lane poisoned") = Some(worker);
+        lanes.insert(id.to_string(), lane);
         true
     }
 
@@ -534,6 +601,27 @@ impl Engine {
         waker: Option<Arc<Waker>>,
     ) -> Result<(), ServeError> {
         self.stats.on_received();
+        let admitted = self.admit(model, input, deadline, tag, reply, waker);
+        match &admitted {
+            Ok(()) => self.stats.on_admitted(),
+            Err(ServeError::Overloaded) => self.stats.on_shed(),
+            Err(_) => self.stats.on_rejected(),
+        }
+        admitted
+    }
+
+    fn admit(
+        &self,
+        model: &str,
+        input: Vec<f32>,
+        deadline: Duration,
+        tag: u64,
+        reply: &mpsc::Sender<TaggedReply>,
+        waker: Option<Arc<Waker>>,
+    ) -> Result<(), ServeError> {
+        if self.injected_fault().is_some_and(|f| f.shed) {
+            return Err(ServeError::Overloaded);
+        }
         if self.stopping.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
@@ -570,15 +658,10 @@ impl Engine {
         lane.queue.try_push_reclaim(job).map_err(|(mut job, e)| {
             job.reply = None;
             match e {
-                PushError::Full => {
-                    self.stats.on_shed();
-                    ServeError::Overloaded
-                }
+                PushError::Full => ServeError::Overloaded,
                 PushError::Closed => ServeError::ShuttingDown,
             }
-        })?;
-        self.stats.on_admitted();
-        Ok(())
+        })
     }
 
     /// The shard's instantaneous load signal: requests waiting in lane
@@ -733,11 +816,11 @@ impl Drop for Engine {
 /// drop the dead, evaluate the rest as a single pass, fan rows back out.
 fn run_lane(
     id: &str,
-    queue: &BatchQueue<Job>,
+    lane: &Lane,
     registry: &ModelRegistry,
     stats: &ServeStats,
-    evaluating: &AtomicU64,
     slots: &Option<Arc<Slots>>,
+    fault: &RwLock<Option<InjectedFault>>,
     cfg: EngineConfig,
 ) {
     // Worker-lifetime buffers: the flat input rows and the model's
@@ -747,16 +830,17 @@ fn run_lane(
     // scratch).
     let mut flat: Vec<f32> = Vec::new();
     let mut scratch = BatchScratch::new();
-    while queue.wait_ready() {
-        // A compute slot covers the whole pass (synthetic service time
+    while lane.queue.wait_ready() {
+        // A compute slot covers the whole pass (an injected delay
         // included) and is taken before the queue is drained, so
         // requests that arrive while the lane waits for it join the batch.
         let _slot = slots.as_ref().map(Slots::acquire);
-        let Some(batch) = queue.pop_batch(cfg.max_batch) else {
+        let Some(batch) = lane.queue.pop_batch(cfg.max_batch) else {
             break;
         };
-        if cfg.service_delay > Duration::ZERO {
-            std::thread::sleep(cfg.service_delay);
+        let fault = *fault.read().expect("fault slot poisoned");
+        if let Some(delay) = fault.map(|f| f.delay).filter(|d| !d.is_zero()) {
+            std::thread::sleep(delay);
         }
         let snapshot = registry.get(id);
         let now = Instant::now();
@@ -773,6 +857,7 @@ fn run_lane(
             continue;
         }
         let Some(variant) = snapshot else {
+            stats.on_failed(live.len() as u64);
             for job in live {
                 job.answer(Err(ServeError::UnknownModel(id.to_string())));
             }
@@ -787,6 +872,7 @@ fn run_lane(
                 rows.push(job);
             } else {
                 let got = job.input.len();
+                stats.on_failed(1);
                 job.answer(Err(ServeError::BadInput {
                     expected: in_dim,
                     got,
@@ -796,10 +882,13 @@ fn run_lane(
         if rows.is_empty() {
             continue;
         }
-        // Supervisor fault hook: panic after the batch is formed, so
-        // the in-flight reply senders drop on unwind exactly as a real
-        // evaluation fault would leave them.
-        if let Some(trigger) = cfg.panic_trigger {
+        // The gauge covers the pass from here, so a supervisor catching
+        // a panic below knows how many requests the unwind failed.
+        lane.evaluating.store(rows.len() as u64, Ordering::Relaxed);
+        // Injected worker fault: panic after the batch is formed, so the
+        // in-flight jobs drop on unwind exactly as a real evaluation
+        // fault would leave them.
+        if let Some(trigger) = fault.and_then(|f| f.panic_on) {
             if rows.iter().any(|j| {
                 j.input
                     .first()
@@ -809,7 +898,6 @@ fn run_lane(
             }
         }
         stats.on_batch(rows.len());
-        evaluating.store(rows.len() as u64, Ordering::Relaxed);
         flat.clear();
         for job in &rows {
             flat.extend_from_slice(&job.input);
@@ -820,7 +908,7 @@ fn run_lane(
         // Clear the gauge before replying: the channel send/recv pair
         // synchronizes, so a caller that has its answer never observes
         // the batch that produced it as still in flight.
-        evaluating.store(0, Ordering::Relaxed);
+        lane.evaluating.store(0, Ordering::Relaxed);
         let out_dim = variant.model.out_dim();
         for (r, job) in rows.into_iter().enumerate() {
             stats.on_completed();
@@ -914,6 +1002,8 @@ mod tests {
         .is_failover());
         assert!(ServeError::Overloaded.is_failover());
         assert!(ServeError::UnknownModel("x".into()).is_failover());
+        assert_eq!(engine.stats().snapshot().rejected, 2);
+        engine.assert_conserved();
     }
 
     #[test]
@@ -923,10 +1013,10 @@ mod tests {
             EngineConfig {
                 max_batch: 1,
                 queue_cap: 2,
-                service_delay: Duration::from_millis(60),
                 ..EngineConfig::default()
             },
         ));
+        engine.inject_fault(Some(InjectedFault::slow(Duration::from_millis(60))));
         let handles: Vec<_> = (0..10u64)
             .map(|i| {
                 let engine = Arc::clone(&engine);
@@ -946,6 +1036,24 @@ mod tests {
         assert!(shed >= 1, "a saturated bounded queue must shed");
         assert_eq!(ok + shed, 10, "unexpected third outcome: {results:?}");
         assert_eq!(engine.stats().snapshot().shed, shed as u64);
+        engine.assert_conserved();
+    }
+
+    #[test]
+    fn injected_shed_refuses_first_and_balances() {
+        let engine = Engine::start(registry(), EngineConfig::default());
+        engine.inject_fault(Some(InjectedFault::hard_failure()));
+        let x = FrozenMlp::synth_inputs(2, 1, 12);
+        // The shed comes before every other admission check.
+        for (id, input) in [("resnet/fp32", x.row(0).to_vec()), ("nope", vec![0.0; 3])] {
+            assert_eq!(engine.infer(id, input), Err(ServeError::Overloaded));
+        }
+        let snap = engine.stats().snapshot();
+        assert_eq!((snap.received, snap.shed, snap.admitted), (2, 2, 0));
+        engine.inject_fault(None);
+        assert_eq!(engine.injected_fault(), None);
+        assert!(engine.infer("resnet/fp32", x.row(0).to_vec()).is_ok());
+        engine.assert_conserved();
     }
 
     #[test]
@@ -954,15 +1062,16 @@ mod tests {
             registry(),
             EngineConfig {
                 max_batch: 4,
-                service_delay: Duration::from_millis(40),
                 ..EngineConfig::default()
             },
         );
+        engine.inject_fault(Some(InjectedFault::slow(Duration::from_millis(40))));
         let x = FrozenMlp::synth_inputs(9, 1, 12);
-        // Deadline far shorter than the synthetic service time.
+        // Deadline far shorter than the injected service time.
         let got = engine.infer_deadline("resnet/fp32", x.row(0).to_vec(), Duration::from_millis(5));
         assert_eq!(got, Err(ServeError::DeadlineExceeded));
         assert_eq!(engine.stats().snapshot().expired, 1);
+        engine.assert_conserved();
     }
 
     #[test]
@@ -974,19 +1083,24 @@ mod tests {
             engine.infer("resnet/fp32", x.row(0).to_vec()),
             Err(ServeError::ShuttingDown)
         );
+        engine.assert_conserved();
     }
 
     #[test]
     fn panicked_worker_fails_the_batch_closed_and_restarts() {
         let trigger = 1234.5f32;
+        let reg = registry();
         let engine = Engine::start(
-            registry(),
+            Arc::clone(&reg),
             EngineConfig {
                 max_batch: 1,
-                panic_trigger: Some(trigger),
                 ..EngineConfig::default()
             },
         );
+        engine.inject_fault(Some(InjectedFault {
+            panic_on: Some(trigger),
+            ..InjectedFault::default()
+        }));
         let mut poison = vec![0.0f32; 12];
         poison[0] = trigger;
         // The poisoned batch fails with an explicit 500, never a hang.
@@ -997,17 +1111,15 @@ mod tests {
         assert_eq!(ServeError::Internal.http_status(), 500);
         // The supervisor restarted the worker: the same lane still serves.
         let x = FrozenMlp::synth_inputs(7, 1, 12);
-        let direct = engine
-            .registry()
-            .get("resnet/fp32")
-            .unwrap()
-            .model
-            .evaluate(x.row(0));
+        let direct = reg.get("resnet/fp32").unwrap().model.evaluate(x.row(0));
         let got = engine.infer("resnet/fp32", x.row(0).to_vec()).unwrap();
         assert_eq!(got, direct);
         assert!(engine.stats().snapshot().worker_restarts >= 1);
-        // The structural in-flight gauge was reset by the supervisor.
+        // The structural in-flight gauge was reset by the supervisor,
+        // and the lost batch counts as failed.
         assert_eq!(engine.load(), 0);
+        assert_eq!(engine.stats().snapshot().failed, 1);
+        engine.assert_conserved();
     }
 
     #[test]
@@ -1142,11 +1254,11 @@ mod tests {
             registry(),
             EngineConfig {
                 max_batch: 1,
-                service_delay: delay,
                 compute_slots: Some(1),
                 ..EngineConfig::default()
             },
         ));
+        engine.inject_fault(Some(InjectedFault::slow(delay)));
         let t0 = Instant::now();
         let handles: Vec<_> = ["resnet/fp32", "resnet/adaptivfloat8"]
             .into_iter()
@@ -1179,11 +1291,11 @@ mod tests {
             registry(),
             EngineConfig {
                 max_batch,
-                service_delay: Duration::from_millis(150),
                 compute_slots: Some(1),
                 ..EngineConfig::default()
             },
         );
+        engine.inject_fault(Some(InjectedFault::slow(Duration::from_millis(150))));
         let x = FrozenMlp::synth_inputs(17, n, 12);
         let deadline = Duration::from_secs(10);
         let (tx, rx) = mpsc::channel();
@@ -1216,10 +1328,10 @@ mod tests {
             registry(),
             EngineConfig {
                 max_batch: 1,
-                service_delay: Duration::from_millis(80),
                 ..EngineConfig::default()
             },
         ));
+        engine.inject_fault(Some(InjectedFault::slow(Duration::from_millis(80))));
         assert_eq!(engine.load(), 0);
         let handles: Vec<_> = (0..4u64)
             .map(|i| {

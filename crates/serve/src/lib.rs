@@ -66,6 +66,17 @@
 //! and [`EngineConfig::compute_slots`](batcher::EngineConfig) caps a
 //! shard to one accelerator's worth of concurrent evaluate passes. The
 //! routing tier itself lives in `af-fleet`.
+//!
+//! Faults enter through one seam, [`Engine::inject_fault`](batcher::Engine::inject_fault):
+//! an [`InjectedFault`] slows every evaluate pass on its lane worker
+//! (`delay`), sheds every admission before any other check (`shed`),
+//! or panics a lane worker mid-batch (`panic_on`). The production
+//! config ([`EngineConfig`]) carries no test hooks, and no admitting
+//! thread — a caller, the reactor, a fleet router — ever sleeps for a
+//! fault. Every request the engine sees is counted exactly once:
+//! `received = admitted + shed + rejected` and, at quiescence,
+//! `admitted = completed + expired + failed`
+//! ([`Engine::assert_conserved`](batcher::Engine::assert_conserved)).
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -84,7 +95,7 @@ pub mod stats;
 pub mod sys;
 pub mod timer;
 
-pub use batcher::{Engine, EngineConfig, ServeError, TaggedReply};
+pub use batcher::{Engine, EngineConfig, InjectedFault, ServeError, TaggedReply};
 pub use client::{Client, ClientBuilder, ClientError, ClientTimeouts, RetryPolicy};
 pub use durable::{DurableOpen, DurableStore, RecoveryReport};
 pub use protect::ProtectedWeights;

@@ -19,7 +19,9 @@ pub struct ServeStats {
     received: AtomicU64,
     admitted: AtomicU64,
     shed: AtomicU64,
+    rejected: AtomicU64,
     expired: AtomicU64,
+    failed: AtomicU64,
     completed: AtomicU64,
     batches: AtomicU64,
     batched_requests: AtomicU64,
@@ -43,14 +45,28 @@ impl ServeStats {
         self.admitted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A request was shed because its queue was full.
+    /// A request was shed with `Overloaded`: its queue was full, or an
+    /// injected fault refused it.
     pub fn on_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A request was refused at admission for any reason but a shed
+    /// (unknown model, bad width, shutting down).
+    pub fn on_rejected(&self) {
+        self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A request's deadline expired before evaluation.
     pub fn on_expired(&self) {
         self.expired.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `n` admitted requests were answered with an error other than an
+    /// expired deadline (their variant vanished or changed width, or
+    /// their batch was lost to a worker fault).
+    pub fn on_failed(&self, n: u64) {
+        self.failed.fetch_add(n, Ordering::Relaxed);
     }
 
     /// A request was answered successfully.
@@ -107,7 +123,9 @@ impl ServeStats {
             received: self.received.load(Ordering::Relaxed),
             admitted: self.admitted.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
+            failed: self.failed.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
@@ -129,10 +147,14 @@ pub struct StatsSnapshot {
     pub received: u64,
     /// Requests that entered a queue.
     pub admitted: u64,
-    /// Requests shed at a full queue.
+    /// Requests shed with `Overloaded` (full queue or injected fault).
     pub shed: u64,
+    /// Requests refused at admission for any other reason.
+    pub rejected: u64,
     /// Requests whose deadline expired before evaluation.
     pub expired: u64,
+    /// Admitted requests answered with any other error.
+    pub failed: u64,
     /// Requests answered successfully.
     pub completed: u64,
     /// Evaluate passes run.
@@ -171,19 +193,27 @@ impl StatsSnapshot {
         self.queue_depth.saturating_add(self.in_flight)
     }
 
+    /// Admitted requests that have been answered: completed, expired
+    /// or failed. Equals `admitted` once the engine is quiescent.
+    pub fn answered(&self) -> u64 {
+        self.completed + self.expired + self.failed
+    }
+
     /// Render the counters as a JSON object fragment (no surrounding
     /// braces, so callers can splice in extra fields).
     pub fn json_fields(&self) -> String {
         format!(
-            "\"received\":{},\"admitted\":{},\"shed\":{},\"expired\":{},\
-             \"completed\":{},\"batches\":{},\"batched_requests\":{},\
+            "\"received\":{},\"admitted\":{},\"shed\":{},\"rejected\":{},\
+             \"expired\":{},\"failed\":{},\"completed\":{},\"batches\":{},\"batched_requests\":{},\
              \"max_batch\":{},\"mean_batch\":{:.3},\"worker_restarts\":{},\
              \"scrub_passes\":{},\"rebuilds\":{},\"last_scrub_us\":{},\
              \"queue_depth\":{},\"in_flight\":{},\"load\":{}",
             self.received,
             self.admitted,
             self.shed,
+            self.rejected,
             self.expired,
+            self.failed,
             self.completed,
             self.batches,
             self.batched_requests,
@@ -344,6 +374,8 @@ mod tests {
             s.on_admitted();
         }
         s.on_shed();
+        s.on_rejected();
+        s.on_failed(2);
         s.on_batch(2);
         s.on_batch(4);
         s.on_completed();
@@ -354,6 +386,9 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.received, 3);
         assert_eq!(snap.shed, 1);
+        assert_eq!(snap.rejected, 1);
+        assert_eq!(snap.failed, 2);
+        assert_eq!(snap.answered(), 3);
         assert_eq!(snap.batches, 2);
         assert_eq!(snap.batched_requests, 6);
         assert_eq!(snap.max_batch, 4);
@@ -364,6 +399,8 @@ mod tests {
         assert_eq!(snap.last_scrub_us, 1234, "last scrub wins");
         let json = snap.json_fields();
         assert!(json.contains("\"shed\":1"));
+        assert!(json.contains("\"rejected\":1"));
+        assert!(json.contains("\"failed\":2"));
         assert!(json.contains("\"mean_batch\":3.000"));
         assert!(json.contains("\"worker_restarts\":1"));
         assert!(json.contains("\"scrub_passes\":2"));

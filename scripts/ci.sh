@@ -29,6 +29,19 @@ if grep -rnE "lut::(quantize_slice|cached|lookup)|LutQuantizer|kernels::|FastQua
 fi
 echo "ok: no backend internals outside crates/core"
 
+echo "== no sleeps on the admission or reactor path =="
+# Faults enter through Engine::inject_fault and a delay acts on the
+# sick shard's lane worker. The threads that admit requests (the
+# reactor, the fleet router) must never sleep: one slow shard would
+# stall every connection behind it.
+if grep -nE "thread::sleep" \
+    crates/serve/src/{reactor,server,http,timer}.rs \
+    crates/fleet/src/{router,server,shard}.rs; then
+    echo "error: thread::sleep on the admission/reactor path (inject a delay fault instead)" >&2
+    exit 1
+fi
+echo "ok: no sleeps on the admission or reactor path"
+
 echo "== cargo test =="
 cargo test --workspace -q
 
@@ -178,6 +191,9 @@ assert fleet["speedup_1_to_max"] >= 3.0, (
     f"fleet throughput scaled only {fleet['speedup_1_to_max']}x "
     f"from 1 -> {fleet['max_shards']} shards"
 )
+# The per-pass service time is a modelled sleep, which scales past the
+# host's cores; the section must say which host it was measured on.
+assert fleet["host_parallelism"] >= 1, fleet
 for p in fleet["points"]:
     assert p["failed"] == 0, p
     assert p["p50_us"] <= p["p95_us"] <= p["p99_us"], p

@@ -30,10 +30,10 @@ use std::time::{Duration, Instant};
 use adaptivfloat::FormatKind;
 use af_fleet::{
     BreakerState, ChaosEvent, ChaosHarness, ChaosSchedule, FleetConfig, FleetRouter, FleetServer,
-    HealthPolicy, HedgePolicy, InjectedFault, Shard, ShardConfig,
+    HealthPolicy, HedgePolicy, Shard, ShardConfig,
 };
 use af_models::{FrozenMlp, ModelFamily};
-use af_serve::{EngineConfig, ModelRegistry, ServeError, VariantSpec};
+use af_serve::{EngineConfig, InjectedFault, ModelRegistry, ServeError, VariantSpec};
 
 const IN_DIM: usize = 12;
 const DIMS: [usize; 3] = [IN_DIM, 20, 6];
@@ -73,22 +73,67 @@ fn shard_cfg(engine: EngineConfig) -> ShardConfig {
     }
 }
 
-/// A fleet of `n` identical shards with hedging configured by `hedge`.
-fn fleet(root: &Path, n: usize, hedge: HedgePolicy) -> Arc<FleetRouter> {
-    let router = Arc::new(FleetRouter::new(
-        root,
-        FleetConfig {
-            replicas: 2,
-            hedge,
-            ..FleetConfig::default()
-        },
-    ));
+/// A fleet of `n` identical shards routed by `cfg`.
+fn fleet_with(root: &Path, n: usize, cfg: FleetConfig) -> Arc<FleetRouter> {
+    let router = Arc::new(FleetRouter::new(root, cfg));
     for i in 0..n {
         router
             .join(i, shard_cfg(quick_engine()))
             .expect("join shard");
     }
     router
+}
+
+/// A fleet of `n` identical shards, R=2, hedging configured by `hedge`.
+fn fleet(root: &Path, n: usize, hedge: HedgePolicy) -> Arc<FleetRouter> {
+    let cfg = FleetConfig {
+        replicas: 2,
+        hedge,
+        ..FleetConfig::default()
+    };
+    fleet_with(root, n, cfg)
+}
+
+/// The deterministic-test routing policy: `replicas` per model, no
+/// hedging, and [`test_health`]'s time-independent breakers.
+fn strict(replicas: usize) -> FleetConfig {
+    FleetConfig {
+        replicas,
+        hedge: no_hedge(),
+        health: test_health(),
+        ..FleetConfig::default()
+    }
+}
+
+/// Install `fault` on live shard `index`'s engine.
+fn sicken(router: &FleetRouter, index: usize, fault: InjectedFault) {
+    let shard = router.shard(index).expect("live shard");
+    shard.engine().inject_fault(Some(fault));
+}
+
+/// A fault that panics the lane worker on inputs led by `trigger`.
+fn panic_on(trigger: f32) -> InjectedFault {
+    InjectedFault {
+        panic_on: Some(trigger),
+        ..InjectedFault::default()
+    }
+}
+
+/// Direct evaluation of `id` on live shard `index`, as bits.
+fn direct(router: &FleetRouter, index: usize, id: &str, input: &[f32]) -> Vec<u32> {
+    let variant = router.shard(index).unwrap().engine().registry().get(id);
+    bits(&variant.expect("variant placed").model.evaluate(input))
+}
+
+/// End a test: every live shard's engine balances its counters, then
+/// the fleet shuts down and its root is removed.
+fn finish(router: &FleetRouter, root: &Path) {
+    for index in router.live_shards() {
+        let shard = router.shard(index).expect("live shard");
+        shard.engine().assert_conserved();
+    }
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(root);
 }
 
 fn probe_input(seed: u64) -> Vec<f32> {
@@ -130,10 +175,8 @@ fn routing_is_deterministic_per_model_id() {
         let has = a.shard(i).unwrap().ids().contains(&"m/7".to_string());
         assert_eq!(has, placement.contains(&i), "shard {i}");
     }
-    a.shutdown();
-    b.shutdown();
-    let _ = std::fs::remove_dir_all(&root_a);
-    let _ = std::fs::remove_dir_all(&root_b);
+    finish(&a, &root_a);
+    finish(&b, &root_b);
 }
 
 #[test]
@@ -144,41 +187,13 @@ fn straggler_is_hedged_around_with_p99_below_its_latency() {
         budget: Duration::from_millis(40),
         jitter_seed: 0xFEED,
     };
-    let router = Arc::new(FleetRouter::new(
-        &root,
-        FleetConfig {
-            replicas: 2,
-            hedge,
-            ..FleetConfig::default()
-        },
-    ));
+    let router = fleet(&root, 3, hedge);
     // Shard 0 is the straggler: every evaluate pass takes `straggle`.
-    router
-        .join(
-            0,
-            shard_cfg(EngineConfig {
-                service_delay: straggle,
-                ..quick_engine()
-            }),
-        )
-        .unwrap();
-    for i in 1..3 {
-        router.join(i, shard_cfg(quick_engine())).unwrap();
-    }
+    sicken(&router, 0, InjectedFault::slow(straggle));
     let id = model_with_primary(&router, 0, "straggled");
     router.register_model(&spec(&id, 42)).unwrap();
     let input = probe_input(5);
-    let reference = bits(
-        &router
-            .shard(router.placement(&id)[1])
-            .unwrap()
-            .engine()
-            .registry()
-            .get(&id)
-            .unwrap()
-            .model
-            .evaluate(&input),
-    );
+    let reference = direct(&router, router.placement(&id)[1], &id, &input);
 
     let mut latencies = Vec::new();
     let rounds = 15;
@@ -205,8 +220,7 @@ fn straggler_is_hedged_around_with_p99_below_its_latency() {
     );
     assert!(snap.hedge_wins >= 1, "hedges must win: {snap:?}");
     assert_eq!(snap.failed, 0);
-    router.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
+    finish(&router, &root);
 }
 
 #[test]
@@ -293,8 +307,7 @@ fn killed_replica_causes_no_failures_and_warm_starts_bit_identical() {
         // The revived replica also answers through the router.
         assert_eq!(&bits(&router.infer(id, input.clone()).unwrap()), want);
     }
-    router.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
+    finish(&router, &root);
 }
 
 #[test]
@@ -325,25 +338,8 @@ fn hedge_decisions_are_deterministic_under_shared_seeds() {
     // <=60ms budget); the fast path never hedges (µs eval vs >=30ms).
     let mk = |tag: &str| {
         let root = tmp_root(tag);
-        let router = Arc::new(FleetRouter::new(
-            &root,
-            FleetConfig {
-                replicas: 2,
-                hedge,
-                ..FleetConfig::default()
-            },
-        ));
-        router
-            .join(
-                0,
-                shard_cfg(EngineConfig {
-                    service_delay: Duration::from_millis(300),
-                    ..quick_engine()
-                }),
-            )
-            .unwrap();
-        router.join(1, shard_cfg(quick_engine())).unwrap();
-        router.join(2, shard_cfg(quick_engine())).unwrap();
+        let router = fleet(&root, 3, hedge);
+        sicken(&router, 0, InjectedFault::slow(Duration::from_millis(300)));
         (root, router)
     };
     let (root_a, a) = mk("det-a");
@@ -370,10 +366,8 @@ fn hedge_decisions_are_deterministic_under_shared_seeds() {
     assert_eq!(sa.hedges, sb.hedges, "identical hedge decisions");
     assert_eq!(sa.hedges, 3, "exactly the slow rounds hedge: {sa:?}");
     assert_eq!((sa.failed, sb.failed), (0, 0));
-    a.shutdown();
-    b.shutdown();
-    let _ = std::fs::remove_dir_all(&root_a);
-    let _ = std::fs::remove_dir_all(&root_b);
+    finish(&a, &root_a);
+    finish(&b, &root_b);
 }
 
 #[test]
@@ -448,8 +442,7 @@ fn fleet_ops_fan_out_and_rebalance_minimally() {
             assert!(router.shard(s).unwrap().ids().contains(&id));
         }
     }
-    router.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
+    finish(&router, &root);
 }
 
 #[test]
@@ -472,24 +465,15 @@ fn fleet_http_front_end_speaks_the_single_node_protocol() {
     }
     let input = probe_input(2);
     let served = client.infer("http/m", &input).unwrap();
-    let direct = router
-        .shard(router.placement("http/m")[0])
-        .unwrap()
-        .engine()
-        .registry()
-        .get("http/m")
-        .unwrap()
-        .model
-        .evaluate(&input);
-    assert_eq!(bits(&served), bits(&direct));
+    let primary = router.placement("http/m")[0];
+    assert_eq!(bits(&served), direct(&router, primary, "http/m", &input));
     let err = client.infer("http/ghost", &input).unwrap_err();
     assert!(matches!(
         err,
         af_serve::ClientError::Http { status: 404, .. }
     ));
     server.shutdown();
-    router.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
+    finish(&router, &root);
 }
 
 /// The first `"key":<integer>` of a stats document — the fleet-level
@@ -527,40 +511,12 @@ fn http_straggler_is_hedged_around_bit_identically() {
         budget: Duration::from_millis(40),
         jitter_seed: 0xFEED,
     };
-    let router = Arc::new(FleetRouter::new(
-        &root,
-        FleetConfig {
-            replicas: 2,
-            hedge,
-            ..FleetConfig::default()
-        },
-    ));
-    router
-        .join(
-            0,
-            shard_cfg(EngineConfig {
-                service_delay: straggle,
-                ..quick_engine()
-            }),
-        )
-        .unwrap();
-    for i in 1..3 {
-        router.join(i, shard_cfg(quick_engine())).unwrap();
-    }
+    let router = fleet(&root, 3, hedge);
+    sicken(&router, 0, InjectedFault::slow(straggle));
     let id = model_with_primary(&router, 0, "http-straggled");
     router.register_model(&spec(&id, 42)).unwrap();
     let input = probe_input(5);
-    let reference = bits(
-        &router
-            .shard(router.placement(&id)[1])
-            .unwrap()
-            .engine()
-            .registry()
-            .get(&id)
-            .unwrap()
-            .model
-            .evaluate(&input),
-    );
+    let reference = direct(&router, router.placement(&id)[1], &id, &input);
     let server = FleetServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
     let mut client = af_serve::Client::connect(server.addr()).unwrap();
 
@@ -584,50 +540,20 @@ fn http_straggler_is_hedged_around_bit_identically() {
     assert!(stat(&doc, "hedge_wins") > 0, "hedges must win: {doc}");
     assert_eq!(stat(&doc, "failed"), 0, "{doc}");
     server.shutdown();
-    router.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
+    finish(&router, &root);
 }
 
 #[test]
 fn http_lane_panic_on_the_primary_fails_over_to_the_reference_bits() {
     let root = tmp_root("http-panic");
     let trigger = 7.75f32;
-    let router = Arc::new(FleetRouter::new(
-        &root,
-        FleetConfig {
-            replicas: 2,
-            hedge: no_hedge(),
-            health: test_health(),
-            ..FleetConfig::default()
-        },
-    ));
-    router
-        .join(
-            0,
-            shard_cfg(EngineConfig {
-                panic_trigger: Some(trigger),
-                ..quick_engine()
-            }),
-        )
-        .unwrap();
-    for i in 1..3 {
-        router.join(i, shard_cfg(quick_engine())).unwrap();
-    }
+    let router = fleet_with(&root, 3, strict(2));
+    sicken(&router, 0, panic_on(trigger));
     let id = model_with_primary(&router, 0, "http-panic");
     router.register_model(&spec(&id, 77)).unwrap();
     let mut poisoned = probe_input(8);
     poisoned[0] = trigger;
-    let reference = bits(
-        &router
-            .shard(router.placement(&id)[1])
-            .unwrap()
-            .engine()
-            .registry()
-            .get(&id)
-            .unwrap()
-            .model
-            .evaluate(&poisoned),
-    );
+    let reference = direct(&router, router.placement(&id)[1], &id, &poisoned);
     let server = FleetServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
     let mut client = af_serve::Client::connect(server.addr()).unwrap();
     let out = client
@@ -639,8 +565,7 @@ fn http_lane_panic_on_the_primary_fails_over_to_the_reference_bits() {
     assert_eq!(stat(&doc, "failed"), 0, "{doc}");
     assert_eq!(router.health().snapshot(0).failures, 1);
     server.shutdown();
-    router.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
+    finish(&router, &root);
 }
 
 #[test]
@@ -655,29 +580,13 @@ fn pipelined_replies_never_answer_the_wrong_request() {
         budget: Duration::from_millis(2),
         jitter_seed: 0x57A1E,
     };
-    let router = Arc::new(FleetRouter::new(
-        &root,
-        FleetConfig {
-            replicas: 2,
-            hedge,
-            ..FleetConfig::default()
-        },
-    ));
-    router
-        .join(
-            0,
-            shard_cfg(EngineConfig {
-                service_delay: Duration::from_millis(30),
-                ..quick_engine()
-            }),
-        )
-        .unwrap();
-    for i in 1..3 {
-        let fast = EngineConfig {
-            service_delay: Duration::from_millis(2),
-            ..quick_engine()
-        };
-        router.join(i, shard_cfg(fast)).unwrap();
+    let router = fleet(&root, 3, hedge);
+    for (i, delay) in [(0, 30), (1, 2), (2, 2)] {
+        sicken(
+            &router,
+            i,
+            InjectedFault::slow(Duration::from_millis(delay)),
+        );
     }
     let id = model_with_primary(&router, 0, "http-stale");
     router.register_model(&spec(&id, 31)).unwrap();
@@ -727,8 +636,7 @@ fn pipelined_replies_never_answer_the_wrong_request() {
         "the straggler must be hedged: {doc}"
     );
     server.shutdown();
-    router.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
+    finish(&router, &root);
 }
 
 /// A time-independent breaker policy for deterministic tests: trips
@@ -759,30 +667,16 @@ fn exhausted_replicas_surface_the_last_error_exactly_once() {
     // afterwards (no leaked tagged channel, no wedged lane).
     let root = tmp_root("last-err");
     let trigger = 9.25f32;
-    let router = Arc::new(FleetRouter::new(
-        &root,
-        FleetConfig {
-            replicas: 2,
-            health: test_health(),
-            ..FleetConfig::default()
-        },
-    ));
-    router.join(0, shard_cfg(quick_engine())).unwrap();
-    router
-        .join(
-            1,
-            shard_cfg(EngineConfig {
-                panic_trigger: Some(trigger),
-                ..quick_engine()
-            }),
-        )
-        .unwrap();
+    let cfg = FleetConfig {
+        replicas: 2,
+        health: test_health(),
+        ..FleetConfig::default()
+    };
+    let router = fleet_with(&root, 2, cfg);
+    sicken(&router, 1, panic_on(trigger));
     let id = model_with_primary(&router, 0, "last-err");
     router.register_model(&spec(&id, 55)).unwrap();
-    router
-        .shard(0)
-        .unwrap()
-        .inject_fault(Some(InjectedFault::hard_failure(7)));
+    sicken(&router, 0, InjectedFault::hard_failure());
 
     let mut poisoned = probe_input(6);
     poisoned[0] = trigger;
@@ -803,11 +697,10 @@ fn exhausted_replicas_surface_the_last_error_exactly_once() {
 
     // The router survives the double fault: heal A, send a clean
     // request (B's lane restarted under its supervisor).
-    router.shard(0).unwrap().inject_fault(None);
+    router.shard(0).unwrap().engine().inject_fault(None);
     let out = router.infer(&id, probe_input(6)).expect("router recovered");
     assert_eq!(out.len(), DIMS[2]);
-    router.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
+    finish(&router, &root);
 }
 
 #[test]
@@ -817,27 +710,14 @@ fn breaker_opens_then_degrades_off_ring_then_unavailable_with_retry_hint() {
     // after which the model is served from an off-ring holder if one
     // exists, else 503 Unavailable with the breaker's half-open ETA.
     let root = tmp_root("breaker");
-    let router = Arc::new(FleetRouter::new(
-        &root,
-        FleetConfig {
-            replicas: 1,
-            hedge: no_hedge(),
-            health: test_health(),
-            ..FleetConfig::default()
-        },
-    ));
-    router.join(0, shard_cfg(quick_engine())).unwrap();
-    router.join(1, shard_cfg(quick_engine())).unwrap();
+    let router = fleet_with(&root, 2, strict(1));
     let id = model_with_primary(&router, 0, "breaker");
     let model_spec = spec(&id, 77);
     router.register_model(&model_spec).unwrap();
     let input = probe_input(8);
     let reference = bits(&router.infer(&id, input.clone()).unwrap());
 
-    router
-        .shard(0)
-        .unwrap()
-        .inject_fault(Some(InjectedFault::hard_failure(3)));
+    sicken(&router, 0, InjectedFault::hard_failure());
     for i in 0..3 {
         let err = router.infer(&id, input.clone()).unwrap_err();
         assert!(
@@ -877,25 +757,13 @@ fn breaker_opens_then_degrades_off_ring_then_unavailable_with_retry_hint() {
     let json = router.stats_json();
     assert!(json.contains("\"health\":{\"state\":\"open\""), "{json}");
     assert!(json.contains("\"breaker_opens\":1"), "{json}");
-    router.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
+    finish(&router, &root);
 }
 
 #[test]
 fn dead_member_probes_open_the_breaker_and_revive_closes_it_bit_identically() {
     let root = tmp_root("revive-probe");
-    let router = Arc::new(FleetRouter::new(
-        &root,
-        FleetConfig {
-            replicas: 2,
-            hedge: no_hedge(),
-            health: test_health(),
-            ..FleetConfig::default()
-        },
-    ));
-    for i in 0..3 {
-        router.join(i, shard_cfg(quick_engine())).unwrap();
-    }
+    let router = fleet_with(&root, 3, strict(2));
     let ids: Vec<String> = (0..4).map(|k| format!("revive/{k}")).collect();
     for (k, id) in ids.iter().enumerate() {
         router.register_model(&spec(id, 200 + k as u64)).unwrap();
@@ -930,8 +798,7 @@ fn dead_member_probes_open_the_breaker_and_revive_closes_it_bit_identically() {
     for (id, want) in ids.iter().zip(&reference) {
         assert_eq!(&bits(&router.infer(id, input.clone()).unwrap()), want);
     }
-    router.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
+    finish(&router, &root);
 }
 
 #[test]
@@ -944,22 +811,19 @@ fn unlaunched_candidates_never_consume_the_half_open_probe_token() {
     // breaker must only be consulted for candidates the request
     // actually launches on.
     let root = tmp_root("probe-token");
-    let router = Arc::new(FleetRouter::new(
+    let health = HealthPolicy {
+        open_backoff: Duration::from_millis(50),
+        max_backoff: Duration::from_millis(200),
+        ..test_health()
+    };
+    let router = fleet_with(
         &root,
+        2,
         FleetConfig {
-            replicas: 2,
-            hedge: no_hedge(),
-            health: HealthPolicy {
-                failure_threshold: 3,
-                open_backoff: Duration::from_millis(50),
-                max_backoff: Duration::from_millis(200),
-                ..HealthPolicy::default()
-            },
-            ..FleetConfig::default()
+            health,
+            ..strict(2)
         },
-    ));
-    router.join(0, shard_cfg(quick_engine())).unwrap();
-    router.join(1, shard_cfg(quick_engine())).unwrap();
+    );
     let id = model_with_primary(&router, 0, "probe-token");
     router.register_model(&spec(&id, 88)).unwrap();
     let input = probe_input(13);
@@ -999,8 +863,7 @@ fn unlaunched_candidates_never_consume_the_half_open_probe_token() {
     let snap = router.stats().snapshot();
     assert_eq!(snap.breaker_half_opens, 1);
     assert!(snap.breaker_closes >= 1);
-    router.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
+    finish(&router, &root);
 }
 
 #[test]
@@ -1011,18 +874,7 @@ fn chaos_runs_are_deterministic_and_lose_nothing() {
     // or duplicated replies and bit-identical recovery.
     let mk = |tag: &str| {
         let root = tmp_root(tag);
-        let router = Arc::new(FleetRouter::new(
-            &root,
-            FleetConfig {
-                replicas: 2,
-                hedge: no_hedge(),
-                health: test_health(),
-                ..FleetConfig::default()
-            },
-        ));
-        for i in 0..3 {
-            router.join(i, shard_cfg(quick_engine())).unwrap();
-        }
+        let router = fleet_with(&root, 3, strict(2));
         let models: Vec<String> = (0..3).map(|k| format!("chaos/{k}")).collect();
         for (k, id) in models.iter().enumerate() {
             router.register_model(&spec(id, 300 + k as u64)).unwrap();
@@ -1058,10 +910,8 @@ fn chaos_runs_are_deterministic_and_lose_nothing() {
         assert_eq!(r.sent, r.ok + r.failed, "fleet {name} reply accounting");
     }
     assert!(ra.sent > 0, "the schedule must route traffic");
-    router_a.shutdown();
-    router_b.shutdown();
-    let _ = std::fs::remove_dir_all(&root_a);
-    let _ = std::fs::remove_dir_all(&root_b);
+    finish(&router_a, &root_a);
+    finish(&router_b, &root_b);
 }
 
 #[test]
@@ -1071,18 +921,7 @@ fn scripted_chaos_kill_corrupt_revive_never_serves_wrong_bits() {
     // case may the fleet ever answer different bits than the golden
     // capture.
     let root = tmp_root("chaos-wal");
-    let router = Arc::new(FleetRouter::new(
-        &root,
-        FleetConfig {
-            replicas: 2,
-            hedge: no_hedge(),
-            health: test_health(),
-            ..FleetConfig::default()
-        },
-    ));
-    for i in 0..3 {
-        router.join(i, shard_cfg(quick_engine())).unwrap();
-    }
+    let router = fleet_with(&root, 3, strict(2));
     let models: Vec<String> = (0..3).map(|k| format!("wal/{k}")).collect();
     for (k, id) in models.iter().enumerate() {
         router.register_model(&spec(id, 400 + k as u64)).unwrap();
@@ -1125,8 +964,7 @@ fn scripted_chaos_kill_corrupt_revive_never_serves_wrong_bits() {
         "corruption must never surface as bits"
     );
     assert!(report.recovered_bit_identical);
-    router.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
+    finish(&router, &root);
 }
 
 #[test]
@@ -1140,22 +978,84 @@ fn shard_opens_standalone_for_embedding() {
     let input = probe_input(4);
     let (tx, rx) = std::sync::mpsc::channel();
     shard
+        .engine()
         .enqueue("solo/m", input.clone(), Duration::from_secs(2), 9, &tx)
         .unwrap();
     drop(tx);
     let (tag, out) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
     assert_eq!(tag, 9);
-    let direct = shard
-        .engine()
-        .registry()
-        .get("solo/m")
-        .unwrap()
-        .model
-        .evaluate(&input);
-    assert_eq!(bits(&out.unwrap()), bits(&direct));
+    let variant = shard.engine().registry().get("solo/m").unwrap();
+    assert_eq!(bits(&out.unwrap()), bits(&variant.model.evaluate(&input)));
     assert!(shard.evict("solo/m"));
     assert!(!shard.evict("solo/m"));
     shard.checkpoint().unwrap();
+    shard.engine().assert_conserved();
     shard.shutdown();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn delayed_shard_never_stalls_the_reactor() {
+    // A delay fault is a slow accelerator: it holds up only the sick
+    // shard's lane, never the reactor that admitted the request, so a
+    // health check on another connection answers at once.
+    let root = tmp_root("http-delay");
+    let delay = Duration::from_millis(400);
+    let router = fleet(&root, 2, no_hedge());
+    let id = model_with_primary(&router, 0, "http-delay");
+    router.register_model(&spec(&id, 61)).unwrap();
+    sicken(&router, 0, InjectedFault::slow(delay));
+    let input = probe_input(12);
+    let reference = direct(&router, 0, &id, &input);
+    let server = FleetServer::bind("127.0.0.1:0", Arc::clone(&router)).unwrap();
+    let mut delayed = af_serve::Client::connect(server.addr()).unwrap();
+    let mut health = af_serve::Client::connect(server.addr()).unwrap();
+    let t0 = Instant::now();
+    let request = std::thread::spawn(move || (delayed.infer(&id, &input), t0.elapsed()));
+    // Ask once the reactor has started routing the delayed request.
+    while router.stats().snapshot().requests == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let asked = Instant::now();
+    assert!(health.healthz().unwrap());
+    let answered_in = asked.elapsed();
+    let (out, took) = request.join().unwrap();
+    assert!(
+        answered_in < Duration::from_millis(100),
+        "/healthz took {answered_in:?} behind a {delay:?} shard delay"
+    );
+    assert!(took >= delay, "the delay lands on its request: {took:?}");
+    assert_eq!(bits(&out.unwrap()), reference);
+    server.shutdown();
+    finish(&router, &root);
+}
+
+#[test]
+fn degraded_serving_meets_the_holders_shed() {
+    // R=1: the only on-ring replica (shard 0) trips its breaker, so the
+    // model degrades to an off-ring holder (shard 1). A shed on that
+    // holder lives in its engine admission, which degraded attempts
+    // pass too, so the caller gets the holder's error, not an answer.
+    let root = tmp_root("degraded-shed");
+    let router = fleet_with(&root, 2, strict(1));
+    let id = model_with_primary(&router, 0, "degraded-shed");
+    router.register_model(&spec(&id, 93)).unwrap();
+    let holder = router.shard(1).unwrap();
+    holder.place(&ModelRegistry::build(&spec(&id, 93)).unwrap());
+    let input = probe_input(14);
+    sicken(&router, 0, InjectedFault::hard_failure());
+    for _ in 0..3 {
+        assert_eq!(
+            router.infer(&id, input.clone()),
+            Err(ServeError::Overloaded)
+        );
+    }
+    assert_eq!(router.health().state(0), BreakerState::Open);
+    let served = router.infer(&id, input.clone()).expect("degraded serve");
+    assert_eq!(bits(&served), direct(&router, 1, &id, &input));
+    sicken(&router, 1, InjectedFault::hard_failure());
+    assert_eq!(router.infer(&id, input), Err(ServeError::Overloaded));
+    assert_eq!(router.stats().snapshot().degraded, 1);
+    assert_eq!(holder.engine().stats().snapshot().shed, 1);
+    finish(&router, &root);
 }

@@ -19,7 +19,8 @@ use adaptivfloat::FormatKind;
 use af_models::{FrozenMlp, ModelFamily};
 use af_serve::http::{encode_f32_body, read_response, Response};
 use af_serve::{
-    Client, ClientError, Engine, EngineConfig, ModelRegistry, ReactorConfig, Server, VariantSpec,
+    Client, ClientError, Engine, EngineConfig, InjectedFault, ModelRegistry, ReactorConfig, Server,
+    VariantSpec,
 };
 
 fn registry() -> Arc<ModelRegistry> {
@@ -115,6 +116,7 @@ fn concurrent_tcp_requests_are_bit_identical_to_direct_evaluation() {
     assert_eq!(snap.completed, 12 * 8);
     assert_eq!(snap.shed, 0);
     assert!(snap.batches >= 1);
+    server.engine().assert_conserved();
     server.shutdown();
 }
 
@@ -125,10 +127,11 @@ fn saturated_queue_sheds_with_429_and_correct_responses_elsewhere() {
     let (server, reg) = serve(EngineConfig {
         max_batch: 1,
         queue_cap: 2,
-        service_delay: Duration::from_millis(150),
         default_deadline: Duration::from_secs(10),
         ..EngineConfig::default()
     });
+    let slow = InjectedFault::slow(Duration::from_millis(150));
+    server.engine().inject_fault(Some(slow));
     let addr = server.addr();
     let handles: Vec<_> = (0..10u64)
         .map(|t| {
@@ -173,6 +176,7 @@ fn saturated_queue_sheds_with_429_and_correct_responses_elsewhere() {
     let snap = server.engine().stats().snapshot();
     assert_eq!(snap.shed, shed as u64);
     assert_eq!(snap.completed, ok as u64);
+    server.engine().assert_conserved();
     server.shutdown();
 }
 
@@ -206,6 +210,7 @@ fn health_stats_and_protocol_errors() {
     assert!(stats.contains("\"id\":\"transformer/adaptivfloat8-fused\""));
     assert!(stats.contains("\"fused_gemm\":true,\"fused_layers\":2"));
     assert!(stats.contains("\"fused_gemm\":false"));
+    server.engine().assert_conserved();
     server.shutdown();
 }
 
@@ -237,6 +242,7 @@ fn hot_swap_is_visible_to_new_requests_without_disrupting_service() {
     let want: Vec<u32> = direct.iter().map(|v| v.to_bits()).collect();
     assert_eq!(got, want);
     assert_eq!(reg.get("transformer/fp32").unwrap().generation, 1);
+    server.engine().assert_conserved();
     server.shutdown();
 }
 
@@ -368,6 +374,7 @@ fn golden_wire_transcripts_pin_every_response_byte() {
             want.escape_ascii()
         );
     }
+    server.engine().assert_conserved();
     server.shutdown();
 }
 
@@ -423,6 +430,7 @@ fn reply_tags_survive_the_request_sequence_wrap() {
         server.engine().stats().snapshot().completed,
         REQUESTS as u64
     );
+    server.engine().assert_conserved();
     server.shutdown();
 }
 
@@ -471,6 +479,7 @@ fn pipelined_and_dribbled_requests_share_one_connection() {
         served.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
     );
+    server.engine().assert_conserved();
     server.shutdown();
 }
 
@@ -515,6 +524,7 @@ fn slow_loris_connection_is_answered_408_and_closed() {
     // A well-behaved client on the same server is unaffected.
     let mut client = Client::connect(server.addr()).expect("connect");
     assert!(client.healthz().expect("healthz"));
+    server.engine().assert_conserved();
     server.shutdown();
 }
 
@@ -577,5 +587,6 @@ fn stalled_reader_is_bounded_and_never_blocks_compute() {
         std::thread::sleep(Duration::from_millis(10));
     }
     drop(rogue);
+    server.engine().assert_conserved();
     server.shutdown();
 }

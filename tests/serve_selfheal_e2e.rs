@@ -21,7 +21,8 @@ use std::time::{Duration, Instant};
 use adaptivfloat::FormatKind;
 use af_models::{FrozenMlp, ModelFamily};
 use af_serve::{
-    Client, ClientError, Engine, EngineConfig, ModelRegistry, RetryPolicy, Server, VariantSpec,
+    Client, ClientError, Engine, EngineConfig, InjectedFault, ModelRegistry, RetryPolicy, Server,
+    VariantSpec,
 };
 
 const VARIANT: &str = "resnet/af8";
@@ -120,6 +121,7 @@ fn background_scrubber_repairs_live_fault_with_bit_identical_responses() {
     );
     let refreshed = reg.refresh_from_storage(VARIANT).unwrap();
     assert_eq!(bits(&refreshed.model.evaluate(x.row(0))), bits(&baseline));
+    server.engine().assert_conserved();
     server.shutdown();
 }
 
@@ -181,6 +183,7 @@ fn uncorrectable_fault_rebuilds_and_hot_swaps_without_failing_in_flight_requests
     assert_eq!(json_u64(&stats, "ecc_uncorrectable"), 1);
     assert!(stats.contains("\"protected\":true"));
     assert!(stats.contains("\"generation\":1"));
+    server.engine().assert_conserved();
     server.shutdown();
 }
 
@@ -189,9 +192,12 @@ fn panicked_worker_answers_500_then_recovers_and_counts_the_restart() {
     let trigger = -777.25f32;
     let (server, reg) = serve(EngineConfig {
         max_batch: 1,
-        panic_trigger: Some(trigger),
         ..EngineConfig::default()
     });
+    server.engine().inject_fault(Some(InjectedFault {
+        panic_on: Some(trigger),
+        ..InjectedFault::default()
+    }));
     let mut client = Client::connect(server.addr()).unwrap();
     let mut poison = vec![0.0f32; IN_DIM];
     poison[0] = trigger;
@@ -207,6 +213,7 @@ fn panicked_worker_answers_500_then_recovers_and_counts_the_restart() {
     assert_eq!(bits(&got), bits(&direct));
     let stats = client.stats_json().unwrap();
     assert_eq!(json_u64(&stats, "worker_restarts"), 1);
+    server.engine().assert_conserved();
     server.shutdown();
 }
 
@@ -217,9 +224,10 @@ fn client_retry_recovers_from_deterministic_shed_within_one_deadline() {
     let (server, reg) = serve(EngineConfig {
         max_batch: 1,
         queue_cap: 1,
-        service_delay: Duration::from_millis(120),
         ..EngineConfig::default()
     });
+    let slow = InjectedFault::slow(Duration::from_millis(120));
+    server.engine().inject_fault(Some(slow));
     let addr = server.addr();
     let park = || {
         std::thread::spawn(move || {
@@ -261,5 +269,6 @@ fn client_retry_recovers_from_deterministic_shed_within_one_deadline() {
         assert_eq!(bits(&p.join().unwrap()), bits(&direct));
     }
     assert!(json_u64(&client.stats_json().unwrap(), "shed") >= 1);
+    server.engine().assert_conserved();
     server.shutdown();
 }
