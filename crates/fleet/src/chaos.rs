@@ -375,6 +375,13 @@ impl ChaosHarness {
     /// and a full golden replay. The traffic counter keeps running
     /// across [`run`](Self::run) calls, so back-to-back schedules see
     /// one continuous deterministic request stream.
+    ///
+    /// # Panics
+    ///
+    /// If any live shard's engine breaks a counter conservation law
+    /// after recovery ([`Engine::assert_conserved`]).
+    ///
+    /// [`Engine::assert_conserved`]: af_serve::Engine::assert_conserved
     pub fn run(&mut self, schedule: &ChaosSchedule) -> ChaosReport {
         let before = self.router.stats().snapshot();
         let transitions_before = self.router.health().transition_log().len();
@@ -401,6 +408,13 @@ impl ChaosHarness {
             self.apply(*event, &mut report);
         }
         self.recover(&mut report);
+        // Every request a shard engine admitted was answered exactly
+        // once, faults and revives included.
+        for index in self.router.live_shards() {
+            if let Some(shard) = self.router.shard(index) {
+                shard.engine().assert_conserved();
+            }
+        }
         // Invariant bookkeeping: one reply per request, nothing lost,
         // nothing duplicated (the router's own counters are the
         // second witness).

@@ -5,7 +5,8 @@
 //! republishes every recovered variant **without requantizing
 //! anything**: weights come from the persisted codes, activation plans
 //! from the persisted calibrated ranges, protected masters from the
-//! deterministic synthesis the registry would have run anyway. The
+//! deterministic synthesis the registry would have run anyway (once
+//! per checkpoint, however many variants share it). The
 //! restored snapshots are bit-identical to what the crashed process was
 //! serving. From then on the handle journals every registry mutation
 //! through the WAL ([`RegistryJournal`]) and folds the log into a fresh
@@ -15,6 +16,7 @@
 //! counted ([`DurableStore::journal_errors`]) and reported through the
 //! stats endpoint instead.
 
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -209,22 +211,32 @@ fn restore_err(id: &str, context: String) -> StoreError {
     }
 }
 
+fn stored_family(rec: &SpecRecord) -> Result<ModelFamily, StoreError> {
+    ModelFamily::from_label(&rec.family)
+        .ok_or_else(|| restore_err(&rec.id, format!("unknown model family {:?}", rec.family)))
+}
+
 /// Rebuild a servable variant from its container image — **zero
 /// requantization**: weights decode from the stored codes, activation
 /// plans rebuild from the stored calibrated ranges, and the fused GEMM
-/// re-packs from the stored recipe. Biases and protected masters come
-/// from the deterministic synthesis under the stored `(family, seed,
-/// dims)`.
+/// re-packs from the stored recipe. `base` is the FP32 checkpoint under
+/// the stored `(family, seed, dims)`, as
+/// [`FrozenMlp::synthesize`] draws it: it supplies the layer shapes
+/// checked against the container, the biases and the protected
+/// masters. [`DurableStore::open`] synthesizes each checkpoint once and
+/// hands every variant of it a copy.
 ///
 /// # Errors
 ///
 /// [`StoreError::Restore`] when the stored spec is internally
 /// inconsistent (unknown family, geometry mismatch, mixed layer modes).
-pub fn restore_variant(stored: &StoredVariant) -> Result<RestoredParts, StoreError> {
+pub fn restore_variant(
+    stored: &StoredVariant,
+    base: FrozenMlp,
+) -> Result<RestoredParts, StoreError> {
     let rec = &stored.spec;
     let id = &rec.id;
-    let family = ModelFamily::from_label(&rec.family)
-        .ok_or_else(|| restore_err(id, format!("unknown model family {:?}", rec.family)))?;
+    let family = stored_family(rec)?;
     let spec = VariantSpec {
         id: id.clone(),
         family,
@@ -235,7 +247,6 @@ pub fn restore_variant(stored: &StoredVariant) -> Result<RestoredParts, StoreErr
         protected: rec.protected,
         fused: rec.fused,
     };
-    let base = FrozenMlp::synthesize(family, rec.seed, &rec.dims);
     if stored.layers.len() != base.depth() {
         return Err(restore_err(
             id,
@@ -377,9 +388,17 @@ impl DurableStore {
         let t0 = Instant::now();
         let (store, recovery) = Store::open(root, sync)?;
         let registry = Arc::new(ModelRegistry::new());
+        // Every variant of one checkpoint restores from the same FP32
+        // base, so each checkpoint is synthesized once per open.
+        let mut checkpoints: HashMap<(ModelFamily, u64, Vec<usize>), FrozenMlp> = HashMap::new();
         for stored in &recovery.variants {
-            let parts = restore_variant(stored)?;
-            registry.install(parts);
+            let rec = &stored.spec;
+            let family = stored_family(rec)?;
+            let base = checkpoints
+                .entry((family, rec.seed, rec.dims.clone()))
+                .or_insert_with(|| FrozenMlp::synthesize(family, rec.seed, &rec.dims))
+                .clone();
+            registry.install(restore_variant(stored, base)?);
         }
         let report = RecoveryReport {
             recovered_variants: recovery.variants.len(),

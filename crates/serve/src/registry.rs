@@ -9,9 +9,13 @@
 //! pass and builds the codebooks, touching no registry. A
 //! [`BuiltVariant`] is then [`publish`](ModelRegistry::publish)ed: the
 //! registry assigns its generation, swaps it in and journals it.
-//! [`register`](ModelRegistry::register) is the two in a row; a fleet
-//! builds once and publishes a clone on every replica, each with its
-//! own protected storage, WAL record and generation.
+//! [`register`](ModelRegistry::register) is the two in a row, except
+//! that it starts from the checkpoint's *twin* when one is live: the
+//! pristine FP32 variant of the same `(family, seed, dims)`, whose
+//! model is exactly what synthesis would redraw, so its weights are
+//! copied rather than synthesized again. A fleet builds once and
+//! publishes a clone on every replica, each with its own protected
+//! storage, WAL record and generation.
 //!
 //! The serve path is a read-locked map lookup returning an
 //! [`Arc<ModelVariant>`]. Re-registering an id is a **hot swap**: the
@@ -186,6 +190,12 @@ pub struct ScrubOutcome {
 /// Rows of calibration inputs used when a variant quantizes activations.
 const CALIB_ROWS: usize = 64;
 
+/// The FP32 checkpoint `spec` is built from: `master` when the caller
+/// has it, else a fresh synthesis under `(family, seed, dims)`.
+fn checkpoint(spec: &VariantSpec, master: Option<FrozenMlp>) -> FrozenMlp {
+    master.unwrap_or_else(|| FrozenMlp::synthesize(spec.family, spec.seed, &spec.dims))
+}
+
 /// Observer for registry mutations — the seam a durable store plugs
 /// into so every register, scrub, hot swap, and unregister is journaled
 /// before the next one can happen. Hooks are invoked *after* the
@@ -255,7 +265,14 @@ impl ModelRegistry {
     }
 
     /// Build and publish a variant: [`build`](Self::build) followed by
-    /// [`publish`](Self::publish). Returns the published snapshot.
+    /// [`publish`](Self::publish), except that the build starts from a
+    /// copy of the checkpoint's live FP32 twin (a variant with neither
+    /// a weight nor an activation format and the same family, seed and
+    /// dims) instead of synthesizing the weights again. The result is
+    /// bit-identical either way. Order matters for the saving only:
+    /// quantized variants registered before their FP32 twin each
+    /// synthesize, so register the FP32 baseline first. Returns the
+    /// published snapshot.
     ///
     /// # Errors
     ///
@@ -266,7 +283,7 @@ impl ModelRegistry {
     ///
     /// Panics where [`build`](Self::build) does.
     pub fn register(&self, spec: &VariantSpec) -> Result<Arc<ModelVariant>, FormatError> {
-        Ok(self.publish(ModelRegistry::build(spec)?))
+        Ok(self.publish(ModelRegistry::build_from(spec, self.twin_model(spec))?))
     }
 
     /// Build a variant without publishing it anywhere: synthesize the
@@ -276,6 +293,8 @@ impl ModelRegistry {
     /// codebooks. Pure in the spec — no registry, journal or
     /// generation is involved — so one build can be
     /// [`publish`](Self::publish)ed (as clones) on several registries.
+    /// Always synthesizes; [`register`](Self::register) is the path that
+    /// reuses a resident FP32 twin.
     ///
     /// # Errors
     ///
@@ -288,7 +307,16 @@ impl ModelRegistry {
     /// format (FP32 variants have no stored codes to protect), or for a
     /// fused GEMM the weights cannot take (see [`VariantSpec::fused`]).
     pub fn build(spec: &VariantSpec) -> Result<BuiltVariant, FormatError> {
-        let mut model = FrozenMlp::synthesize(spec.family, spec.seed, &spec.dims);
+        ModelRegistry::build_from(spec, None)
+    }
+
+    /// [`build`](Self::build) starting from `master`, the FP32
+    /// checkpoint of `spec` (synthesized when `None`).
+    fn build_from(
+        spec: &VariantSpec,
+        master: Option<FrozenMlp>,
+    ) -> Result<BuiltVariant, FormatError> {
+        let mut model = checkpoint(spec, master);
         let mut plans_built = 0usize;
         let mut plan_cache_hits = 0usize;
         let mut protected = None;
@@ -408,6 +436,8 @@ impl ModelRegistry {
 
     /// Rebuild `id`'s served snapshot from its (possibly scrubbed)
     /// protected storage and hot-swap it in, bumping the generation.
+    /// The biases come from the checkpoint, copied from its live FP32
+    /// twin when one is registered.
     /// Returns the new snapshot, or `None` if `id` is unknown or
     /// unprotected. In-flight batches keep the `Arc` they hold.
     pub fn refresh_from_storage(&self, id: &str) -> Option<Arc<ModelVariant>> {
@@ -420,8 +450,7 @@ impl ModelRegistry {
             let (weights, _) = guard.decoded_weights();
             (weights, guard.format_label().to_string())
         };
-        let mut model = FrozenMlp::synthesize(spec.family, spec.seed, &spec.dims)
-            .with_weight_data(weights, &label);
+        let mut model = checkpoint(&spec, self.twin_model(&spec)).with_weight_data(weights, &label);
         if let Some((kind, n)) = spec.act_format {
             let calib = FrozenMlp::synth_inputs(spec.seed ^ 0xCA11_B8A7, CALIB_ROWS, spec.dims[0]);
             // The same geometry built at registration time; it cannot
@@ -484,6 +513,30 @@ impl ModelRegistry {
             journal.on_scrub(id, &outcome);
         }
         Some(outcome)
+    }
+
+    /// A deep copy of the model of `spec`'s live twin: a variant with
+    /// neither a weight nor an activation format whose family, seed and
+    /// dims equal `spec`'s. Its model is the synthesized FP32
+    /// checkpoint itself. The copy is taken after the read lock is
+    /// released, so a waiting [`publish`](Self::publish) never waits
+    /// for it.
+    fn twin_model(&self, spec: &VariantSpec) -> Option<FrozenMlp> {
+        let twin = self
+            .inner
+            .read()
+            .expect("registry poisoned")
+            .values()
+            .find(|v| {
+                let t = &v.spec;
+                t.weight_format.is_none()
+                    && t.act_format.is_none()
+                    && t.family == spec.family
+                    && t.seed == spec.seed
+                    && t.dims == spec.dims
+            })
+            .map(Arc::clone)?;
+        Some(twin.model.clone())
     }
 
     /// Fetch the current snapshot for `id` (read lock + `Arc` clone).
@@ -666,6 +719,75 @@ mod tests {
     fn protected_fp32_spec_is_rejected() {
         let reg = ModelRegistry::new();
         let _ = reg.register(&VariantSpec::fp32("f", ModelFamily::ResNet, 1, &[8, 4]).protected());
+    }
+
+    fn weight_bits(model: &FrozenMlp) -> Vec<Vec<u32>> {
+        (0..model.depth())
+            .map(|l| model.weight_data(l).0.iter().map(|w| w.to_bits()).collect())
+            .collect()
+    }
+
+    /// AdaptivFloat plans run on the bit-twiddled kernel, not a LUT
+    /// codebook, so the twin tests never race the process-wide codebook
+    /// counter `plan_counters_track_builds_and_cache_reuse` reads.
+    fn af8(id: &str) -> VariantSpec {
+        VariantSpec::quantized(
+            id,
+            ModelFamily::ResNet,
+            FormatKind::AdaptivFloat,
+            8,
+            5,
+            &[16, 32, 8],
+        )
+    }
+
+    #[test]
+    fn twin_is_the_pristine_fp32_of_the_same_checkpoint() {
+        let reg = ModelRegistry::new();
+        let want = af8("q");
+        assert!(reg.twin_model(&want).is_none(), "empty registry");
+        reg.register(&VariantSpec::fp32("f", want.family, want.seed, &want.dims))
+            .unwrap();
+        let twin = reg.twin_model(&want).expect("resident fp32 twin");
+        let synthesized = FrozenMlp::synthesize(want.family, want.seed, &want.dims);
+        assert_eq!(weight_bits(&twin), weight_bits(&synthesized));
+        assert_eq!(twin.format_name(), "fp32");
+        // Any other checkpoint has no twin here.
+        let mut other = want.clone();
+        other.seed += 1;
+        assert!(reg.twin_model(&other).is_none(), "seed differs");
+        let mut other = want.clone();
+        other.dims = vec![16, 24, 8];
+        assert!(reg.twin_model(&other).is_none(), "dims differ");
+        let mut other = want.clone();
+        other.family = ModelFamily::Transformer;
+        assert!(reg.twin_model(&other).is_none(), "family differs");
+    }
+
+    #[test]
+    fn formatted_variants_are_never_twins() {
+        let want = af8("q");
+        let fp32 = VariantSpec::fp32("f", want.family, want.seed, &want.dims);
+        // Weight format only, both formats, and activation format only:
+        // none of them holds the FP32 checkpoint's weights as served.
+        let weights_only = VariantSpec {
+            act_format: None,
+            ..want.clone()
+        };
+        let acts_only = VariantSpec {
+            act_format: want.act_format,
+            ..fp32
+        };
+        for resident in [weights_only, want.clone(), acts_only] {
+            let reg = ModelRegistry::new();
+            reg.register(&resident).unwrap();
+            assert!(
+                reg.twin_model(&want).is_none(),
+                "{:?}/{:?} is not a twin",
+                resident.weight_format,
+                resident.act_format
+            );
+        }
     }
 
     #[test]

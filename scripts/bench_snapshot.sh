@@ -131,11 +131,6 @@ PY
 
 echo
 echo "== serving snapshot (serve_load) =="
-# Keep the previous snapshot so the new latencies can be compared
-# against it: a plan-pipeline or batcher change must not regress p50/p95.
-if [ -f BENCH_serving.json ]; then
-    cp BENCH_serving.json "$TMP_DIR/serving_before.json"
-fi
 cargo run --release -q -p af-bench --bin serve_load -- \
     --out BENCH_serving.json
 echo "wrote BENCH_serving.json"
@@ -180,31 +175,6 @@ if reactor:
         for c in reactor["ladder"])
     print(f"reactor ladder: {rungs}")
 PY
-if [ -f "$TMP_DIR/serving_before.json" ]; then
-    BEFORE="$TMP_DIR/serving_before.json" python3 - <<'PY'
-import json, os
-
-with open(os.environ["BEFORE"]) as f:
-    before = {
-        (c["variant"], c["max_batch"]): c
-        for c in json.load(f)["cells"]
-    }
-with open("BENCH_serving.json") as f:
-    after = json.load(f)["cells"]
-
-print("serving latency before -> after:")
-for c in after:
-    key = (c["variant"], c["max_batch"])
-    old = before.get(key)
-    if old is None:
-        print(f"  {c['variant']} b={c['max_batch']}: new cell, "
-              f"p50={c['p50_us']}us p95={c['p95_us']}us")
-        continue
-    print(f"  {c['variant']} b={c['max_batch']}: "
-          f"p50 {old['p50_us']} -> {c['p50_us']}us, "
-          f"p95 {old['p95_us']} -> {c['p95_us']}us")
-PY
-fi
 
 echo
 echo "== stamping provenance metadata into BENCH_*.json =="

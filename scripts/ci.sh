@@ -59,6 +59,8 @@ AF_NUM_THREADS=1 cargo test -q -p af-models --test frozen_batch
 AF_NUM_THREADS=1 cargo test -q -p af-models --test alloc_regression
 AF_NUM_THREADS=1 cargo test -q -p af-resilience --test codec_equivalence
 AF_NUM_THREADS=1 cargo test -q --test serve_e2e
+# Variants built from a resident FP32 twin equal cold builds bit for bit.
+AF_NUM_THREADS=1 cargo test -q -p af-serve --test checkpoint_reuse
 # The reactor front end must also hold with the runtime forced serial
 # (one compute thread under the event loop — replies still wake it).
 AF_NUM_THREADS=1 cargo test -q --test fleet_e2e
@@ -80,6 +82,7 @@ AF_FORCE_SCALAR=1 cargo test -q -p af-tensor --test packed_gemm
 AF_FORCE_SCALAR=1 cargo test -q -p af-models --test fused_gemm
 AF_FORCE_SCALAR=1 cargo test -q -p af-resilience --test codec_equivalence
 AF_FORCE_SCALAR=1 cargo test -q --test serve_e2e
+AF_FORCE_SCALAR=1 cargo test -q -p af-serve --test checkpoint_reuse
 
 echo "== fault_sweep smoke (--quick) =="
 TMP_DIR="$(mktemp -d)"
