@@ -476,10 +476,11 @@ impl FrozenMlp {
 
     /// Replace every weight matrix with externally-supplied values (one
     /// `Vec<f32>` per layer, matching the existing shapes) and relabel
-    /// the weight format. This is the re-entry point from a protected
-    /// weight store: codes decoded from (possibly scrubbed) storage
-    /// become the served weights, so the served model is bit-identical
-    /// to what the storage actually holds. Biases are untouched.
+    /// the weight format — the re-entry point for weights that carry no
+    /// encoding recipe, such as lossless f32 values read back from a
+    /// container. Biases are untouched. Quantized values decoded from
+    /// codes re-enter through
+    /// [`with_quantized_weights`](Self::with_quantized_weights) instead.
     ///
     /// # Panics
     ///

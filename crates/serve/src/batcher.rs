@@ -696,13 +696,11 @@ impl Engine {
     }
 
     /// [`Engine::stats_json`] with the reactor's connection-tier gauges
-    /// spliced in as the `"connections"` object. Every pre-existing key
-    /// is unchanged — the shape stays backward-compatible for bench
-    /// parsers that pick specific fields.
+    /// spliced in as the `"connections"` object. Each variant's
+    /// `warmed_codebooks` is read off its live snapshot.
     pub fn stats_json_with(&self, connections: Option<&str>) -> String {
         self.load(); // refresh the queue_depth / in_flight gauges
         let mut lanes = String::new();
-        let (mut plans_built, mut plan_cache_hits) = (0usize, 0usize);
         for (i, id) in self.registry.ids().iter().enumerate() {
             if i > 0 {
                 lanes.push(',');
@@ -710,8 +708,6 @@ impl Engine {
             let depth = self.queue_depth(id).unwrap_or(0);
             match self.registry.get(id) {
                 Some(v) => {
-                    plans_built += v.plans_built;
-                    plan_cache_hits += v.plan_cache_hits;
                     let act = v
                         .model
                         .act_format_name()
@@ -733,9 +729,9 @@ impl Engine {
                     lanes.push_str(&format!(
                         "{{\"id\":\"{}\",\"family\":\"{}\",\"weight_format\":\"{}\",\
                          \"act_format\":{},\"in_dim\":{},\"out_dim\":{},\"params\":{},\
-                         \"generation\":{},\"warmed_codebooks\":{},\"plans_built\":{},\
-                         \"plan_cache_hits\":{},\"protected\":{},\"fused_gemm\":{},\
-                         \"fused_layers\":{},\"weight_bytes\":{},\"queue_depth\":{}}}",
+                         \"generation\":{},\"warmed_codebooks\":{},\"protected\":{},\
+                         \"fused_gemm\":{},\"fused_layers\":{},\"weight_bytes\":{},\
+                         \"queue_depth\":{}}}",
                         v.id,
                         v.model.family().label(),
                         v.model.format_name(),
@@ -744,9 +740,7 @@ impl Engine {
                         v.model.out_dim(),
                         v.model.param_count(),
                         v.generation,
-                        v.warmed_codebooks,
-                        v.plans_built,
-                        v.plan_cache_hits,
+                        v.model.prewarm_codebooks(),
                         protection,
                         v.model.fused_layers() > 0,
                         v.model.fused_layers(),
@@ -764,12 +758,9 @@ impl Engine {
             .as_ref()
             .map_or("null".to_string(), |s| s.stats_json());
         format!(
-            "{{{},\"plans_built\":{},\"plan_cache_hits\":{},\"max_batch\":{},\
-             \"queue_cap\":{},\"compute_slots\":{},\
+            "{{{},\"max_batch\":{},\"queue_cap\":{},\"compute_slots\":{},\
              \"connections\":{},\"store\":{},\"variants\":[{}]}}\n",
             self.stats.snapshot().json_fields(),
-            plans_built,
-            plan_cache_hits,
             self.cfg.max_batch,
             self.cfg.queue_cap,
             self.cfg
@@ -1137,10 +1128,9 @@ mod tests {
         assert!(json.contains("\"fused_layers\":0"));
         assert!(json.contains("\"weight_bytes\":"));
         assert!(json.contains("\"worker_restarts\":0"));
-        // The quantized variant froze 2 weight + 2 activation plans; the
-        // fp32 variant froze none.
-        assert!(json.contains("\"plans_built\":4"));
-        assert!(json.contains("\"plan_cache_hits\":"));
+        // Read off the live snapshots: AdaptivFloat activation plans run
+        // on the kernel, the fp32 variant has none.
+        assert!(json.contains("\"warmed_codebooks\":0"));
     }
 
     #[test]

@@ -30,7 +30,10 @@ use af_store::{
 };
 
 use crate::protect::ProtectedWeights;
-use crate::registry::{ModelRegistry, ModelVariant, RegistryJournal, RestoredParts, ScrubOutcome};
+use crate::registry::{
+    assemble, BuiltVariant, Decoded, ModelRegistry, ModelVariant, Ranges, RegistryJournal,
+    ScrubOutcome, Weights,
+};
 use crate::VariantSpec;
 
 /// Default WAL size that triggers an automatic fold into a fresh
@@ -90,9 +93,6 @@ fn spec_record(variant: &ModelVariant) -> SpecRecord {
         protected: spec.protected,
         fused: spec.fused,
         format_label: variant.model.format_name().to_string(),
-        plans_built: variant.plans_built as u64,
-        plan_cache_hits: variant.plan_cache_hits as u64,
-        warmed_codebooks: variant.warmed_codebooks as u64,
         generation: variant.generation,
         rebuilds,
     }
@@ -219,12 +219,13 @@ fn stored_family(rec: &SpecRecord) -> Result<ModelFamily, StoreError> {
 /// Rebuild a servable variant from its container image — **zero
 /// requantization**: weights decode from the stored codes, activation
 /// plans rebuild from the stored calibrated ranges, and the fused GEMM
-/// re-packs from the stored recipe. `base` is the FP32 checkpoint under
-/// the stored `(family, seed, dims)`, as
-/// [`FrozenMlp::synthesize`] draws it: it supplies the layer shapes
-/// checked against the container, the biases and the protected
-/// masters. [`DurableStore::open`] synthesizes each checkpoint once and
-/// hands every variant of it a copy.
+/// re-packs from the stored recipe, all through the registry's one
+/// snapshot builder. `base` is the FP32 checkpoint under the stored
+/// `(family, seed, dims)`, as [`FrozenMlp::synthesize`] draws it: it
+/// supplies the layer shapes checked against the container, the biases
+/// and the protected masters. [`DurableStore::open`] synthesizes each
+/// checkpoint once and hands every variant of it a copy, then installs
+/// the result at the stored generation.
 ///
 /// # Errors
 ///
@@ -233,7 +234,7 @@ fn stored_family(rec: &SpecRecord) -> Result<ModelFamily, StoreError> {
 pub fn restore_variant(
     stored: &StoredVariant,
     base: FrozenMlp,
-) -> Result<RestoredParts, StoreError> {
+) -> Result<BuiltVariant, StoreError> {
     let rec = &stored.spec;
     let id = &rec.id;
     let family = stored_family(rec)?;
@@ -270,8 +271,7 @@ pub fn restore_variant(
         }
     }
 
-    let mut protected: Option<Arc<Mutex<ProtectedWeights>>> = None;
-    let model = if rec.protected {
+    let weights = if rec.protected {
         // Storage-authoritative: rebuild the protected store from the
         // persisted codes (latent faults and ECC history intact), then
         // serve what it decodes to — exactly the registration path.
@@ -289,84 +289,55 @@ pub fn restore_variant(
             let (master, _) = base.weight_data(l);
             parts.push((codec, layer.codes.clone(), master.to_vec()));
         }
-        let store = ProtectedWeights::restore(&rec.format_label, rec.rebuilds, parts);
-        let (weights, _) = store.decoded_weights();
-        let label = store.format_label().to_string();
-        protected = Some(Arc::new(Mutex::new(store)));
-        base.with_weight_data(weights, &label)
+        Weights::Protected(ProtectedWeights::restore(
+            &rec.format_label,
+            rec.rebuilds,
+            parts,
+        ))
     } else {
-        let raw = stored
-            .layers
-            .iter()
-            .all(|l| matches!(l.payload, LayerPayload::RawF32));
-        let coded = stored
-            .layers
-            .iter()
-            .all(|l| matches!(l.payload, LayerPayload::Codes { .. }));
-        if !raw && !coded {
-            return Err(restore_err(
-                id,
-                "container mixes RawF32 and coded layers".to_string(),
-            ));
-        }
-        let mut weights = Vec::with_capacity(stored.layers.len());
+        let mut values = Vec::with_capacity(stored.layers.len());
+        let mut params = Vec::with_capacity(stored.layers.len());
         for layer in &stored.layers {
             let (vals, _) = layer.decode_values().map_err(|e| match e {
                 StoreError::Malformed { context, .. } => restore_err(id, context),
                 other => other,
             })?;
-            weights.push(vals);
+            values.push(vals);
+            if let LayerPayload::Codes { params: p, .. } = &layer.payload {
+                params.push(*p);
+            }
         }
-        if coded {
-            let LayerPayload::Codes { kind, n, .. } = &stored.layers[0].payload else {
-                unreachable!("coded implies every layer has codes")
-            };
-            let params: Vec<adaptivfloat::PlanParams> = stored
-                .layers
-                .iter()
-                .map(|l| match &l.payload {
-                    LayerPayload::Codes { params, .. } => *params,
-                    LayerPayload::RawF32 => unreachable!("checked above"),
-                })
-                .collect();
-            base.with_quantized_weights(*kind, *n, &params, weights, &rec.format_label)
-        } else if rec.weight_format.is_none() && rec.format_label == "fp32" {
-            // A pristine FP32 variant: keep the synthesized tensors as
-            // the served weights (they are bit-identical to the stored
-            // RawF32 values; this also keeps format_name() = "fp32").
-            base.with_weight_data(weights, "fp32")
-        } else {
-            base.with_weight_data(weights, &rec.format_label)
-        }
+        // Either every layer is coded (and carries its recipe) or none
+        // is (lossless f32).
+        let recipe = match &stored.layers[0].payload {
+            LayerPayload::Codes { kind, n, .. } if params.len() == values.len() => {
+                Some((*kind, *n, params))
+            }
+            LayerPayload::RawF32 if params.is_empty() => None,
+            _ => {
+                return Err(restore_err(
+                    id,
+                    "container mixes RawF32 and coded layers".to_string(),
+                ))
+            }
+        };
+        Weights::Decoded(Decoded {
+            values,
+            recipe,
+            label: rec.format_label.clone(),
+        })
     };
-
-    // Activation quantization from the frozen ranges — no calibration
+    // Activation plans re-plan from the frozen ranges — no calibration
     // forward pass, no fresh codebook builds beyond what the original
     // registration already cached process-wide.
-    let model = match &stored.act {
-        None => model,
-        Some(act) => model
-            .with_act_quant_frozen(act.kind, act.n, &act.maxes)
-            .map_err(|e| restore_err(id, format!("stored act recipe rejected: {e}")))?,
-    };
-    // The fused GEMM re-packs from the restored recipe; its exact
-    // re-encode asserts re-verify every weight.
-    let model = if rec.fused {
-        model.with_fused_gemm()
-    } else {
-        model
-    };
-    let warmed = model.prewarm_codebooks();
-    let _ = warmed; // counters below prefer the persisted values
-    Ok(RestoredParts {
-        spec,
-        model,
-        warmed_codebooks: rec.warmed_codebooks as usize,
-        plans_built: rec.plans_built as usize,
-        plan_cache_hits: rec.plan_cache_hits as usize,
-        generation: rec.generation,
-        protected,
-    })
+    let ranges = Ranges::Frozen(
+        stored
+            .act
+            .as_ref()
+            .map(|a| (a.kind, a.n, a.maxes.as_slice())),
+    );
+    assemble(&spec, base, weights, ranges)
+        .map_err(|e| restore_err(id, format!("stored recipe rejected: {e}")))
 }
 
 impl DurableStore {
@@ -398,7 +369,7 @@ impl DurableStore {
                 .entry((family, rec.seed, rec.dims.clone()))
                 .or_insert_with(|| FrozenMlp::synthesize(family, rec.seed, &rec.dims))
                 .clone();
-            registry.install(restore_variant(stored, base)?);
+            registry.install(restore_variant(stored, base)?, rec.generation);
         }
         let report = RecoveryReport {
             recovered_variants: recovery.variants.len(),

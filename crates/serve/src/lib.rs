@@ -101,8 +101,7 @@ pub use durable::{DurableOpen, DurableStore, RecoveryReport};
 pub use protect::ProtectedWeights;
 pub use reactor::{Dispatch, Progress, ReactorConfig, ReactorHandle};
 pub use registry::{
-    BuiltVariant, ModelRegistry, ModelVariant, RegistryJournal, RestoredParts, ScrubOutcome,
-    VariantSpec,
+    BuiltVariant, ModelRegistry, ModelVariant, RegistryJournal, ScrubOutcome, VariantSpec,
 };
 pub use scrub::{ScrubSummary, Scrubber};
 pub use server::Server;

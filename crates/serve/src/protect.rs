@@ -12,7 +12,7 @@
 //! ([`rebuild_from_master`](ProtectedWeights::rebuild_from_master)) and
 //! hot-swaps a fresh snapshot.
 
-use adaptivfloat::{DecodePolicy, FormatError, FormatKind, PackedCodes, QuantStats};
+use adaptivfloat::{DecodePolicy, FormatError, FormatKind, PackedCodes, PlanParams, QuantStats};
 use af_models::FrozenMlp;
 use af_resilience::{inject_protected_bits, EccStats, FaultMap, ProtectedCodes, StorageCodec};
 use af_resilience::{ScrubReport, CODEWORD_BITS};
@@ -85,6 +85,16 @@ impl ProtectedWeights {
     /// `"AdaptivFloat<8,3>+secded"`.
     pub fn format_label(&self) -> &str {
         &self.format_label
+    }
+
+    /// The recipe the stored codes were encoded under: format kind, word
+    /// size and each layer's frozen params — what
+    /// [`FrozenMlp::quantize_weights`] records for the same masters.
+    pub(crate) fn recipe(&self) -> (FormatKind, u32, Vec<PlanParams>) {
+        let codec = &self.layers[0].codec;
+        let kind = codec.kind().expect("protected codecs have a format kind");
+        let params = self.layers.iter().map(|l| l.codec.params()).collect();
+        (kind, codec.width(), params)
     }
 
     /// Number of protected weight tensors (model depth).

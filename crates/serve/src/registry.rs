@@ -17,6 +17,11 @@
 //! publishes a clone on every replica, each with its own protected
 //! storage, WAL record and generation.
 //!
+//! Every snapshot — a first build, a refresh from scrubbed storage, a
+//! restore from disk — is assembled by one builder from the FP32 base,
+//! a weight source and the activation ranges, and ends with the spec's
+//! fused GEMM; only a first build calibrates.
+//!
 //! The serve path is a read-locked map lookup returning an
 //! [`Arc<ModelVariant>`]. Re-registering an id is a **hot swap**: the
 //! map entry is replaced under a brief write lock, while in-flight
@@ -25,7 +30,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
-use adaptivfloat::{FormatError, FormatKind};
+use adaptivfloat::{FormatError, FormatKind, PlanParams};
 use af_models::{FrozenMlp, ModelFamily};
 
 use crate::protect::ProtectedWeights;
@@ -47,17 +52,17 @@ pub struct VariantSpec {
     pub act_format: Option<(FormatKind, u32)>,
     /// Whether the variant's weight codes live behind SEC-DED protected
     /// storage (requires `weight_format`). The served snapshot is then
-    /// built from what the storage decodes to, a scrubber can repair
-    /// single-bit upsets in place, and uncorrectable errors trigger a
-    /// rebuild from the retained f32 master plus a hot swap.
+    /// built from what the storage decodes to, under the storage's
+    /// encoding recipe; a scrubber can repair single-bit upsets in
+    /// place, and uncorrectable errors trigger a rebuild from the
+    /// retained f32 master plus a hot swap.
     pub protected: bool,
     /// Whether the variant serves batches through the fused
     /// quantized-domain GEMM (packed weight codes decoded inside the
     /// matmul kernel — bit-identical answers, `n/8` of the weight
     /// traffic). Requires an AdaptivFloat or Uniform `weight_format` at
-    /// `n ∈ {4, 8}`, and is mutually exclusive with `protected` (whose
-    /// snapshots are rebuilt from decoded storage and so carry no
-    /// encoding recipe).
+    /// `n ∈ {4, 8}`; combines with `protected`, whose snapshots keep
+    /// the storage's recipe.
     pub fused: bool,
 }
 
@@ -114,10 +119,9 @@ impl VariantSpec {
     ///
     /// # Panics
     ///
-    /// [`ModelRegistry::register`] panics if the spec is also
-    /// `protected`, has no weight format, or its format/word size is
-    /// outside what the packed kernel supports (AdaptivFloat or
-    /// Uniform at `n ∈ {4, 8}`).
+    /// [`ModelRegistry::register`] panics if the spec has no weight
+    /// format, or its format/word size is outside what the packed
+    /// kernel supports (AdaptivFloat or Uniform at `n ∈ {4, 8}`).
     pub fn fused(mut self) -> VariantSpec {
         self.fused = true;
         self
@@ -131,15 +135,6 @@ pub struct ModelVariant {
     pub id: String,
     /// The frozen inference network.
     pub model: FrozenMlp,
-    /// Codebook-path layers warmed at registration time.
-    pub warmed_codebooks: usize,
-    /// Quantization plans frozen while building this snapshot (one per
-    /// weight tensor plus one per activation layer).
-    pub plans_built: usize,
-    /// Of the codebook-backed activation plans, how many found their
-    /// codebook already warm in the process-wide cache (shared with an
-    /// earlier registration) instead of building it.
-    pub plan_cache_hits: usize,
     /// Bumped on every hot swap of this id (0 for the first build).
     pub generation: u64,
     /// SEC-DED protected weight storage, when the spec asked for it.
@@ -148,12 +143,12 @@ pub struct ModelVariant {
     pub protected: Option<Arc<Mutex<ProtectedWeights>>>,
     /// The spec this variant was built from — retained so storage
     /// refreshes and rebuilds can reconstruct the snapshot (biases,
-    /// activation calibration) without the original caller.
+    /// activation ranges) without the original caller.
     pub spec: VariantSpec,
 }
 
-/// A variant built by [`ModelRegistry::build`] and not yet published:
-/// the snapshot, its build counters and, for protected specs, the
+/// A variant built by [`ModelRegistry::build`] (or restored from disk)
+/// and not yet published: the snapshot and, for protected specs, the
 /// storage it was decoded from. Cloning deep-copies everything,
 /// protected storage included, so each registry a clone is
 /// [`publish`](ModelRegistry::publish)ed on owns an independent store.
@@ -161,12 +156,6 @@ pub struct ModelVariant {
 pub struct BuiltVariant {
     /// The frozen inference network.
     pub model: FrozenMlp,
-    /// Codebook-path layers warmed by the build.
-    pub warmed_codebooks: usize,
-    /// Quantization plans frozen by the build.
-    pub plans_built: usize,
-    /// Codebook-backed activation plans whose codebook was already warm.
-    pub plan_cache_hits: usize,
     /// SEC-DED protected weight storage, when the spec asked for it.
     pub protected: Option<ProtectedWeights>,
     /// The spec the variant was built from.
@@ -196,6 +185,132 @@ fn checkpoint(spec: &VariantSpec, master: Option<FrozenMlp>) -> FrozenMlp {
     master.unwrap_or_else(|| FrozenMlp::synthesize(spec.family, spec.seed, &spec.dims))
 }
 
+/// Already-decoded weights, ready to serve.
+#[derive(Debug)]
+pub(crate) struct Decoded {
+    /// One value vector per layer, in the base's shapes.
+    pub values: Vec<Vec<f32>>,
+    /// The format kind, word size and per-layer frozen params the
+    /// values were encoded under; `None` for lossless f32.
+    pub recipe: Option<(FormatKind, u32, Vec<PlanParams>)>,
+    /// The weight-format label the snapshot serves under.
+    pub label: String,
+}
+
+impl Decoded {
+    /// What `store` decodes to, under the recipe it was encoded with.
+    fn of(store: &ProtectedWeights) -> Decoded {
+        Decoded {
+            values: store.decoded_weights().0,
+            recipe: Some(store.recipe()),
+            label: store.format_label().to_string(),
+        }
+    }
+
+    /// `base` serving these weights (biases stay the base's).
+    fn onto(self, base: FrozenMlp) -> FrozenMlp {
+        match self.recipe {
+            Some((kind, n, params)) => {
+                base.with_quantized_weights(kind, n, &params, self.values, &self.label)
+            }
+            None => base.with_weight_data(self.values, &self.label),
+        }
+    }
+}
+
+/// Where an assembled snapshot's served weights come from.
+#[derive(Debug)]
+pub(crate) enum Weights {
+    /// Quantize the base through the spec's weight format — into fresh
+    /// protected storage when the spec asks for it. An FP32 spec
+    /// serves the base as it is.
+    Quantize,
+    /// Serve what this protected store decodes to; the store becomes
+    /// the built variant's.
+    Protected(ProtectedWeights),
+    /// Serve weights decoded elsewhere (live storage, a container).
+    Decoded(Decoded),
+}
+
+/// Where an assembled snapshot's activation ranges come from.
+#[derive(Debug)]
+pub(crate) enum Ranges<'a> {
+    /// Calibrate the spec's activation format on a deterministic batch:
+    /// a snapshot's first build only.
+    Calibrate,
+    /// Re-plan from ranges an earlier build froze, in the shape of
+    /// [`FrozenMlp::act_recipe`] (`None`: no activation quantization).
+    Frozen(Option<(FormatKind, u32, &'a [f32])>),
+}
+
+/// The one way a served snapshot is assembled: `base` (the spec's FP32
+/// checkpoint) takes its weights from `weights` and its activation
+/// plans from `ranges`, then switches to the fused GEMM if the spec
+/// asks for it. Returns the snapshot with any protected storage this
+/// call built or was handed.
+///
+/// # Errors
+///
+/// Returns [`FormatError::InvalidBits`] if a format cannot be built at
+/// its word size.
+///
+/// # Panics
+///
+/// Panics if the spec asks for protected storage without a weight
+/// format (FP32 variants have no stored codes to protect), or for a
+/// fused GEMM the weights cannot take (see [`VariantSpec::fused`]) —
+/// at build time, so a bad spec fails loudly here, not at serve time.
+pub(crate) fn assemble(
+    spec: &VariantSpec,
+    base: FrozenMlp,
+    weights: Weights,
+    ranges: Ranges<'_>,
+) -> Result<BuiltVariant, FormatError> {
+    let weights = match weights {
+        // Encode into protected storage first, then serve what the
+        // storage decodes to — the storage is authoritative, so a
+        // scrub-repaired store decodes to exactly the weights already
+        // being served.
+        Weights::Quantize if spec.protected => {
+            let (kind, n) = spec
+                .weight_format
+                .expect("protected storage requires a weight format");
+            Weights::Protected(ProtectedWeights::build(&base, kind, n)?)
+        }
+        other => other,
+    };
+    let (model, protected) = match weights {
+        Weights::Quantize => match spec.weight_format {
+            Some((kind, n)) => (base.quantize_weights(kind, n)?, None),
+            None => (base, None),
+        },
+        Weights::Protected(store) => (Decoded::of(&store).onto(base), Some(store)),
+        Weights::Decoded(decoded) => (decoded.onto(base), None),
+    };
+    let model = match ranges {
+        Ranges::Calibrate => match spec.act_format {
+            Some((kind, n)) => {
+                let calib =
+                    FrozenMlp::synth_inputs(spec.seed ^ 0xCA11_B8A7, CALIB_ROWS, spec.dims[0]);
+                model.with_act_quant(kind, n, &calib)?
+            }
+            None => model,
+        },
+        Ranges::Frozen(Some((kind, n, maxes))) => model.with_act_quant_frozen(kind, n, maxes)?,
+        Ranges::Frozen(None) => model,
+    };
+    let model = if spec.fused {
+        model.with_fused_gemm()
+    } else {
+        model
+    };
+    Ok(BuiltVariant {
+        model,
+        protected,
+        spec: spec.clone(),
+    })
+}
+
 /// Observer for registry mutations — the seam a durable store plugs
 /// into so every register, scrub, hot swap, and unregister is journaled
 /// before the next one can happen. Hooks are invoked *after* the
@@ -211,28 +326,6 @@ pub trait RegistryJournal: Send + Sync + std::fmt::Debug {
     fn on_swap(&self, id: &str, generation: u64);
     /// `id` was removed from the registry.
     fn on_unregister(&self, id: &str);
-}
-
-/// The pieces of a variant reconstructed from durable storage, handed
-/// to [`ModelRegistry::install`]. Unlike a fresh
-/// [`register`](ModelRegistry::register), every counter is supplied by
-/// the caller (recovered from disk) and nothing is journaled.
-#[derive(Debug)]
-pub struct RestoredParts {
-    /// The spec the variant was originally built from.
-    pub spec: VariantSpec,
-    /// The restored snapshot (weights decoded from stored codes).
-    pub model: FrozenMlp,
-    /// Recovered counter: codebook-path layers warm at build time.
-    pub warmed_codebooks: usize,
-    /// Recovered counter: plans frozen building the original snapshot.
-    pub plans_built: usize,
-    /// Recovered counter: codebook cache hits at original build.
-    pub plan_cache_hits: usize,
-    /// Recovered hot-swap generation — restart must not reset it.
-    pub generation: u64,
-    /// Restored protected storage, when the spec used it.
-    pub protected: Option<Arc<Mutex<ProtectedWeights>>>,
 }
 
 /// The id → snapshot map. Cheap to share (`Arc<ModelRegistry>`); the
@@ -288,9 +381,9 @@ impl ModelRegistry {
 
     /// Build a variant without publishing it anywhere: synthesize the
     /// weights, quantize them once (into protected storage when the
-    /// spec asks for it), switch to the fused GEMM, calibrate
-    /// activation ranges on a deterministic batch and pre-warm LUT
-    /// codebooks. Pure in the spec — no registry, journal or
+    /// spec asks for it), calibrate activation ranges on a
+    /// deterministic batch, pre-warm LUT codebooks and switch to the
+    /// fused GEMM. Pure in the spec — no registry, journal or
     /// generation is involved — so one build can be
     /// [`publish`](Self::publish)ed (as clones) on several registries.
     /// Always synthesizes; [`register`](Self::register) is the path that
@@ -316,58 +409,36 @@ impl ModelRegistry {
         spec: &VariantSpec,
         master: Option<FrozenMlp>,
     ) -> Result<BuiltVariant, FormatError> {
-        let mut model = checkpoint(spec, master);
-        let mut plans_built = 0usize;
-        let mut plan_cache_hits = 0usize;
-        let mut protected = None;
-        if spec.protected {
-            let (kind, n) = spec
-                .weight_format
-                .expect("protected storage requires a weight format");
-            // Encode into protected storage first, then build the served
-            // weights from what the storage decodes to — the storage is
-            // authoritative, so a scrub-repaired store decodes to
-            // exactly the weights already being served.
-            let store = ProtectedWeights::build(&model, kind, n)?;
-            let (weights, _) = store.decoded_weights();
-            model = model.with_weight_data(weights, store.format_label());
-            plans_built += model.depth();
-            protected = Some(store);
-        } else if let Some((kind, n)) = spec.weight_format {
-            model = model.quantize_weights(kind, n)?;
-            plans_built += model.depth();
-        }
-        if spec.fused {
-            assert!(
-                !spec.protected,
-                "fused GEMM and protected storage are mutually exclusive \
-                 (protected snapshots rebuild from decoded storage)"
-            );
-            // Panics with a precise message if the weight format is
-            // missing or unsupported — the build step, so a bad spec
-            // fails loudly here, not at serve time.
-            model = model.with_fused_gemm();
-        }
-        if let Some((kind, n)) = spec.act_format {
-            let calib = FrozenMlp::synth_inputs(spec.seed ^ 0xCA11_B8A7, CALIB_ROWS, spec.dims[0]);
-            // Freezing the activation plans resolves their codebooks
-            // against the process-wide cache: each miss takes the cache's
-            // write lock exactly once, so the lock-acquisition delta is
-            // the number of fresh builds, and the rest were cache hits.
-            let builds_before = adaptivfloat::lut::write_lock_acquisitions();
-            model = model.with_act_quant(kind, n, &calib)?;
-            let fresh_builds = adaptivfloat::lut::write_lock_acquisitions() - builds_before;
-            plans_built += model.depth();
-            plan_cache_hits += model.prewarm_codebooks().saturating_sub(fresh_builds);
-        }
-        Ok(BuiltVariant {
-            warmed_codebooks: model.prewarm_codebooks(),
+        assemble(
+            spec,
+            checkpoint(spec, master),
+            Weights::Quantize,
+            Ranges::Calibrate,
+        )
+    }
+
+    /// The one place a [`ModelVariant`] is made: swap `model` in under
+    /// `spec.id` at `generation`, or at the id's next generation (0 for
+    /// a new id) when `None`. Journals nothing.
+    fn swap_in(
+        &self,
+        model: FrozenMlp,
+        spec: VariantSpec,
+        protected: Option<Arc<Mutex<ProtectedWeights>>>,
+        generation: Option<u64>,
+    ) -> Arc<ModelVariant> {
+        let mut map = self.inner.write().expect("registry poisoned");
+        let generation =
+            generation.unwrap_or_else(|| map.get(&spec.id).map_or(0, |v| v.generation + 1));
+        let variant = Arc::new(ModelVariant {
+            id: spec.id.clone(),
             model,
-            plans_built,
-            plan_cache_hits,
+            generation,
             protected,
-            spec: spec.clone(),
-        })
+            spec,
+        });
+        map.insert(variant.id.clone(), Arc::clone(&variant));
+        variant
     }
 
     /// Publish a built variant: swap it in atomically under its id
@@ -375,46 +446,21 @@ impl ModelRegistry {
     /// and journal it. A protected variant's storage becomes this
     /// registry's own. Returns the published snapshot.
     pub fn publish(&self, built: BuiltVariant) -> Arc<ModelVariant> {
-        let mut map = self.inner.write().expect("registry poisoned");
-        let generation = map.get(&built.spec.id).map_or(0, |v| v.generation + 1);
-        let variant = Arc::new(ModelVariant {
-            id: built.spec.id.clone(),
-            model: built.model,
-            warmed_codebooks: built.warmed_codebooks,
-            plans_built: built.plans_built,
-            plan_cache_hits: built.plan_cache_hits,
-            generation,
-            protected: built.protected.map(|p| Arc::new(Mutex::new(p))),
-            spec: built.spec,
-        });
-        map.insert(variant.id.clone(), Arc::clone(&variant));
-        drop(map);
+        let protected = built.protected.map(|p| Arc::new(Mutex::new(p)));
+        let variant = self.swap_in(built.model, built.spec, protected, None);
         if let Some(journal) = self.journal() {
             journal.on_register(&variant);
         }
         variant
     }
 
-    /// Publish a variant reconstructed from durable storage, preserving
-    /// its recovered generation and counters. Recovery-only: nothing is
-    /// journaled (the journal's own records produced this state), and
-    /// any existing entry under the id is replaced.
-    pub fn install(&self, parts: RestoredParts) -> Arc<ModelVariant> {
-        let variant = Arc::new(ModelVariant {
-            id: parts.spec.id.clone(),
-            model: parts.model,
-            warmed_codebooks: parts.warmed_codebooks,
-            plans_built: parts.plans_built,
-            plan_cache_hits: parts.plan_cache_hits,
-            generation: parts.generation,
-            protected: parts.protected,
-            spec: parts.spec,
-        });
-        self.inner
-            .write()
-            .expect("registry poisoned")
-            .insert(variant.id.clone(), Arc::clone(&variant));
-        variant
+    /// Publish a variant restored from durable storage at its recovered
+    /// `generation`. Recovery-only: nothing is journaled (the journal's
+    /// own records produced this state), and any existing entry under
+    /// the id is replaced.
+    pub fn install(&self, built: BuiltVariant, generation: u64) -> Arc<ModelVariant> {
+        let protected = built.protected.map(|p| Arc::new(Mutex::new(p)));
+        self.swap_in(built.model, built.spec, protected, Some(generation))
     }
 
     /// Remove `id` from the registry (journaled). In-flight batches
@@ -437,41 +483,26 @@ impl ModelRegistry {
     /// Rebuild `id`'s served snapshot from its (possibly scrubbed)
     /// protected storage and hot-swap it in, bumping the generation.
     /// The biases come from the checkpoint, copied from its live FP32
-    /// twin when one is registered.
+    /// twin when one is registered; the activation plans re-plan from
+    /// the current snapshot's frozen ranges.
     /// Returns the new snapshot, or `None` if `id` is unknown or
     /// unprotected. In-flight batches keep the `Arc` they hold.
     pub fn refresh_from_storage(&self, id: &str) -> Option<Arc<ModelVariant>> {
         let current = self.get(id)?;
         let store = Arc::clone(current.protected.as_ref()?);
-        let spec = current.spec.clone();
         // Decode under the store lock, build the snapshot outside it.
-        let (weights, label) = {
-            let guard = store.lock().expect("protected store poisoned");
-            let (weights, _) = guard.decoded_weights();
-            (weights, guard.format_label().to_string())
-        };
-        let mut model = checkpoint(&spec, self.twin_model(&spec)).with_weight_data(weights, &label);
-        if let Some((kind, n)) = spec.act_format {
-            let calib = FrozenMlp::synth_inputs(spec.seed ^ 0xCA11_B8A7, CALIB_ROWS, spec.dims[0]);
-            // The same geometry built at registration time; it cannot
-            // start failing now.
-            model = model.with_act_quant(kind, n, &calib).ok()?;
-        }
-        let warmed_codebooks = model.prewarm_codebooks();
-        let mut map = self.inner.write().expect("registry poisoned");
-        let generation = map.get(id).map_or(0, |v| v.generation + 1);
-        let variant = Arc::new(ModelVariant {
-            id: id.to_string(),
-            model,
-            warmed_codebooks,
-            plans_built: current.plans_built,
-            plan_cache_hits: current.plan_cache_hits,
-            generation,
-            protected: Some(store),
+        let decoded = Decoded::of(&store.lock().expect("protected store poisoned"));
+        let spec = &current.spec;
+        let built = assemble(
             spec,
-        });
-        map.insert(id.to_string(), Arc::clone(&variant));
-        drop(map);
+            checkpoint(spec, self.twin_model(spec)),
+            Weights::Decoded(decoded),
+            Ranges::Frozen(current.model.act_recipe()),
+        )
+        // The same geometry built at registration time; it cannot
+        // start failing now.
+        .ok()?;
+        let variant = self.swap_in(built.model, built.spec, Some(store), None);
         if let Some(journal) = self.journal() {
             journal.on_swap(id, variant.generation);
         }
@@ -593,24 +624,13 @@ mod tests {
         let v = reg.register(&spec("resnet/uniform8")).unwrap();
         assert_eq!(v.model.format_name(), "Uniform<8>");
         assert_eq!(v.model.act_format_name().as_deref(), Some("Uniform<8>"));
-        assert!(v.warmed_codebooks > 0, "LUT formats must warm codebooks");
+        assert!(
+            v.model.prewarm_codebooks() > 0,
+            "LUT formats must warm codebooks"
+        );
         assert_eq!(v.generation, 0);
         assert_eq!(reg.ids(), vec!["resnet/uniform8".to_string()]);
         assert!(reg.get("nope").is_none());
-    }
-
-    #[test]
-    fn plan_counters_track_builds_and_cache_reuse() {
-        let reg = ModelRegistry::new();
-        let a = reg.register(&spec("a")).unwrap();
-        // Two dense layers, weights + activations both planned.
-        assert_eq!(a.plans_built, 4);
-        // A second variant under the same spec resolves the same
-        // codebooks: every codebook-backed activation plan is a hit.
-        let b = reg.register(&spec("b")).unwrap();
-        assert_eq!(b.plans_built, 4);
-        assert_eq!(b.plan_cache_hits, b.warmed_codebooks);
-        assert!(b.warmed_codebooks > 0);
     }
 
     #[test]
@@ -639,8 +659,27 @@ mod tests {
         assert!(Arc::ptr_eq(&current, &new));
     }
 
-    fn output_bits(v: &ModelVariant, x: &[f32]) -> Vec<u32> {
-        v.model.evaluate(x).iter().map(|v| v.to_bits()).collect()
+    /// Output bits at b=1 (`evaluate`, dense weights) and at b=16
+    /// (`evaluate_batch`, through the fused GEMM when the model has it).
+    fn served_bits(model: &FrozenMlp) -> [Vec<u32>; 2] {
+        let x = FrozenMlp::synth_inputs(4, 16, 16);
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect();
+        [
+            bits(&model.evaluate(x.row(0))),
+            bits(model.evaluate_batch(&x).data()),
+        ]
+    }
+
+    /// The protected spec `"p"`, dense and fused, each with the bits its
+    /// unprotected twin serves.
+    fn protected_with_twin_bits() -> Vec<(VariantSpec, [Vec<u32>; 2])> {
+        [spec("p"), spec("p").fused()]
+            .into_iter()
+            .map(|twin| {
+                let want = served_bits(&ModelRegistry::build(&twin).unwrap().model);
+                (twin.protected(), want)
+            })
+            .collect()
     }
 
     #[test]
@@ -663,55 +702,62 @@ mod tests {
 
     #[test]
     fn scrub_repairs_single_bit_upset_with_bit_identical_serving() {
-        let reg = ModelRegistry::new();
-        let v = reg.register(&spec("p").protected()).unwrap();
-        let x = FrozenMlp::synth_inputs(4, 1, 16);
-        let want = output_bits(&v, x.row(0));
-        v.protected
-            .as_ref()
-            .unwrap()
-            .lock()
-            .unwrap()
-            .flip_bit(0, 1, 17);
-        let outcome = reg.scrub_variant("p").unwrap();
-        assert_eq!(outcome.corrected, 1);
-        assert_eq!(outcome.uncorrectable, 0);
-        assert!(!outcome.rebuilt, "single-bit upsets repair in place");
-        assert_eq!(outcome.generation, 0, "no republish needed");
-        // Storage is bit-identical again: a snapshot rebuilt from it
-        // answers exactly what the original served.
-        let refreshed = reg.refresh_from_storage("p").unwrap();
-        assert_eq!(output_bits(&refreshed, x.row(0)), want);
+        for (spec, want) in protected_with_twin_bits() {
+            let fused = spec.fused;
+            let reg = ModelRegistry::new();
+            let v = reg.register(&spec).unwrap();
+            assert_eq!(served_bits(&v.model), want, "fused={fused}");
+            v.protected
+                .as_ref()
+                .unwrap()
+                .lock()
+                .unwrap()
+                .flip_bit(0, 1, 17);
+            let outcome = reg.scrub_variant("p").unwrap();
+            assert_eq!(outcome.corrected, 1);
+            assert_eq!(outcome.uncorrectable, 0);
+            assert!(!outcome.rebuilt, "single-bit upsets repair in place");
+            assert_eq!(outcome.generation, 0, "no republish needed");
+            // Storage is bit-identical again: a snapshot rebuilt from it
+            // answers exactly what the unprotected twin serves.
+            let refreshed = reg.refresh_from_storage("p").unwrap();
+            assert_eq!(served_bits(&refreshed.model), want, "fused={fused}");
+            let fused_layers = if fused { refreshed.model.depth() } else { 0 };
+            assert_eq!(refreshed.model.fused_layers(), fused_layers);
+        }
     }
 
     #[test]
     fn uncorrectable_upset_rebuilds_from_master_and_bumps_generation() {
-        let reg = ModelRegistry::new();
-        let v = reg.register(&spec("p").protected()).unwrap();
-        let x = FrozenMlp::synth_inputs(4, 1, 16);
-        let want = output_bits(&v, x.row(0));
-        {
-            let mut store = v.protected.as_ref().unwrap().lock().unwrap();
-            store.flip_bit(0, 2, 6);
-            store.flip_bit(0, 2, 51);
+        for (spec, want) in protected_with_twin_bits() {
+            let fused = spec.fused;
+            let reg = ModelRegistry::new();
+            let v = reg.register(&spec).unwrap();
+            {
+                let mut store = v.protected.as_ref().unwrap().lock().unwrap();
+                store.flip_bit(0, 2, 6);
+                store.flip_bit(0, 2, 51);
+            }
+            let outcome = reg.scrub_variant("p").unwrap();
+            assert_eq!(outcome.uncorrectable, 1);
+            assert!(outcome.rebuilt);
+            assert_eq!(outcome.generation, 1, "rebuild hot-swaps a new snapshot");
+            let current = reg.get("p").unwrap();
+            assert_eq!(current.generation, 1);
+            assert!(!Arc::ptr_eq(&current, &v));
+            assert_eq!(served_bits(&current.model), want, "fused={fused}");
+            let fused_layers = if fused { current.model.depth() } else { 0 };
+            assert_eq!(current.model.fused_layers(), fused_layers);
+            // The store Arc is shared across the swap; history survived.
+            let stats = current
+                .protected
+                .as_ref()
+                .unwrap()
+                .lock()
+                .unwrap()
+                .ecc_stats();
+            assert_eq!(stats.detected_uncorrectable, 1);
         }
-        let outcome = reg.scrub_variant("p").unwrap();
-        assert_eq!(outcome.uncorrectable, 1);
-        assert!(outcome.rebuilt);
-        assert_eq!(outcome.generation, 1, "rebuild hot-swaps a new snapshot");
-        let current = reg.get("p").unwrap();
-        assert_eq!(current.generation, 1);
-        assert!(!Arc::ptr_eq(&current, &v));
-        assert_eq!(output_bits(&current, x.row(0)), want);
-        // The store Arc is shared across the swap; history survived.
-        let stats = current
-            .protected
-            .as_ref()
-            .unwrap()
-            .lock()
-            .unwrap()
-            .ecc_stats();
-        assert_eq!(stats.detected_uncorrectable, 1);
     }
 
     #[test]
@@ -727,9 +773,7 @@ mod tests {
             .collect()
     }
 
-    /// AdaptivFloat plans run on the bit-twiddled kernel, not a LUT
-    /// codebook, so the twin tests never race the process-wide codebook
-    /// counter `plan_counters_track_builds_and_cache_reuse` reads.
+    /// An AdaptivFloat8 variant of `spec`'s checkpoint.
     fn af8(id: &str) -> VariantSpec {
         VariantSpec::quantized(
             id,

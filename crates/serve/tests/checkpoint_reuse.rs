@@ -7,7 +7,7 @@
 //! of the FP32 id and of a quantized id, and a storage refresh after an
 //! uncorrectable ECC error, at the served shape and at a small one.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 
 use adaptivfloat::FormatKind;
 use af_models::{FrozenMlp, ModelFamily};
@@ -17,13 +17,15 @@ use af_store::encode_container;
 
 const SHAPES: [&[usize]; 2] = [&[96, 192, 192, 48], &[16, 24, 6]];
 const SEED: u64 = 0x5E12_F00D;
-const PROTECTED: usize = 5;
+/// Indices of the protected specs in [`specs`].
+const PROTECTED: [usize; 2] = [5, 6];
 
 /// fp32 first, then AdaptivFloat8, AdaptivFloat8-fused, Uniform8-fused,
-/// Posit8 and AdaptivFloat8-protected, all of one checkpoint. Last come
-/// a Posit8-weights-only and an AdaptivFloat8-activations-only variant:
-/// neither serves the checkpoint's FP32 weights as they are, so neither
-/// may stand in for the twin.
+/// Posit8, AdaptivFloat8-protected and AdaptivFloat8-protected-fused,
+/// all of one checkpoint. Last come a Posit8-weights-only and an
+/// AdaptivFloat8-activations-only variant: neither serves the
+/// checkpoint's FP32 weights as they are, so neither may stand in for
+/// the twin.
 fn specs(dims: &[usize]) -> Vec<VariantSpec> {
     let family = ModelFamily::Transformer;
     let q = |id: &str, kind| VariantSpec::quantized(id, family, kind, 8, SEED, dims);
@@ -34,6 +36,9 @@ fn specs(dims: &[usize]) -> Vec<VariantSpec> {
         q("uniform8-fused", FormatKind::Uniform).fused(),
         q("posit8", FormatKind::Posit),
         q("af8-protected", FormatKind::AdaptivFloat).protected(),
+        q("af8-protected-fused", FormatKind::AdaptivFloat)
+            .protected()
+            .fused(),
         VariantSpec {
             act_format: None,
             ..q("posit8-weights", FormatKind::Posit)
@@ -43,26 +48,6 @@ fn specs(dims: &[usize]) -> Vec<VariantSpec> {
             ..q("af8-acts", FormatKind::AdaptivFloat)
         },
     ]
-}
-
-/// Serializes the tests behind a codebook cache warmed with every spec.
-/// A variant's `plan_cache_hits` (persisted in its container) counts the
-/// codebooks it found already built, read off a process-wide counter: a
-/// warm cache makes it the same for every build, and the lock keeps
-/// sibling tests' builds from racing the counter.
-fn serialized() -> MutexGuard<'static, ()> {
-    static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-    GUARD
-        .get_or_init(|| {
-            for dims in SHAPES {
-                for spec in specs(dims) {
-                    ModelRegistry::build(&spec).expect("warm-up build");
-                }
-            }
-            Mutex::new(())
-        })
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
 }
 
 /// `spec` built cold, always synthesized, and published on a fresh
@@ -122,7 +107,6 @@ fn assert_same(got: &ModelVariant, want: &ModelVariant) {
 
 #[test]
 fn twin_first_registration_matches_cold_builds() {
-    let _guard = serialized();
     for dims in SHAPES {
         let registry = ModelRegistry::new();
         for spec in specs(dims) {
@@ -134,7 +118,6 @@ fn twin_first_registration_matches_cold_builds() {
 
 #[test]
 fn twin_last_registration_matches_and_later_swaps_reuse_it() {
-    let _guard = serialized();
     for dims in SHAPES {
         let specs = specs(dims);
         let registry = ModelRegistry::new();
@@ -154,7 +137,6 @@ fn twin_last_registration_matches_and_later_swaps_reuse_it() {
 
 #[test]
 fn hot_swapping_the_fp32_id_starts_from_its_own_snapshot() {
-    let _guard = serialized();
     for dims in SHAPES {
         let specs = specs(dims);
         let registry = ModelRegistry::new();
@@ -173,37 +155,42 @@ fn hot_swapping_the_fp32_id_starts_from_its_own_snapshot() {
 
 #[test]
 fn storage_refresh_after_uncorrectable_error_matches_a_twinless_registry() {
-    let _guard = serialized();
     for dims in SHAPES {
         let specs = specs(dims);
-        let spec = &specs[PROTECTED];
-        // `with_twin` refreshes from its resident fp32 twin's copy;
-        // `twinless` holds only the cold build and must synthesize.
-        let with_twin = ModelRegistry::new();
-        with_twin.register(&specs[0]).unwrap();
-        with_twin.register(spec).unwrap();
-        let twinless = ModelRegistry::new();
-        twinless.publish(ModelRegistry::build(spec).unwrap());
-        for registry in [&with_twin, &twinless] {
-            let variant = registry.get(&spec.id).unwrap();
-            let store = variant.protected.as_ref().expect("protected storage");
-            {
-                let mut store = store.lock().unwrap();
-                store.flip_bit(0, 2, 6);
-                store.flip_bit(0, 2, 51);
+        for spec in PROTECTED.map(|i| &specs[i]) {
+            // `with_twin` refreshes from its resident fp32 twin's copy;
+            // `twinless` holds only the cold build and must synthesize.
+            let with_twin = ModelRegistry::new();
+            with_twin.register(&specs[0]).unwrap();
+            with_twin.register(spec).unwrap();
+            let twinless = ModelRegistry::new();
+            twinless.publish(ModelRegistry::build(spec).unwrap());
+            for registry in [&with_twin, &twinless] {
+                let variant = registry.get(&spec.id).unwrap();
+                let store = variant.protected.as_ref().expect("protected storage");
+                {
+                    let mut store = store.lock().unwrap();
+                    store.flip_bit(0, 2, 6);
+                    store.flip_bit(0, 2, 51);
+                }
+                let outcome = registry.scrub_variant(&spec.id).unwrap();
+                assert_eq!(outcome.uncorrectable, 1);
+                assert!(outcome.rebuilt);
+                assert_eq!(outcome.generation, 1);
             }
-            let outcome = registry.scrub_variant(&spec.id).unwrap();
-            assert_eq!(outcome.uncorrectable, 1);
-            assert!(outcome.rebuilt);
-            assert_eq!(outcome.generation, 1);
+            let refreshed = with_twin.get(&spec.id).unwrap();
+            assert_same(&refreshed, &twinless.get(&spec.id).unwrap());
+            // Rebuilt storage serves what the cold build served.
+            let x = FrozenMlp::synth_inputs(SEED, 16, dims[0]);
+            let cold = cold(spec, 0);
+            assert_eq!(
+                bits(&refreshed.model.evaluate(x.row(0))),
+                bits(&cold.model.evaluate(x.row(0)))
+            );
+            assert_eq!(
+                bits(refreshed.model.evaluate_batch(&x).data()),
+                bits(cold.model.evaluate_batch(&x).data())
+            );
         }
-        let refreshed = with_twin.get(&spec.id).unwrap();
-        assert_same(&refreshed, &twinless.get(&spec.id).unwrap());
-        // Rebuilt storage serves what the cold build served.
-        let x = FrozenMlp::synth_inputs(SEED, 1, dims[0]);
-        assert_eq!(
-            bits(&refreshed.model.evaluate(x.row(0))),
-            bits(&cold(spec, 0).model.evaluate(x.row(0)))
-        );
     }
 }

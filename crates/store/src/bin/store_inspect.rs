@@ -79,8 +79,7 @@ fn container_json(path: &Path) -> Result<String, StoreError> {
         "{{\"type\":\"container\",\"path\":\"{}\",\"id\":\"{}\",\"family\":\"{}\",\
          \"dims\":{:?},\"seed\":{},\"weight_format\":{},\"act_format\":{},\
          \"protected\":{},\"fused\":{},\"format_label\":\"{}\",\"generation\":{},\
-         \"rebuilds\":{},\"plans_built\":{},\"plan_cache_hits\":{},\
-         \"sections_repaired\":{},\"words_corrected\":{},\"layers\":[{layers}],\
+         \"rebuilds\":{},\"sections_repaired\":{},\"words_corrected\":{},\"layers\":[{layers}],\
          \"act\":{act}}}",
         json_escape(&path.display().to_string()),
         json_escape(&spec.id),
@@ -94,8 +93,6 @@ fn container_json(path: &Path) -> Result<String, StoreError> {
         json_escape(&spec.format_label),
         spec.generation,
         spec.rebuilds,
-        spec.plans_built,
-        spec.plan_cache_hits,
         report.sections_repaired,
         report.words_corrected,
     ))

@@ -4,7 +4,7 @@
 //! ```text
 //! magic "AFSTORE1" · version u16
 //! section*  :=  tag u8 · len u64 · crc32 u32 · payload[len]
-//!   tag 1 = SPEC   (variant identity, counters, generation)
+//!   tag 1 = SPEC   (variant identity, generation, rebuilds)
 //!   tag 2 = LAYER  (one weight tensor: codes + parity + ECC stats)
 //!   tag 3 = ACT    (calibrated activation ranges)
 //!   tag 4 = END    (empty payload; everything after it is rejected)
@@ -30,16 +30,16 @@ use crate::error::StoreError;
 
 /// Container magic bytes.
 pub const CONTAINER_MAGIC: &[u8; 8] = b"AFSTORE1";
-/// Highest container format version this build reads and the version it
-/// writes.
-pub const CONTAINER_VERSION: u16 = 1;
+/// The container format version this build writes and the only one it
+/// reads. Version 2 dropped version 1's three build counters from SPEC.
+pub const CONTAINER_VERSION: u16 = 2;
 
 const TAG_SPEC: u8 = 1;
 const TAG_LAYER: u8 = 2;
 const TAG_ACT: u8 = 3;
 const TAG_END: u8 = 4;
 
-/// The variant identity and serving counters a container preserves —
+/// The variant identity and persistent state a container preserves —
 /// everything a registry needs to republish the exact snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecRecord {
@@ -61,12 +61,6 @@ pub struct SpecRecord {
     pub fused: bool,
     /// The served weight-format label (e.g. `"AdaptivFloat<8,3>+secded"`).
     pub format_label: String,
-    /// Plans frozen when the snapshot was built.
-    pub plans_built: u64,
-    /// Codebook cache hits when the snapshot was built.
-    pub plan_cache_hits: u64,
-    /// Codebook-path layers warmed at build time.
-    pub warmed_codebooks: u64,
     /// Hot-swap generation at persist time.
     pub generation: u64,
     /// Times the protected store was re-encoded from its master.
@@ -274,9 +268,6 @@ fn encode_spec(spec: &SpecRecord) -> Vec<u8> {
     w.put_u8(spec.protected as u8);
     w.put_u8(spec.fused as u8);
     w.put_str(&spec.format_label);
-    w.put_u64(spec.plans_built);
-    w.put_u64(spec.plan_cache_hits);
-    w.put_u64(spec.warmed_codebooks);
     w.put_u64(spec.generation);
     w.put_u64(spec.rebuilds);
     w.into_bytes()
@@ -317,9 +308,6 @@ fn decode_spec(bytes: &[u8]) -> Result<SpecRecord, ParseErr> {
         protected,
         fused,
         format_label: r.get_str("format label")?,
-        plans_built: r.get_u64("plans_built")?,
-        plan_cache_hits: r.get_u64("plan_cache_hits")?,
-        warmed_codebooks: r.get_u64("warmed_codebooks")?,
         generation: r.get_u64("generation")?,
         rebuilds: r.get_u64("rebuilds")?,
     };
@@ -486,8 +474,9 @@ pub fn encode_container(v: &StoredVariant) -> Vec<u8> {
 /// # Errors
 ///
 /// Every malformation maps to a typed [`StoreError`]: wrong magic,
-/// newer version, truncation mid-section, CRC failures the SEC-DED
-/// repair could not resolve, or payloads describing impossible objects.
+/// any version but [`CONTAINER_VERSION`], truncation mid-section, CRC
+/// failures the SEC-DED repair could not resolve, or payloads
+/// describing impossible objects.
 pub fn decode_container(
     bytes: &[u8],
     path: &Path,
@@ -510,7 +499,7 @@ pub fn decode_container(
         });
     }
     let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-    if version > CONTAINER_VERSION {
+    if version != CONTAINER_VERSION {
         return Err(StoreError::UnsupportedVersion {
             path: path.to_path_buf(),
             found: version,
@@ -788,9 +777,6 @@ mod tests {
                 protected: true,
                 fused: false,
                 format_label: "AdaptivFloat<8,3>+secded".to_string(),
-                plans_built: 4,
-                plan_cache_hits: 1,
-                warmed_codebooks: 2,
                 generation: 3,
                 rebuilds: 1,
             },
@@ -936,6 +922,19 @@ mod tests {
                 .kind(),
             "unsupported_version"
         );
+    }
+
+    #[test]
+    fn older_versions_fail_typed() {
+        // Version 0 was never written; version 1 carried three build
+        // counters in SPEC that this build no longer parses. A flipped
+        // low version bit must not slip a file through unrepaired.
+        for old in [0u16, 1] {
+            let mut bytes = encode_container(&sample_variant());
+            bytes[8..10].copy_from_slice(&old.to_le_bytes());
+            let err = decode_container(&bytes, Path::new("mem")).unwrap_err();
+            assert_eq!(err.kind(), "unsupported_version", "version {old}");
+        }
     }
 
     #[test]

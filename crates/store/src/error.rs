@@ -23,13 +23,13 @@ pub enum StoreError {
         /// The magic that was expected.
         expected: &'static [u8; 8],
     },
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is not the one this build reads.
     UnsupportedVersion {
         /// File inspected.
         path: PathBuf,
         /// Version found in the header.
         found: u16,
-        /// Highest version this build reads.
+        /// The version this build reads.
         supported: u16,
     },
     /// The file ended mid-structure (no END section / partial header).
@@ -113,7 +113,7 @@ impl std::fmt::Display for StoreError {
                 supported,
             } => write!(
                 f,
-                "{}: format version {found} is newer than supported {supported}",
+                "{}: format version {found} is not the supported version {supported}",
                 path.display()
             ),
             StoreError::Truncated { path, context } => {

@@ -533,9 +533,6 @@ mod tests {
                 protected: true,
                 fused: false,
                 format_label: "AdaptivFloat<8,3>+secded".to_string(),
-                plans_built: 1,
-                plan_cache_hits: 0,
-                warmed_codebooks: 1,
                 generation,
                 rebuilds: 0,
             },

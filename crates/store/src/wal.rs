@@ -180,7 +180,7 @@ pub struct WalReplay {
 
 /// Replay a WAL file from disk. A missing file is an [`StoreError::Io`]
 /// (callers that tolerate a fresh store check existence first); a file
-/// with the wrong magic or a newer version fails typed. Torn or corrupt
+/// with the wrong magic or any version but [`WAL_VERSION`] fails typed. Torn or corrupt
 /// tails are dropped, never fatal.
 ///
 /// # Errors
@@ -204,7 +204,7 @@ pub fn replay(path: &Path) -> Result<WalReplay, StoreError> {
         });
     }
     let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-    if version > WAL_VERSION {
+    if version != WAL_VERSION {
         return Err(StoreError::UnsupportedVersion {
             path: path.to_path_buf(),
             found: version,
@@ -550,6 +550,11 @@ mod tests {
         assert_eq!(replay(&path).unwrap_err().kind(), "bad_magic");
         let mut hdr = WAL_MAGIC.to_vec();
         hdr.extend_from_slice(&99u16.to_le_bytes());
+        std::fs::write(&path, &hdr).unwrap();
+        assert_eq!(replay(&path).unwrap_err().kind(), "unsupported_version");
+        // Version 0 (a flipped low version bit) is refused too.
+        let mut hdr = WAL_MAGIC.to_vec();
+        hdr.extend_from_slice(&0u16.to_le_bytes());
         std::fs::write(&path, &hdr).unwrap();
         assert_eq!(replay(&path).unwrap_err().kind(), "unsupported_version");
         let _ = std::fs::remove_dir_all(&dir);

@@ -9,7 +9,8 @@ use adaptivfloat::{FormatKind, PlanParams};
 use af_resilience::{ProtectedCodes, StorageCodec};
 use af_store::{
     decode_container, encode_container, raw_f32_codes, ActRecord, LayerPayload, SpecRecord,
-    StoreError, StoredLayer, StoredVariant, SyncPolicy, WalOp, WalWriter,
+    StoreError, StoredLayer, StoredVariant, SyncPolicy, WalOp, WalWriter, CONTAINER_MAGIC,
+    CONTAINER_VERSION, WAL_MAGIC, WAL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -55,9 +56,6 @@ fn make_variant(seed: u64, rows: usize, cols: usize, quantized: bool, act: bool)
             protected: quantized,
             fused: false,
             format_label: "fuzz".to_string(),
-            plans_built: 1,
-            plan_cache_hits: 0,
-            warmed_codebooks: 0,
             generation: seed % 5,
             rebuilds: 0,
         },
@@ -164,7 +162,8 @@ proptest! {
     fn container_garbage_after_header_never_panics(
         garbage in prop::collection::vec(0u8..=255, 0..4096),
     ) {
-        let mut bytes = b"AFSTORE1\x01\x00".to_vec();
+        let mut bytes = CONTAINER_MAGIC.to_vec();
+        bytes.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
         bytes.extend_from_slice(&garbage);
         if let Err(e) = decode_container(&bytes, Path::new("mem")) {
             assert_typed(&e);
@@ -230,7 +229,8 @@ proptest! {
     fn wal_garbage_never_panics(garbage in prop::collection::vec(0u8..=255, 0..2048)) {
         let dir = scratch("garbage", garbage.len() as u64);
         let path = dir.join("wal.log");
-        let mut bytes = b"AFWALLOG\x01\x00".to_vec();
+        let mut bytes = WAL_MAGIC.to_vec();
+        bytes.extend_from_slice(&WAL_VERSION.to_le_bytes());
         bytes.extend_from_slice(&garbage);
         std::fs::write(&path, &bytes).unwrap();
         let rp = af_store::replay(&path).unwrap();

@@ -45,6 +45,13 @@ echo "ok: no sleeps on the admission or reactor path"
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== slow proptest leg (PROPTEST_CASES=4096) =="
+# The parsers that face untrusted bytes (the .afc container and the
+# WAL) and the format properties, at 64x the default case count: rare
+# inputs such as a single flipped version bit show up only in long runs.
+PROPTEST_CASES=4096 cargo test -q -p af-store --test corrupt_parse
+PROPTEST_CASES=4096 cargo test -q --test format_properties
+
 echo "== perfbench tests =="
 # The benchmark is a stand-alone package outside the workspace; its own
 # tests include the check that its metric lists match BENCHMARK.json.

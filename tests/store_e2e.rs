@@ -3,8 +3,8 @@
 //! dropping every handle without any orderly shutdown or checkpoint)
 //! and recovers to **bit-identical** serving:
 //!
-//! 1. **Warm restart** — protected and fused variants reopen from their
-//!    containers with zero requantization (the LUT cache write-lock
+//! 1. **Warm restart** — protected, fused and protected+fused variants
+//!    reopen from their containers with zero requantization (the LUT cache write-lock
 //!    counter does not move during recovery) and answer the exact bits
 //!    the pre-crash process served.
 //! 2. **Generation monotonicity** — scrub rebuilds and hot swaps are
@@ -85,7 +85,15 @@ fn crash_recovery_is_bit_identical_with_zero_requantization() {
     let _guard = lut_guard();
     let root = tmp_root("crash");
     let inputs = FrozenMlp::synth_inputs(33, 4, IN_DIM);
-    let ids = ["m/fp32", "m/protected", "m/fused"];
+    let ids = ["m/fp32", "m/protected", "m/fused", "m/protected-fused"];
+    // Per-sample rows, then the whole batch (the fused GEMM's path).
+    let answers = |model: &FrozenMlp| -> Vec<Vec<u32>> {
+        let mut rows: Vec<Vec<u32>> = (0..4)
+            .map(|r| bits(&model.evaluate(inputs.row(r))))
+            .collect();
+        rows.push(bits(model.evaluate_batch(&inputs).data()));
+        rows
+    };
 
     // Pre-crash process: register one variant per serving mode and
     // record what each answers.
@@ -99,14 +107,16 @@ fn crash_recovery_is_bit_identical_with_zero_requantization() {
             .unwrap();
         opened.registry.register(&protected_spec(ids[1])).unwrap();
         opened.registry.register(&fused_spec(ids[2])).unwrap();
+        opened
+            .registry
+            .register(&protected_spec(ids[3]).fused())
+            .unwrap();
         for id in ids {
-            let v = opened.registry.get(id).unwrap();
-            want.push(
-                (0..4)
-                    .map(|r| bits(&v.model.evaluate(inputs.row(r))))
-                    .collect(),
-            );
+            want.push(answers(&opened.registry.get(id).unwrap().model));
         }
+        // The fused GEMM over protected storage answers the dense
+        // protected twin's bits.
+        assert_eq!(want[3], want[1]);
         // Simulated kill -9: drop everything — no checkpoint, no
         // shutdown. The WAL (EveryRecord sync) is all that survives.
     }
@@ -121,7 +131,7 @@ fn crash_recovery_is_bit_identical_with_zero_requantization() {
         locks_before,
         "recovery must not build plans or codebooks"
     );
-    assert_eq!(opened.report.recovered_variants, 3);
+    assert_eq!(opened.report.recovered_variants, 4);
     assert!(opened.report.recovery_us > 0);
     let mut sorted = ids.to_vec();
     sorted.sort_unstable();
@@ -129,13 +139,7 @@ fn crash_recovery_is_bit_identical_with_zero_requantization() {
 
     for (id, rows) in ids.iter().zip(&want) {
         let v = opened.registry.get(id).unwrap();
-        for (r, row) in rows.iter().enumerate() {
-            assert_eq!(
-                &bits(&v.model.evaluate(inputs.row(r))),
-                row,
-                "{id} must answer pre-crash bits"
-            );
-        }
+        assert_eq!(&answers(&v.model), rows, "{id} must answer pre-crash bits");
     }
     // Each serving mode recovered *as* that mode, not as plain FP32.
     let protected = opened.registry.get(ids[1]).unwrap();
@@ -143,6 +147,9 @@ fn crash_recovery_is_bit_identical_with_zero_requantization() {
     assert!(protected.protected.is_some());
     let fused = opened.registry.get(ids[2]).unwrap();
     assert!(fused.model.fused_layers() > 0, "fused GEMM must come back");
+    let both = opened.registry.get(ids[3]).unwrap();
+    assert!(both.protected.is_some());
+    assert_eq!(both.model.fused_layers(), both.model.depth());
 
     // The engine serves the recovered registry and reports the store.
     let engine = Engine::start(Arc::clone(&opened.registry), EngineConfig::default());
@@ -151,7 +158,7 @@ fn crash_recovery_is_bit_identical_with_zero_requantization() {
     assert_eq!(bits(&got), want[1][0]);
     let stats = engine.stats_json();
     assert!(stats.contains("\"store\":{\"checkpoint_version\":0"));
-    assert!(stats.contains("\"recovered_variants\":3"));
+    assert!(stats.contains("\"recovered_variants\":4"));
     assert!(stats.contains("\"journal_errors\":0"));
     engine.shutdown();
     let _ = std::fs::remove_dir_all(&root);
