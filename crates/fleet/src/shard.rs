@@ -111,7 +111,9 @@ impl Shard {
     /// hot-swap it in) — journaled through the shard's WAL, with this
     /// shard's own generation and protected storage — and make sure it
     /// has a serving lane. The one path every placement takes, so a
-    /// spec is built once however many replicas it lands on.
+    /// spec is built once however many replicas it lands on. The clone
+    /// shares the built snapshot and copies only protected storage:
+    /// placing copies no weights.
     pub fn place(&self, built: &BuiltVariant) {
         self.engine.registry().publish(built.clone());
         self.engine.ensure_lane(&built.spec.id);

@@ -1,15 +1,17 @@
 //! A model is built once per `register_model` and published as a clone
-//! on each replica: the replicas must answer bit-identically, yet own
-//! their protected storage, generation counter and WAL outright — a
-//! fault and its repair on one replica leave the other untouched.
+//! on each replica: the replicas share one immutable snapshot and must
+//! answer bit-identically, yet own their protected storage, generation
+//! counter and WAL outright — a fault and its repair on one replica
+//! leave the other untouched.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use adaptivfloat::FormatKind;
 use af_fleet::{FleetConfig, FleetRouter, Shard, ShardConfig};
 use af_models::{FrozenMlp, ModelFamily};
 use af_resilience::{EccStats, ProtectedCodes};
-use af_serve::VariantSpec;
+use af_serve::{ModelRegistry, ModelVariant, VariantSpec};
 
 const DIMS: [usize; 3] = [12, 20, 6];
 
@@ -31,11 +33,7 @@ struct ReplicaState {
 }
 
 fn state(shard: &Shard, id: &str) -> ReplicaState {
-    let variant = shard
-        .engine()
-        .registry()
-        .get(id)
-        .expect("replica holds the model");
+    let variant = variant(shard, id);
     let store = variant.protected.as_ref().expect("protected variant");
     let store = store.lock().unwrap();
     ReplicaState {
@@ -45,6 +43,14 @@ fn state(shard: &Shard, id: &str) -> ReplicaState {
         wal_records: shard.store().stats().wal_records,
         wal: std::fs::read(shard.root().join("wal.log")).expect("shard WAL"),
     }
+}
+
+fn variant(shard: &Shard, id: &str) -> Arc<ModelVariant> {
+    shard
+        .engine()
+        .registry()
+        .get(id)
+        .expect("replica holds the model")
 }
 
 fn answer(shard: &Shard, id: &str, input: &[f32]) -> Vec<u32> {
@@ -84,9 +90,26 @@ fn replicas_share_a_build_but_not_storage_generation_or_wal() {
         router.shard(placement[1]).unwrap(),
     );
 
-    // One build, two bit-identical replicas, each at its own generation 0.
+    // One build, two replicas sharing its snapshot (not its storage),
+    // both answering the build's bits, each at its own generation 0.
+    let (hit_v, other_v) = (variant(&hit, id), variant(&other, id));
+    assert!(Arc::ptr_eq(&hit_v.model, &other_v.model), "one snapshot");
+    assert!(
+        !Arc::ptr_eq(
+            hit_v.protected.as_ref().unwrap(),
+            other_v.protected.as_ref().unwrap()
+        ),
+        "each replica owns its protected storage"
+    );
     let input = FrozenMlp::synth_inputs(3, 1, DIMS[0]).row(0).to_vec();
-    let want = answer(&hit, id, &input);
+    let reference = ModelRegistry::build(&spec).expect("reference build");
+    let want: Vec<u32> = reference
+        .model
+        .evaluate(&input)
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    assert_eq!(answer(&hit, id, &input), want);
     assert_eq!(answer(&other, id, &input), want);
     let mut gens = router.generations(id);
     gens.sort_unstable();
@@ -123,12 +146,19 @@ fn replicas_share_a_build_but_not_storage_generation_or_wal() {
     assert!(outcome.rebuilt);
     assert_eq!(outcome.generation, 1);
     let hit_after = state(&hit, id);
+    assert_eq!(hit_after.generation, 1);
+    assert!(
+        !Arc::ptr_eq(&variant(&hit, id).model, &other_v.model),
+        "the rebuild republished on the struck replica"
+    );
     assert_eq!(hit_after.ecc.corrected, 1);
     assert_eq!(hit_after.ecc.detected_uncorrectable, 1);
     assert!(hit_after.wal_records > before.wal_records);
 
-    // The other replica's storage, history, generation and WAL are
-    // exactly as they were, and both still answer the same bits.
+    // The other replica's snapshot, storage, history, generation and
+    // WAL are exactly as they were, and both still answer the build's
+    // bits.
+    assert!(Arc::ptr_eq(&variant(&other, id).model, &other_v.model));
     assert_eq!(state(&other, id), before);
     assert_eq!(answer(&hit, id, &input), want);
     assert_eq!(answer(&other, id, &input), want);

@@ -24,6 +24,16 @@
 //! elementwise, and calibrated activation quantization is an
 //! elementwise map under a *fixed* per-layer range (never a per-batch
 //! statistic). `tests/frozen_batch.rs` pins the invariant.
+//!
+//! ## One operand per layer
+//!
+//! Each layer holds its weights exactly once, in the form its batched
+//! kernel reads: an f32 matrix for the dense blocked matmul, or — after
+//! [`FrozenMlp::with_fused_gemm`] — only the packed `n`-bit codes the
+//! fused kernel decodes in-register. Nothing else keeps an f32 copy of
+//! a fused layer; [`FrozenMlp::weight_data`] decodes one on demand.
+
+use std::borrow::Cow;
 
 use adaptivfloat::{
     AdaptivFloat, AdaptivParams, CodeIndex, DecodePolicy, FormatError, FormatKind, PlanParams,
@@ -36,17 +46,56 @@ use rand::{Rng, SeedableRng};
 use crate::ensembles::EnsembleKind;
 use crate::model::ModelFamily;
 
+/// A layer's one weight operand, in the form its batched kernel reads.
+#[derive(Debug, Clone)]
+enum Operand {
+    /// `[in, out]` row-major f32 matrix for the dense blocked matmul.
+    Dense(Tensor),
+    /// Packed `n`-bit codes for the fused quantized-domain GEMM
+    /// ([`FrozenMlp::with_fused_gemm`]), multiplied without ever
+    /// materializing the f32 matrix.
+    Packed(PackedGemm),
+}
+
 /// One dense layer of a frozen network: `y = x · W + b`.
 #[derive(Debug, Clone)]
 struct FrozenLayer {
-    /// `[in, out]` row-major weight matrix.
-    weight: Tensor,
+    /// The weights, held once.
+    weight: Operand,
+    /// `[in, out]`: the weight matrix's shape.
+    shape: [usize; 2],
     /// `[out]` bias (kept FP32, as is conventional).
     bias: Tensor,
-    /// Fused quantized-domain GEMM operand, when
-    /// [`FrozenMlp::with_fused_gemm`] was applied: the same weights as
-    /// packed codes, multiplied without dequantizing to a f32 matrix.
-    packed: Option<PackedGemm>,
+}
+
+impl FrozenLayer {
+    /// A layer multiplying by the `[in, out]` matrix `weight`.
+    fn dense(weight: Tensor, bias: Tensor) -> FrozenLayer {
+        let shape = [weight.shape()[0], weight.shape()[1]];
+        FrozenLayer {
+            weight: Operand::Dense(weight),
+            shape,
+            bias,
+        }
+    }
+
+    /// The weight matrix as a tensor: borrowed when dense, decoded
+    /// through the codebook when packed.
+    fn matrix(&self) -> Cow<'_, Tensor> {
+        match &self.weight {
+            Operand::Dense(w) => Cow::Borrowed(w),
+            Operand::Packed(pg) => Cow::Owned(Tensor::from_vec(pg.dequantize(), &self.shape)),
+        }
+    }
+
+    /// The weight values, row-major: borrowed when dense, decoded
+    /// through the codebook when packed.
+    fn values(&self) -> Cow<'_, [f32]> {
+        match &self.weight {
+            Operand::Dense(w) => Cow::Borrowed(w.data()),
+            Operand::Packed(pg) => Cow::Owned(pg.dequantize()),
+        }
+    }
 }
 
 /// The weight-quantization recipe recorded by
@@ -89,8 +138,8 @@ struct ActQuant {
 /// [`with_act_quant`](FrozenMlp::with_act_quant) →
 /// [`prewarm_codebooks`](FrozenMlp::prewarm_codebooks).
 ///
-/// Cloning deep-copies the weights, packed codes and frozen plans, so a
-/// snapshot built once can be published on several replicas.
+/// Cloning deep-copies the weight operands and frozen plans; servers
+/// share one snapshot across replicas behind an `Arc` instead.
 #[derive(Debug, Clone)]
 pub struct FrozenMlp {
     family: ModelFamily,
@@ -100,6 +149,76 @@ pub struct FrozenMlp {
     /// Set by [`quantize_weights`](FrozenMlp::quantize_weights); `None`
     /// for FP32 or externally-swapped weights (which carry no recipe).
     weight_quant: Option<WeightQuant>,
+}
+
+/// Re-encode one layer's served weights `w` (row-major, `[k, n_cols]`)
+/// into the packed codes of the recipe `wq` under the layer's frozen
+/// `params`.
+///
+/// # Panics
+///
+/// Panics if `params` does not match the recipe's format, or if any
+/// code fails to decode back to its weight's exact bit pattern.
+fn pack_layer(
+    wq: &WeightQuant,
+    params: PlanParams,
+    [k, n_cols]: [usize; 2],
+    w: &[f32],
+) -> PackedGemm {
+    // Both arms encode through the frozen codec's code index: the
+    // served weights are already on its grid, so each code is a
+    // lookup (zeros take the scalar encoder), and the decode
+    // table is the index's raw decode of every code.
+    let (table, codes, decode): (Vec<f32>, Vec<u32>, PackedDecode) = match params {
+        PlanParams::AdaptivFloat { exp_bias } => {
+            // Same field split FormatKind::build uses.
+            let e = 3.min(wq.n - 1);
+            let af = AdaptivFloat::new(wq.n, e).expect("paper field split");
+            let ap = AdaptivParams {
+                n: wq.n,
+                e,
+                exp_bias,
+            };
+            let encode = |v| af.encode_with(&ap, v);
+            let index = CodeIndex::build(wq.n, encode, |c, policy, stats| {
+                af.decode_with_policy(&ap, c, policy, stats)
+            })
+            .expect("AdaptivFloat codes decode to distinct values");
+            (
+                index.values(DecodePolicy::Raw),
+                index.encode(w, w, encode),
+                PackedDecode::AdaptivFloat {
+                    m: wq.n - e - 1,
+                    exp_bias,
+                },
+            )
+        }
+        PlanParams::Uniform { scale } => {
+            let uni = Uniform::new(wq.n).expect("valid word size");
+            let encode = |v| uni.encode_code(scale, v);
+            let index = CodeIndex::build(wq.n, encode, |c, policy, stats| {
+                uni.decode_code_with_policy(scale, c, policy, stats)
+            })
+            .expect("uniform levels decode to distinct values");
+            (
+                index.values(DecodePolicy::Raw),
+                index.encode(w, w, encode),
+                PackedDecode::Uniform { scale },
+            )
+        }
+        other => panic!("weight plan params {other:?} do not match the recipe format"),
+    };
+    // The bit-identity keystone: every packed code must decode to
+    // exactly the f32 the dense path serves.
+    for (i, (&v, &c)) in w.iter().zip(&codes).enumerate() {
+        assert_eq!(
+            table[c as usize].to_bits(),
+            v.to_bits(),
+            "weight {i} re-encode mismatch: {v} -> code {c} -> {}",
+            table[c as usize]
+        );
+    }
+    PackedGemm::build(k, n_cols, wq.n, &codes, table, decode)
 }
 
 fn ensemble_kind(family: ModelFamily) -> EnsembleKind {
@@ -140,11 +259,10 @@ impl FrozenMlp {
             .map(|((_, w), d)| {
                 let (cin, cout) = (d[0], d[1]);
                 let bias: Vec<f32> = (0..cout).map(|_| rng.gen_range(-0.1f32..0.1)).collect();
-                FrozenLayer {
-                    weight: Tensor::from_vec(w, &[cin, cout]),
-                    bias: Tensor::from_vec(bias, &[cout]),
-                    packed: None,
-                }
+                FrozenLayer::dense(
+                    Tensor::from_vec(w, &[cin, cout]),
+                    Tensor::from_vec(bias, &[cout]),
+                )
             })
             .collect();
         FrozenMlp {
@@ -190,15 +308,13 @@ impl FrozenMlp {
             .layers
             .into_iter()
             .map(|l| {
-                let shape = l.weight.shape().to_vec();
-                let plan = fmt.plan(&QuantStats::from_slice(l.weight.data()));
-                let q = plan.execute(l.weight.data());
-                params.push(*plan.params());
-                FrozenLayer {
-                    weight: Tensor::from_vec(q, &shape),
-                    bias: l.bias,
-                    packed: None,
-                }
+                let q = {
+                    let w = l.values();
+                    let plan = fmt.plan(&QuantStats::from_slice(&w));
+                    params.push(*plan.params());
+                    plan.execute(&w)
+                };
+                FrozenLayer::dense(Tensor::from_vec(q, &l.shape), l.bias)
             })
             .collect();
         Ok(FrozenMlp {
@@ -210,7 +326,7 @@ impl FrozenMlp {
         })
     }
 
-    /// Switch eligible layers to the fused quantized-domain GEMM: each
+    /// Switch every layer to the fused quantized-domain GEMM: each
     /// weight matrix is re-encoded into its `n`-bit codes and kept
     /// packed (`n/8` bytes per weight instead of 4), decoded on the fly
     /// inside the matmul microkernel. Batched evaluation stays
@@ -218,13 +334,16 @@ impl FrozenMlp {
     /// blocked matmul's ascending-`k` accumulation exactly, and every
     /// re-encoded code is verified to decode back to the served weight's
     /// bit pattern here (any violation panics rather than serving
-    /// subtly different results).
+    /// subtly different results). Once a layer passes that check its
+    /// f32 matrix is dropped: the packed codes are the layer's only
+    /// weight copy.
     ///
     /// Supported: [`FormatKind::AdaptivFloat`] and
     /// [`FormatKind::Uniform`] weights at `n ∈ {4, 8}`. The per-sample
-    /// [`evaluate`](Self::evaluate) reference deliberately keeps using
-    /// the dense weights, so the batch-vs-reference bit-identity tests
-    /// cross-check the fused kernel end to end.
+    /// [`evaluate`](Self::evaluate) reference multiplies by the values
+    /// the codebook decodes the codes to, in its own naive loop, so the
+    /// batch-vs-reference bit-identity tests still cross-check the fused
+    /// kernel end to end.
     ///
     /// # Panics
     ///
@@ -238,80 +357,32 @@ impl FrozenMlp {
             .clone()
             .expect("fused GEMM needs quantize_weights first (no recipe on these weights)");
         assert!(
-            matches!(wq.kind, FormatKind::AdaptivFloat | FormatKind::Uniform),
-            "fused GEMM supports AdaptivFloat and Uniform weights, not {}",
+            FrozenMlp::fuses(wq.kind, wq.n),
+            "fused GEMM packs 4- or 8-bit AdaptivFloat or Uniform codes, not {}-bit {}",
+            wq.n,
             wq.kind
         );
-        assert!(
-            wq.n == 4 || wq.n == 8,
-            "fused GEMM packs 4- or 8-bit codes, not {}-bit",
-            wq.n
-        );
         for (layer, params) in self.layers.iter_mut().zip(&wq.params) {
-            let shape = layer.weight.shape();
-            let (k, n_cols) = (shape[0], shape[1]);
-            let w = layer.weight.data();
-            // Both arms encode through the frozen codec's code index: the
-            // served weights are already on its grid, so each code is a
-            // lookup (zeros take the scalar encoder), and the decode
-            // table is the index's raw decode of every code.
-            let (table, codes, decode): (Vec<f32>, Vec<u32>, PackedDecode) = match *params {
-                PlanParams::AdaptivFloat { exp_bias } => {
-                    // Same field split FormatKind::build uses.
-                    let e = 3.min(wq.n - 1);
-                    let af = AdaptivFloat::new(wq.n, e).expect("paper field split");
-                    let ap = AdaptivParams {
-                        n: wq.n,
-                        e,
-                        exp_bias,
-                    };
-                    let encode = |v| af.encode_with(&ap, v);
-                    let index = CodeIndex::build(wq.n, encode, |c, policy, stats| {
-                        af.decode_with_policy(&ap, c, policy, stats)
-                    })
-                    .expect("AdaptivFloat codes decode to distinct values");
-                    (
-                        index.values(DecodePolicy::Raw),
-                        index.encode(w, w, encode),
-                        PackedDecode::AdaptivFloat {
-                            m: wq.n - e - 1,
-                            exp_bias,
-                        },
-                    )
-                }
-                PlanParams::Uniform { scale } => {
-                    let uni = Uniform::new(wq.n).expect("valid word size");
-                    let encode = |v| uni.encode_code(scale, v);
-                    let index = CodeIndex::build(wq.n, encode, |c, policy, stats| {
-                        uni.decode_code_with_policy(scale, c, policy, stats)
-                    })
-                    .expect("uniform levels decode to distinct values");
-                    (
-                        index.values(DecodePolicy::Raw),
-                        index.encode(w, w, encode),
-                        PackedDecode::Uniform { scale },
-                    )
-                }
-                other => panic!("weight plan params {other:?} do not match the recipe format"),
-            };
-            // The bit-identity keystone: every packed code must decode to
-            // exactly the f32 the dense path serves.
-            for (i, (&v, &c)) in w.iter().zip(&codes).enumerate() {
-                assert_eq!(
-                    table[c as usize].to_bits(),
-                    v.to_bits(),
-                    "weight {i} re-encode mismatch: {v} -> code {c} -> {}",
-                    table[c as usize]
-                );
-            }
-            layer.packed = Some(PackedGemm::build(k, n_cols, wq.n, &codes, table, decode));
+            // The f32 matrix (a temporary here) is dropped once packed.
+            let packed = pack_layer(&wq, *params, layer.shape, &layer.values());
+            layer.weight = Operand::Packed(packed);
         }
         self
     }
 
+    /// Whether [`with_fused_gemm`](Self::with_fused_gemm) can pack
+    /// weights quantized through `kind` at word size `n`: AdaptivFloat
+    /// or Uniform codes at `n ∈ {4, 8}`.
+    pub fn fuses(kind: FormatKind, n: u32) -> bool {
+        matches!(kind, FormatKind::AdaptivFloat | FormatKind::Uniform) && (n == 4 || n == 8)
+    }
+
     /// How many layers run the fused quantized-domain GEMM.
     pub fn fused_layers(&self) -> usize {
-        self.layers.iter().filter(|l| l.packed.is_some()).count()
+        self.layers
+            .iter()
+            .filter(|l| matches!(l.weight, Operand::Packed(_)))
+            .count()
     }
 
     /// Bytes of weight storage the batched path streams per request:
@@ -320,9 +391,9 @@ impl FrozenMlp {
     pub fn weight_bytes(&self) -> usize {
         self.layers
             .iter()
-            .map(|l| match &l.packed {
-                Some(pg) => pg.packed_bytes(),
-                None => 4 * l.weight.len(),
+            .map(|l| match &l.weight {
+                Operand::Packed(pg) => pg.packed_bytes(),
+                Operand::Dense(w) => 4 * w.len(),
             })
             .sum()
     }
@@ -347,7 +418,7 @@ impl FrozenMlp {
         let mut x = calib.clone();
         for (l, layer) in self.layers.iter().enumerate() {
             max.push(x.abs_max().max(f32::MIN_POSITIVE));
-            x = x.matmul(&layer.weight).add_row(&layer.bias);
+            x = x.matmul(&layer.matrix()).add_row(&layer.bias);
             if l < last {
                 x = x.map(|v| v.max(0.0));
             }
@@ -449,12 +520,12 @@ impl FrozenMlp {
 
     /// Input feature width.
     pub fn in_dim(&self) -> usize {
-        self.layers[0].weight.shape()[0]
+        self.layers[0].shape[0]
     }
 
     /// Output width.
     pub fn out_dim(&self) -> usize {
-        self.layers[self.layers.len() - 1].weight.shape()[1]
+        self.layers[self.layers.len() - 1].shape[1]
     }
 
     /// Number of dense layers.
@@ -462,16 +533,29 @@ impl FrozenMlp {
         self.layers.len()
     }
 
-    /// Layer `l`'s weight matrix: its values and `[in, out]` shape.
-    /// This is the surface a protected weight store reads to build its
-    /// master copy and encoded codes from.
+    /// Layer `l`'s weight matrix: its row-major values and `[in, out]`
+    /// shape. A dense layer lends its matrix; a fused layer has no f32
+    /// matrix, so its values are decoded from the packed codes through
+    /// the codebook on each call (bit-identical to the weights it was
+    /// fused from). This is the surface a protected weight store encodes
+    /// its codes from and a durable store exports.
     ///
     /// # Panics
     ///
     /// Panics if `l >= self.depth()`.
-    pub fn weight_data(&self, l: usize) -> (&[f32], &[usize]) {
+    pub fn weight_data(&self, l: usize) -> (Cow<'_, [f32]>, &[usize]) {
         let layer = &self.layers[l];
-        (layer.weight.data(), layer.weight.shape())
+        (layer.values(), &layer.shape)
+    }
+
+    /// Layer `l`'s `[in, out]` weight shape, without touching its
+    /// values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l >= self.depth()`.
+    pub fn weight_shape(&self, l: usize) -> &[usize] {
+        &self.layers[l].shape
     }
 
     /// Replace every weight matrix with externally-supplied values (one
@@ -499,17 +583,13 @@ impl FrozenMlp {
             .into_iter()
             .zip(weights)
             .map(|(l, w)| {
-                let shape = l.weight.shape().to_vec();
+                let shape = l.shape;
                 assert_eq!(
                     w.len(),
-                    l.weight.len(),
+                    shape[0] * shape[1],
                     "weight element count mismatch for shape {shape:?}"
                 );
-                FrozenLayer {
-                    weight: Tensor::from_vec(w, &shape),
-                    bias: l.bias,
-                    packed: None,
-                }
+                FrozenLayer::dense(Tensor::from_vec(w, &shape), l.bias)
             })
             .collect();
         FrozenMlp {
@@ -562,16 +642,21 @@ impl FrozenMlp {
     pub fn param_count(&self) -> usize {
         self.layers
             .iter()
-            .map(|l| l.weight.len() + l.bias.len())
+            .map(|l| l.shape[0] * l.shape[1] + l.bias.len())
             .sum()
     }
 
     /// Per-sample forward pass — the serving reference semantics.
     ///
     /// Implemented as an independent naive loop (ascending-`k`
-    /// accumulation per output element) rather than by delegating to
+    /// accumulation per output element) over each layer's weight values
+    /// rather than by delegating to
     /// [`evaluate_batch`](Self::evaluate_batch), so the batch path's
-    /// bit-identity is checked against separately-written code.
+    /// bit-identity is checked against separately-written code. A fused
+    /// layer's values are decoded from its packed codes through the
+    /// codebook ([`weight_data`](Self::weight_data)), never by the fused
+    /// kernel's in-register decoder, so the reference still cross-checks
+    /// that kernel — at the cost of one decode per fused layer per call.
     ///
     /// # Panics
     ///
@@ -584,8 +669,8 @@ impl FrozenMlp {
             if let Some(act) = &self.act {
                 x = act.plans[l].execute(&x);
             }
-            let out = layer.weight.shape()[1];
-            let w = layer.weight.data();
+            let out = layer.shape[1];
+            let w = layer.values();
             let mut y = vec![0.0f32; out];
             for (p, &a) in x.iter().enumerate() {
                 let w_row = &w[p * out..(p + 1) * out];
@@ -629,7 +714,7 @@ impl FrozenMlp {
         let widest = self
             .layers
             .iter()
-            .flat_map(|l| l.weight.shape().iter().copied())
+            .flat_map(|l| l.shape)
             .max()
             .expect("at least one layer");
         rows * widest
@@ -661,22 +746,22 @@ impl FrozenMlp {
         let mut width = self.in_dim();
         cur[..rows * width].copy_from_slice(inputs);
         for (l, layer) in self.layers.iter().enumerate() {
-            let out_w = layer.weight.shape()[1];
+            let out_w = layer.shape[1];
             if let Some(act) = &self.act {
                 act.plans[l].execute_in_place(&mut cur[..rows * width]);
             }
-            match &layer.packed {
+            match &layer.weight {
                 // Fused path: decode packed codes inside the kernel —
                 // bit-identical to the dense matmul below (pinned by
                 // tests/fused_gemm.rs), reading width/8 of the bytes.
-                Some(pg) => {
+                Operand::Packed(pg) => {
                     pg.matmul_into(&cur[..rows * width], rows, &mut nxt[..rows * out_w], packed)
                 }
-                None => Tensor::matmul_slice_into(
+                Operand::Dense(w) => Tensor::matmul_slice_into(
                     &cur[..rows * width],
                     rows,
                     width,
-                    &layer.weight,
+                    w,
                     &mut nxt[..rows * out_w],
                 ),
             }
@@ -807,8 +892,8 @@ mod tests {
     /// layer.
     fn synthesis_hash(m: &FrozenMlp) -> u64 {
         let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for layer in &m.layers {
-            for v in layer.weight.data().iter().chain(layer.bias.data()) {
+        for (l, layer) in m.layers.iter().enumerate() {
+            for v in m.weight_data(l).0.iter().chain(layer.bias.data()) {
                 for b in v.to_bits().to_le_bytes() {
                     h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
                 }

@@ -49,10 +49,51 @@ fn fused_matches_dense_at_every_batch_size() {
 }
 
 #[test]
+fn fused_layers_keep_only_codes_that_decode_to_the_served_weights() {
+    // A fused layer holds no f32 matrix: weight_data decodes its packed
+    // codes, and must give back the pre-fusion weights bit for bit. The
+    // per-sample evaluate() multiplies by those decoded values in its own
+    // naive loop, so it must agree with the unfused twin and with the
+    // fused batch kernel at b=1 and b=16.
+    for (kind, n) in [
+        (FormatKind::AdaptivFloat, 8),
+        (FormatKind::AdaptivFloat, 4),
+        (FormatKind::Uniform, 8),
+    ] {
+        let (dense, fused) = build_pair(kind, n);
+        for l in 0..dense.depth() {
+            let ((dw, ds), (fw, fs)) = (dense.weight_data(l), fused.weight_data(l));
+            assert_eq!(ds, fs, "{kind} n={n} layer {l} shape");
+            assert_eq!(fs, fused.weight_shape(l));
+            assert_eq!(bits(&fw), bits(&dw), "{kind} n={n} layer {l}");
+        }
+        let mut scratch = BatchScratch::new();
+        for rows in [1, 16] {
+            let x = FrozenMlp::synth_inputs(rows as u64 + 0xB17, rows, DIMS[0]);
+            let batch = fused
+                .evaluate_batch_into(x.data(), rows, &mut scratch)
+                .to_vec();
+            for r in 0..rows {
+                let one = fused.evaluate(x.row(r));
+                assert_eq!(bits(&one), bits(&dense.evaluate(x.row(r))), "{kind} n={n}");
+                assert_eq!(
+                    bits(&one),
+                    bits(&batch[r * fused.out_dim()..(r + 1) * fused.out_dim()]),
+                    "{kind} n={n} b={rows} row {r}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn fused_matches_per_sample_reference_with_act_quant() {
-    // The per-sample evaluate() path stays dense by design, so this
-    // cross-checks the fused batch kernel against independently written
-    // code — the same invariant frozen_batch.rs pins for dense models.
+    // The per-sample evaluate() multiplies by values the codebook
+    // decodes, in its own naive loop, never through the fused kernel, so
+    // this cross-checks the fused batch kernel against independently
+    // written code — the same invariant frozen_batch.rs pins for dense
+    // models. Fusing before calibrating also exercises calibration over
+    // packed layers.
     let calib = FrozenMlp::synth_inputs(99, 32, DIMS[0]);
     let fused = FrozenMlp::synthesize(ModelFamily::Seq2Seq, 0xBEEF, DIMS)
         .quantize_weights(FormatKind::AdaptivFloat, 8)

@@ -4,8 +4,8 @@
 //! [`DurableStore::open`] replays the store (checkpoint + WAL fold) and
 //! republishes every recovered variant **without requantizing
 //! anything**: weights come from the persisted codes, activation plans
-//! from the persisted calibrated ranges, protected masters from the
-//! deterministic synthesis the registry would have run anyway (once
+//! from the persisted calibrated ranges, biases and layer shapes from
+//! the deterministic synthesis the registry would have run anyway (once
 //! per checkpoint, however many variants share it). The
 //! restored snapshots are bit-identical to what the crashed process was
 //! serving. From then on the handle journals every registry mutation
@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
+use adaptivfloat::FormatKind;
 use af_models::{FrozenMlp, ModelFamily};
 use af_resilience::{ProtectedCodes, StorageCodec};
 use af_store::{
@@ -119,7 +120,7 @@ pub fn export_variant(variant: &ModelVariant) -> Result<StoredVariant, StoreErro
     if let Some(protected) = &variant.protected {
         let guard = protected.lock().expect("protected store poisoned");
         for (l, (codec, codes)) in guard.export_layers().into_iter().enumerate() {
-            let (_, shape) = model.weight_data(l);
+            let shape = model.weight_shape(l);
             let kind = codec.kind().ok_or_else(|| StoreError::Restore {
                 id: spec.id.clone(),
                 context: format!("layer {l} codec has no persistable format kind"),
@@ -148,12 +149,12 @@ pub fn export_variant(variant: &ModelVariant) -> Result<StoredVariant, StoreErro
                     context: format!("layer {l} recipe cannot rebuild a codec: {e}"),
                 }
             })?;
-            let codes = codec.encode_slice(data);
+            let codes = codec.encode_slice(&data);
             let (back, _) = codec.decode_slice(&codes, adaptivfloat::DecodePolicy::Harden);
             if back.len() != data.len()
                 || back
                     .iter()
-                    .zip(data)
+                    .zip(data.iter())
                     .any(|(a, b)| a.to_bits() != b.to_bits())
             {
                 exact = false;
@@ -181,7 +182,7 @@ pub fn export_variant(variant: &ModelVariant) -> Result<StoredVariant, StoreErro
                     rows: shape[0],
                     cols: shape[1],
                     payload: LayerPayload::RawF32,
-                    codes: raw_f32_codes(data),
+                    codes: raw_f32_codes(&data),
                 });
             }
         }
@@ -192,7 +193,7 @@ pub fn export_variant(variant: &ModelVariant) -> Result<StoredVariant, StoreErro
                 rows: shape[0],
                 cols: shape[1],
                 payload: LayerPayload::RawF32,
-                codes: raw_f32_codes(data),
+                codes: raw_f32_codes(&data),
             });
         }
     }
@@ -216,21 +217,46 @@ fn stored_family(rec: &SpecRecord) -> Result<ModelFamily, StoreError> {
         .ok_or_else(|| restore_err(&rec.id, format!("unknown model family {:?}", rec.family)))
 }
 
+/// The weight encoding every stored layer shares: `Some((kind, n))`
+/// when all are coded in one format at one word size, `None` when all
+/// are lossless f32.
+///
+/// # Errors
+///
+/// [`StoreError::Restore`] when the layers mix RawF32 and codes, or
+/// formats or word sizes.
+fn stored_encoding(stored: &StoredVariant) -> Result<Option<(FormatKind, u32)>, StoreError> {
+    let encoding = |layer: &StoredLayer| match &layer.payload {
+        LayerPayload::Codes { kind, n, .. } => Some((*kind, *n)),
+        LayerPayload::RawF32 => None,
+    };
+    let first = stored.layers.first().and_then(encoding);
+    if stored.layers.iter().any(|layer| encoding(layer) != first) {
+        return Err(restore_err(
+            &stored.spec.id,
+            "container mixes layer encodings".to_string(),
+        ));
+    }
+    Ok(first)
+}
+
 /// Rebuild a servable variant from its container image — **zero
 /// requantization**: weights decode from the stored codes, activation
 /// plans rebuild from the stored calibrated ranges, and the fused GEMM
 /// re-packs from the stored recipe, all through the registry's one
 /// snapshot builder. `base` is the FP32 checkpoint under the stored
 /// `(family, seed, dims)`, as [`FrozenMlp::synthesize`] draws it: it
-/// supplies the layer shapes checked against the container, the biases
-/// and the protected masters. [`DurableStore::open`] synthesizes each
-/// checkpoint once and hands every variant of it a copy, then installs
-/// the result at the stored generation.
+/// supplies the layer shapes checked against the container and the
+/// biases. [`DurableStore::open`] synthesizes each checkpoint once and
+/// hands every variant of it a copy, then installs the result at the
+/// stored generation.
 ///
 /// # Errors
 ///
 /// [`StoreError::Restore`] when the stored spec is internally
-/// inconsistent (unknown family, geometry mismatch, mixed layer modes).
+/// inconsistent (unknown family, geometry mismatch, mixed layer
+/// encodings, protected without codes) or asks for a fused GEMM its
+/// codes cannot take (see [`FrozenMlp::fuses`]).
 pub fn restore_variant(
     stored: &StoredVariant,
     base: FrozenMlp,
@@ -259,7 +285,7 @@ pub fn restore_variant(
         ));
     }
     for (l, layer) in stored.layers.iter().enumerate() {
-        let (_, shape) = base.weight_data(l);
+        let shape = base.weight_shape(l);
         if layer.rows != shape[0] || layer.cols != shape[1] {
             return Err(restore_err(
                 id,
@@ -270,6 +296,23 @@ pub fn restore_variant(
             ));
         }
     }
+    let encoding = stored_encoding(stored)?;
+    if rec.protected && encoding.is_none() {
+        return Err(restore_err(
+            id,
+            "protected variant stores its layers without codes".to_string(),
+        ));
+    }
+    // Checked here, before assembly, which would panic on it.
+    if rec.fused && !encoding.is_some_and(|(kind, n)| FrozenMlp::fuses(kind, n)) {
+        return Err(restore_err(
+            id,
+            match encoding {
+                Some((kind, n)) => format!("fused GEMM cannot take {kind} codes at n={n}"),
+                None => "fused GEMM cannot take RawF32 layers".to_string(),
+            },
+        ));
+    }
 
     let weights = if rec.protected {
         // Storage-authoritative: rebuild the protected store from the
@@ -278,16 +321,12 @@ pub fn restore_variant(
         let mut parts = Vec::with_capacity(stored.layers.len());
         for (l, layer) in stored.layers.iter().enumerate() {
             let LayerPayload::Codes { kind, n, params } = &layer.payload else {
-                return Err(restore_err(
-                    id,
-                    format!("protected variant stores layer {l} without codes"),
-                ));
+                unreachable!("every layer of a protected variant is coded");
             };
             let codec = StorageCodec::from_params(*kind, *n, *params).map_err(|e| {
                 restore_err(id, format!("layer {l} params cannot rebuild a codec: {e}"))
             })?;
-            let (master, _) = base.weight_data(l);
-            parts.push((codec, layer.codes.clone(), master.to_vec()));
+            parts.push((codec, layer.codes.clone()));
         }
         Weights::Protected(ProtectedWeights::restore(
             &rec.format_label,
@@ -307,20 +346,9 @@ pub fn restore_variant(
                 params.push(*p);
             }
         }
-        // Either every layer is coded (and carries its recipe) or none
-        // is (lossless f32).
-        let recipe = match &stored.layers[0].payload {
-            LayerPayload::Codes { kind, n, .. } if params.len() == values.len() => {
-                Some((*kind, *n, params))
-            }
-            LayerPayload::RawF32 if params.is_empty() => None,
-            _ => {
-                return Err(restore_err(
-                    id,
-                    "container mixes RawF32 and coded layers".to_string(),
-                ))
-            }
-        };
+        // Every layer is coded in one format (and carries its recipe) or
+        // none is (lossless f32).
+        let recipe = encoding.map(|(kind, n)| (kind, n, params));
         Weights::Decoded(Decoded {
             values,
             recipe,
@@ -520,5 +548,72 @@ impl RegistryJournal for DurableStore {
             self.note_error("unregister", &e);
         }
         self.maybe_rotate();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Export `spec`'s registered variant with its SPEC claiming a
+    /// fused GEMM, as a CRC-valid container written by another build
+    /// could.
+    fn claims_fused(spec: &VariantSpec) -> StoredVariant {
+        let registry = ModelRegistry::new();
+        let variant = registry.register(spec).expect("register");
+        let mut stored = export_variant(&variant).expect("export");
+        stored.spec.fused = true;
+        stored
+    }
+
+    /// Persist `stored` into a fresh store and open it as a registry.
+    fn open_with(tag: &str, stored: &StoredVariant) -> Result<DurableOpen, StoreError> {
+        let root =
+            std::env::temp_dir().join(format!("af-serve-durable-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (mut store, _) = Store::open(&root, SyncPolicy::EveryRecord).expect("fresh store");
+        store.persist_variant(stored).expect("persist");
+        drop(store);
+        let opened = DurableStore::open(&root, SyncPolicy::EveryRecord, 0);
+        let _ = std::fs::remove_dir_all(&root);
+        opened
+    }
+
+    fn assert_refused(tag: &str, stored: &StoredVariant, why: &str) {
+        let base = FrozenMlp::synthesize(ModelFamily::ResNet, 5, &stored.spec.dims);
+        for err in [
+            restore_variant(stored, base).expect_err("restore must refuse"),
+            open_with(tag, stored).expect_err("open must refuse"),
+        ] {
+            match err {
+                StoreError::Restore { id, context } => {
+                    assert_eq!(id, stored.spec.id);
+                    assert!(context.contains(why), "{context}");
+                }
+                other => panic!("expected a typed restore error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_fused_recipe_over_posit_codes() {
+        let spec = VariantSpec::quantized(
+            "p8",
+            ModelFamily::ResNet,
+            FormatKind::Posit,
+            8,
+            5,
+            &[12, 20, 6],
+        )
+        .protected();
+        assert_refused("posit8", &claims_fused(&spec), "Posit codes at n=8");
+    }
+
+    #[test]
+    fn restore_refuses_a_fused_recipe_over_raw_f32_layers() {
+        let spec = VariantSpec::fp32("f", ModelFamily::ResNet, 5, &[12, 20, 6]);
+        let stored = claims_fused(&spec);
+        assert!(matches!(stored.layers[0].payload, LayerPayload::RawF32));
+        assert_refused("rawf32", &stored, "RawF32 layers");
     }
 }

@@ -40,7 +40,7 @@
 //!    frozen weight codes behind SEC-DED parity
 //!    ([`af_resilience::ProtectedCodes`]); a background scrubber
 //!    repairs single-bit upsets in place, uncorrectable words trigger a
-//!    rebuild from the retained f32 master plus a hot swap, and a
+//!    re-encode from the FP32 checkpoint plus a hot swap, and a
 //!    supervisor restarts panicked lane workers (in-flight batch fails
 //!    with `500`, never hangs).
 //!

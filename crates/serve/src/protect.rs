@@ -1,44 +1,45 @@
 //! The protected weight store: each registered variant's quantized
 //! weight codes held behind SEC-DED parity
-//! ([`af_resilience::ProtectedCodes`]), with the clean f32 master copy
-//! retained for rebuilds.
+//! ([`af_resilience::ProtectedCodes`]), next to the codec that decodes
+//! them — and nothing else. The store keeps no f32 copy of the weights.
 //!
 //! The serving snapshot is always **built from what the storage
 //! decodes to** (never from a separate quantization pass), so after a
 //! scrub repairs a single-bit upset the storage decodes to exactly the
 //! weights already being served — responses stay bit-identical. When a
 //! double-bit upset makes a word uncorrectable, the owner re-encodes
-//! the affected storage from the master copy
-//! ([`rebuild_from_master`](ProtectedWeights::rebuild_from_master)) and
-//! hot-swaps a fresh snapshot.
+//! the storage from the variant's FP32 checkpoint
+//! ([`rebuild_from_checkpoint`](ProtectedWeights::rebuild_from_checkpoint))
+//! and hot-swaps a fresh snapshot. The checkpoint is not held here: the
+//! registry copies it from a resident FP32 twin or synthesizes it again
+//! from the spec, on that rare path only.
 
 use adaptivfloat::{DecodePolicy, FormatError, FormatKind, PackedCodes, PlanParams, QuantStats};
 use af_models::FrozenMlp;
 use af_resilience::{inject_protected_bits, EccStats, FaultMap, ProtectedCodes, StorageCodec};
 use af_resilience::{ScrubReport, CODEWORD_BITS};
 
-/// Fit a storage codec to a master tensor and encode it: quantize
+/// Fit a storage codec to an FP32 weight tensor and encode it: quantize
 /// through the format's plan for the tensor, then encode the rounded
 /// values by code-index lookup (zeros and misses take the scalar
-/// encoder). The codes equal per-element `encode_one` on the master.
-fn encode_master(
+/// encoder). The codes equal per-element `encode_one` on the tensor.
+fn fit_and_encode(
     kind: FormatKind,
     n: u32,
-    master: &[f32],
+    weights: &[f32],
 ) -> Result<(StorageCodec, PackedCodes), FormatError> {
-    let plan = kind.build(n)?.plan(&QuantStats::from_slice(master));
+    let plan = kind.build(n)?.plan(&QuantStats::from_slice(weights));
     let codec = StorageCodec::from_params(kind, n, *plan.params())?;
-    let codes = codec.encode_rounded(master, &plan.execute(master));
+    let codes = codec.encode_rounded(weights, &plan.execute(weights));
     Ok((codec, codes))
 }
 
-/// One layer's protected storage: the fitted codec, the SEC-DED
-/// protected codes, and the retained f32 master copy.
+/// One layer's protected storage: the fitted codec and the SEC-DED
+/// protected codes.
 #[derive(Debug, Clone)]
 struct ProtectedLayer {
     codec: StorageCodec,
     codes: ProtectedCodes,
-    master: Vec<f32>,
 }
 
 /// SEC-DED protected storage for every weight tensor of one variant.
@@ -50,8 +51,8 @@ pub struct ProtectedWeights {
 }
 
 impl ProtectedWeights {
-    /// Encode `model`'s weight tensors through `kind` at word size `n`
-    /// into protected storage, retaining each tensor's f32 master copy.
+    /// Encode `model`'s (FP32 checkpoint) weight tensors through `kind`
+    /// at word size `n` into protected storage.
     ///
     /// # Errors
     ///
@@ -65,12 +66,10 @@ impl ProtectedWeights {
         let format_label = format!("{}+secded", kind.build(n)?.name());
         let layers = (0..model.depth())
             .map(|l| {
-                let master = model.weight_data(l).0.to_vec();
-                let (codec, codes) = encode_master(kind, n, &master)?;
+                let (codec, codes) = fit_and_encode(kind, n, &model.weight_data(l).0)?;
                 Ok(ProtectedLayer {
                     codes: ProtectedCodes::protect(codes),
                     codec,
-                    master,
                 })
             })
             .collect::<Result<Vec<_>, FormatError>>()?;
@@ -89,7 +88,7 @@ impl ProtectedWeights {
 
     /// The recipe the stored codes were encoded under: format kind, word
     /// size and each layer's frozen params — what
-    /// [`FrozenMlp::quantize_weights`] records for the same masters.
+    /// [`FrozenMlp::quantize_weights`] records for the same checkpoint.
     pub(crate) fn recipe(&self) -> (FormatKind, u32, Vec<PlanParams>) {
         let codec = &self.layers[0].codec;
         let kind = codec.kind().expect("protected codecs have a format kind");
@@ -115,7 +114,8 @@ impl ProtectedWeights {
         self.raw_words(l) * CODEWORD_BITS as usize
     }
 
-    /// Times an uncorrectable error forced a re-encode from the master.
+    /// Times an uncorrectable error forced a re-encode from the
+    /// checkpoint.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
@@ -157,7 +157,7 @@ impl ProtectedWeights {
     /// Sweep every layer's storage once, repairing correctable errors
     /// in place. Returns the aggregate report; a nonzero
     /// `uncorrectable` means the owner must
-    /// [`rebuild_from_master`](Self::rebuild_from_master).
+    /// [`rebuild_from_checkpoint`](Self::rebuild_from_checkpoint).
     pub fn scrub(&mut self) -> ScrubReport {
         let mut total = ScrubReport::default();
         for layer in &mut self.layers {
@@ -169,19 +169,38 @@ impl ProtectedWeights {
         total
     }
 
-    /// Re-encode every layer's storage from its retained f32 master
-    /// copy — the recovery path for uncorrectable errors. Cumulative
-    /// ECC counters carry over (the error history survives the
-    /// rebuild); the rebuild counter increments.
-    pub fn rebuild_from_master(&mut self) {
-        for layer in &mut self.layers {
+    /// Re-encode every layer's storage from `checkpoint`, the FP32
+    /// model this store was [`build`](Self::build)t from (the same
+    /// `(family, seed, dims)` synthesis) — the recovery path for
+    /// uncorrectable errors. The codes come out bit-identical to the
+    /// original encoding. Cumulative ECC counters carry over (the error
+    /// history survives the rebuild); the rebuild counter increments
+    /// once per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `checkpoint` is not this store's: a different depth,
+    /// or a layer that does not refit the stored codec.
+    pub fn rebuild_from_checkpoint(&mut self, checkpoint: &FrozenMlp) {
+        assert_eq!(
+            checkpoint.depth(),
+            self.layers.len(),
+            "checkpoint depth differs from the store's"
+        );
+        for (l, layer) in self.layers.iter_mut().enumerate() {
             let kind = layer
                 .codec
                 .kind()
                 .expect("protected codecs have a format kind");
-            // Re-fitting the same master reproduces the same codec.
-            let (_, codes) = encode_master(kind, layer.codec.width(), &layer.master)
-                .expect("the geometry the store was built with");
+            // Re-fitting the same checkpoint reproduces the same codec.
+            let (codec, codes) =
+                fit_and_encode(kind, layer.codec.width(), &checkpoint.weight_data(l).0)
+                    .expect("the geometry the store was built with");
+            assert_eq!(
+                codec.params(),
+                layer.codec.params(),
+                "layer {l}: the checkpoint does not refit the stored codec"
+            );
             // Carry the history: a rebuilt store has seen every error
             // its predecessor counted.
             let stats = layer.codes.stats();
@@ -201,24 +220,19 @@ impl ProtectedWeights {
             .collect()
     }
 
-    /// Rebuild a store from persisted parts: one `(codec, codes,
-    /// master)` triple per layer, plus the label and rebuild counter the
-    /// container preserved. The masters come from the caller's
-    /// deterministic re-synthesis — they are not stored on disk.
+    /// Rebuild a store from persisted parts: one `(codec, codes)` pair
+    /// per layer, plus the label and rebuild counter the container
+    /// preserved.
     pub fn restore(
         format_label: &str,
         rebuilds: u64,
-        parts: Vec<(StorageCodec, ProtectedCodes, Vec<f32>)>,
+        parts: Vec<(StorageCodec, ProtectedCodes)>,
     ) -> ProtectedWeights {
         ProtectedWeights {
             format_label: format_label.to_string(),
             layers: parts
                 .into_iter()
-                .map(|(codec, codes, master)| ProtectedLayer {
-                    codec,
-                    codes,
-                    master,
-                })
+                .map(|(codec, codes)| ProtectedLayer { codec, codes })
                 .collect(),
             rebuilds,
         }
@@ -266,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn stored_codes_equal_the_scalar_encoding_of_the_master() {
+    fn stored_codes_equal_the_scalar_encoding_of_the_checkpoint() {
         // Planned rounding + index lookup must store exactly the codes
         // per-element `encode_one` would, for every format the registry
         // can protect — and a rebuild must store them again.
@@ -275,12 +289,12 @@ mod tests {
             for n in [4u32, 8] {
                 let mut store = ProtectedWeights::build(&m, kind, n).unwrap();
                 let built = store.export_layers();
-                store.rebuild_from_master();
+                store.rebuild_from_checkpoint(&m);
                 for (l, ((codec, codes), (_, rebuilt))) in
                     built.iter().zip(store.export_layers()).enumerate()
                 {
                     let mut want = PackedCodes::new(n);
-                    for &v in m.weight_data(l).0 {
+                    for &v in m.weight_data(l).0.iter() {
                         want.push(u64::from(codec.encode_one(v)));
                     }
                     assert_eq!(codes.codes(), &want, "{kind} n={n} layer {l}");
@@ -315,19 +329,35 @@ mod tests {
     fn double_bit_fault_forces_rebuild() {
         let mut hit = store();
         let (want, _) = hit.decoded_weights();
+        let codes = |s: &ProtectedWeights| -> Vec<PackedCodes> {
+            s.export_layers()
+                .into_iter()
+                .map(|(_, c)| c.codes().clone())
+                .collect()
+        };
+        let clean = codes(&hit);
         hit.flip_bit(1, 0, 3);
         hit.flip_bit(1, 0, 40);
         let report = hit.scrub();
         assert_eq!(report.uncorrectable, 1);
         assert_eq!(hit.rebuilds(), 0);
-        hit.rebuild_from_master();
+        hit.rebuild_from_checkpoint(&model());
         assert_eq!(hit.rebuilds(), 1);
         let (after, post) = hit.decoded_weights();
         assert_eq!((post.corrected, post.uncorrectable), (0, 0));
         let bits =
             |w: &Vec<Vec<f32>>| -> Vec<u32> { w.iter().flatten().map(|v| v.to_bits()).collect() };
         assert_eq!(bits(&after), bits(&want));
+        // The checkpoint re-encodes to the original codes bit for bit.
+        assert_eq!(codes(&hit), clean);
         // Error history survives the rebuild.
         assert_eq!(hit.ecc_stats().detected_uncorrectable, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not refit the stored codec")]
+    fn rebuild_refuses_another_checkpoint() {
+        let other = FrozenMlp::synthesize(ModelFamily::Transformer, 11, &[10, 16, 4]);
+        store().rebuild_from_checkpoint(&other);
     }
 }

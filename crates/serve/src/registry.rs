@@ -14,8 +14,9 @@
 //! pristine FP32 variant of the same `(family, seed, dims)`, whose
 //! model is exactly what synthesis would redraw, so its weights are
 //! copied rather than synthesized again. A fleet builds once and
-//! publishes a clone on every replica, each with its own protected
-//! storage, WAL record and generation.
+//! publishes a clone on every replica: the replicas share the one
+//! immutable snapshot, and each owns its protected storage, WAL record
+//! and generation.
 //!
 //! Every snapshot — a first build, a refresh from scrubbed storage, a
 //! restore from disk — is assembled by one builder from the FP32 base,
@@ -54,8 +55,8 @@ pub struct VariantSpec {
     /// storage (requires `weight_format`). The served snapshot is then
     /// built from what the storage decodes to, under the storage's
     /// encoding recipe; a scrubber can repair single-bit upsets in
-    /// place, and uncorrectable errors trigger a rebuild from the
-    /// retained f32 master plus a hot swap.
+    /// place, and uncorrectable errors trigger a re-encode from the
+    /// FP32 checkpoint plus a hot swap.
     pub protected: bool,
     /// Whether the variant serves batches through the fused
     /// quantized-domain GEMM (packed weight codes decoded inside the
@@ -133,8 +134,9 @@ impl VariantSpec {
 pub struct ModelVariant {
     /// Registry key.
     pub id: String,
-    /// The frozen inference network.
-    pub model: FrozenMlp,
+    /// The frozen inference network — shared, never mutated: a scrub
+    /// repairs the storage, and a rebuild publishes a new snapshot.
+    pub model: Arc<FrozenMlp>,
     /// Bumped on every hot swap of this id (0 for the first build).
     pub generation: u64,
     /// SEC-DED protected weight storage, when the spec asked for it.
@@ -149,13 +151,15 @@ pub struct ModelVariant {
 
 /// A variant built by [`ModelRegistry::build`] (or restored from disk)
 /// and not yet published: the snapshot and, for protected specs, the
-/// storage it was decoded from. Cloning deep-copies everything,
-/// protected storage included, so each registry a clone is
-/// [`publish`](ModelRegistry::publish)ed on owns an independent store.
+/// storage it was decoded from. Cloning shares the immutable snapshot
+/// (one resident copy of the weights however many replicas publish it)
+/// but deep-copies the protected storage, so each registry a clone is
+/// [`publish`](ModelRegistry::publish)ed on owns an independent store,
+/// ECC history and generation.
 #[derive(Debug, Clone)]
 pub struct BuiltVariant {
-    /// The frozen inference network.
-    pub model: FrozenMlp,
+    /// The frozen inference network, shared by every clone.
+    pub model: Arc<FrozenMlp>,
     /// SEC-DED protected weight storage, when the spec asked for it.
     pub protected: Option<ProtectedWeights>,
     /// The spec the variant was built from.
@@ -169,7 +173,7 @@ pub struct ScrubOutcome {
     pub corrected: usize,
     /// Detected-uncorrectable words (each forces the rebuild below).
     pub uncorrectable: usize,
-    /// Whether storage was re-encoded from the f32 master and the
+    /// Whether storage was re-encoded from the FP32 checkpoint and the
     /// served snapshot hot-swapped.
     pub rebuilt: bool,
     /// The variant's generation after the scrub (bumped iff `rebuilt`).
@@ -180,7 +184,8 @@ pub struct ScrubOutcome {
 const CALIB_ROWS: usize = 64;
 
 /// The FP32 checkpoint `spec` is built from: `master` when the caller
-/// has it, else a fresh synthesis under `(family, seed, dims)`.
+/// has it (a resident twin's copy), else a fresh synthesis under
+/// `(family, seed, dims)`. The one place a spec becomes its checkpoint.
 fn checkpoint(spec: &VariantSpec, master: Option<FrozenMlp>) -> FrozenMlp {
     master.unwrap_or_else(|| FrozenMlp::synthesize(spec.family, spec.seed, &spec.dims))
 }
@@ -305,7 +310,7 @@ pub(crate) fn assemble(
         model
     };
     Ok(BuiltVariant {
-        model,
+        model: Arc::new(model),
         protected,
         spec: spec.clone(),
     })
@@ -422,7 +427,7 @@ impl ModelRegistry {
     /// a new id) when `None`. Journals nothing.
     fn swap_in(
         &self,
-        model: FrozenMlp,
+        model: Arc<FrozenMlp>,
         spec: VariantSpec,
         protected: Option<Arc<Mutex<ProtectedWeights>>>,
         generation: Option<u64>,
@@ -489,13 +494,21 @@ impl ModelRegistry {
     /// unprotected. In-flight batches keep the `Arc` they hold.
     pub fn refresh_from_storage(&self, id: &str) -> Option<Arc<ModelVariant>> {
         let current = self.get(id)?;
+        current.protected.as_ref()?;
+        let base = checkpoint(&current.spec, self.twin_model(&current.spec));
+        self.refresh(&current, base)
+    }
+
+    /// [`refresh_from_storage`](Self::refresh_from_storage) of the
+    /// protected variant `current`, with `base` its FP32 checkpoint.
+    fn refresh(&self, current: &ModelVariant, base: FrozenMlp) -> Option<Arc<ModelVariant>> {
+        let id = &current.id;
         let store = Arc::clone(current.protected.as_ref()?);
         // Decode under the store lock, build the snapshot outside it.
         let decoded = Decoded::of(&store.lock().expect("protected store poisoned"));
-        let spec = &current.spec;
         let built = assemble(
-            spec,
-            checkpoint(spec, self.twin_model(spec)),
+            &current.spec,
+            base,
             Weights::Decoded(decoded),
             Ranges::Frozen(current.model.act_recipe()),
         )
@@ -511,28 +524,35 @@ impl ModelRegistry {
 
     /// Scrub `id`'s protected storage once: repair every correctable
     /// word in place; on any uncorrectable word, re-encode the storage
-    /// from the f32 master and hot-swap a fresh snapshot (generation
+    /// from the FP32 checkpoint (copied from a resident twin, else
+    /// synthesized again) and hot-swap a fresh snapshot (generation
     /// bump). Returns `None` for unknown or unprotected ids.
     pub fn scrub_variant(&self, id: &str) -> Option<ScrubOutcome> {
         let current = self.get(id)?;
         let store = Arc::clone(current.protected.as_ref()?);
-        let report = {
+        let (report, base) = {
             let mut guard = store.lock().expect("protected store poisoned");
             let report = guard.scrub();
-            if report.uncorrectable > 0 {
-                guard.rebuild_from_master();
-            }
-            report
+            // Rebuild under the same lock, so a concurrent scrub never
+            // detects (and counts) the same uncorrectable word again.
+            // The twin lookup takes the registry's read lock inside the
+            // store lock; no path takes them in the other order.
+            let base = (report.uncorrectable > 0).then(|| {
+                let base = checkpoint(&current.spec, self.twin_model(&current.spec));
+                guard.rebuild_from_checkpoint(&base);
+                base
+            });
+            (report, base)
         };
-        let rebuilt = report.uncorrectable > 0;
-        let generation = if rebuilt {
+        let rebuilt = base.is_some();
+        let generation = match base {
             // Correctable errors were repaired to bit-identical storage,
             // so the served snapshot is already right; only a rebuild
             // publishes a new one.
-            self.refresh_from_storage(id)
-                .map_or(current.generation, |v| v.generation)
-        } else {
-            current.generation
+            Some(base) => self
+                .refresh(&current, base)
+                .map_or(current.generation, |v| v.generation),
+            None => current.generation,
         };
         let outcome = ScrubOutcome {
             corrected: report.corrected,
@@ -551,7 +571,8 @@ impl ModelRegistry {
     /// dims equal `spec`'s. Its model is the synthesized FP32
     /// checkpoint itself. The copy is taken after the read lock is
     /// released, so a waiting [`publish`](Self::publish) never waits
-    /// for it.
+    /// for it; it is a copy because assembling a snapshot consumes its
+    /// base.
     fn twin_model(&self, spec: &VariantSpec) -> Option<FrozenMlp> {
         let twin = self
             .inner
@@ -567,7 +588,7 @@ impl ModelRegistry {
                     && t.dims == spec.dims
             })
             .map(Arc::clone)?;
-        Some(twin.model.clone())
+        Some((*twin.model).clone())
     }
 
     /// Fetch the current snapshot for `id` (read lock + `Arc` clone).
@@ -659,7 +680,7 @@ mod tests {
         assert!(Arc::ptr_eq(&current, &new));
     }
 
-    /// Output bits at b=1 (`evaluate`, dense weights) and at b=16
+    /// Output bits at b=1 (`evaluate`, the naive reference) and at b=16
     /// (`evaluate_batch`, through the fused GEMM when the model has it).
     fn served_bits(model: &FrozenMlp) -> [Vec<u32>; 2] {
         let x = FrozenMlp::synth_inputs(4, 16, 16);
@@ -728,35 +749,50 @@ mod tests {
     }
 
     #[test]
-    fn uncorrectable_upset_rebuilds_from_master_and_bumps_generation() {
-        for (spec, want) in protected_with_twin_bits() {
-            let fused = spec.fused;
-            let reg = ModelRegistry::new();
-            let v = reg.register(&spec).unwrap();
-            {
-                let mut store = v.protected.as_ref().unwrap().lock().unwrap();
-                store.flip_bit(0, 2, 6);
-                store.flip_bit(0, 2, 51);
+    fn uncorrectable_upset_rebuilds_from_the_checkpoint_and_bumps_generation() {
+        // The checkpoint comes from a resident FP32 twin when one is
+        // registered and from a fresh synthesis when not; either way the
+        // rebuilt storage holds the original codes bit for bit.
+        for with_twin in [false, true] {
+            for (spec, want) in protected_with_twin_bits() {
+                let fused = spec.fused;
+                let reg = ModelRegistry::new();
+                if with_twin {
+                    reg.register(&VariantSpec::fp32("f", spec.family, spec.seed, &spec.dims))
+                        .unwrap();
+                }
+                let v = reg.register(&spec).unwrap();
+                let codes = |v: &ModelVariant| -> Vec<_> {
+                    let store = v.protected.as_ref().unwrap().lock().unwrap();
+                    store
+                        .export_layers()
+                        .into_iter()
+                        .map(|(_, c)| c.codes().clone())
+                        .collect()
+                };
+                let clean = codes(&v);
+                {
+                    let mut store = v.protected.as_ref().unwrap().lock().unwrap();
+                    store.flip_bit(0, 2, 6);
+                    store.flip_bit(0, 2, 51);
+                }
+                let outcome = reg.scrub_variant("p").unwrap();
+                assert_eq!(outcome.uncorrectable, 1);
+                assert!(outcome.rebuilt);
+                assert_eq!(outcome.generation, 1, "rebuild hot-swaps a new snapshot");
+                let current = reg.get("p").unwrap();
+                assert_eq!(current.generation, 1);
+                assert!(!Arc::ptr_eq(&current, &v));
+                assert_eq!(codes(&current), clean, "fused={fused} twin={with_twin}");
+                assert_eq!(served_bits(&current.model), want, "fused={fused}");
+                let fused_layers = if fused { current.model.depth() } else { 0 };
+                assert_eq!(current.model.fused_layers(), fused_layers);
+                // The store Arc is shared across the swap; history survived,
+                // and the one detection counted one rebuild.
+                let store = current.protected.as_ref().unwrap().lock().unwrap();
+                assert_eq!(store.ecc_stats().detected_uncorrectable, 1);
+                assert_eq!(store.rebuilds(), 1);
             }
-            let outcome = reg.scrub_variant("p").unwrap();
-            assert_eq!(outcome.uncorrectable, 1);
-            assert!(outcome.rebuilt);
-            assert_eq!(outcome.generation, 1, "rebuild hot-swaps a new snapshot");
-            let current = reg.get("p").unwrap();
-            assert_eq!(current.generation, 1);
-            assert!(!Arc::ptr_eq(&current, &v));
-            assert_eq!(served_bits(&current.model), want, "fused={fused}");
-            let fused_layers = if fused { current.model.depth() } else { 0 };
-            assert_eq!(current.model.fused_layers(), fused_layers);
-            // The store Arc is shared across the swap; history survived.
-            let stats = current
-                .protected
-                .as_ref()
-                .unwrap()
-                .lock()
-                .unwrap()
-                .ecc_stats();
-            assert_eq!(stats.detected_uncorrectable, 1);
         }
     }
 

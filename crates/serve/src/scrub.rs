@@ -23,7 +23,7 @@ pub struct ScrubSummary {
     pub corrected: usize,
     /// Detected-uncorrectable words, summed over variants.
     pub uncorrectable: usize,
-    /// Variants rebuilt from their f32 master and hot-swapped.
+    /// Variants rebuilt from their FP32 checkpoint and hot-swapped.
     pub rebuilds: usize,
     /// Wall-clock duration of the sweep, in microseconds.
     pub elapsed_us: u64,

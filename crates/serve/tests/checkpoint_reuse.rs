@@ -79,7 +79,7 @@ fn assert_same(got: &ModelVariant, want: &ModelVariant) {
     for l in 0..g.depth() {
         let ((gd, gs), (wd, ws)) = (g.weight_data(l), w.weight_data(l));
         assert_eq!(gs, ws, "{id} layer {l} shape");
-        assert!(bits(gd) == bits(wd), "{id} layer {l} weights differ");
+        assert!(bits(&gd) == bits(&wd), "{id} layer {l} weights differ");
     }
     assert_eq!(g.weight_quant_recipe(), w.weight_quant_recipe(), "{id}");
     let act = |m: &FrozenMlp| {

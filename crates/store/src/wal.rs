@@ -53,7 +53,7 @@ pub enum WalOp {
         corrected: u64,
         /// Uncorrectable (double-bit) words detected.
         uncorrectable: u64,
-        /// Whether the pass re-encoded storage from the f32 master.
+        /// Whether the pass re-encoded storage from the FP32 checkpoint.
         rebuilt: bool,
         /// Generation after any rebuild republish.
         generation: u64,

@@ -135,7 +135,13 @@ impl PackedGemm {
         // contiguously (byte-aligned, nibbles low-first) so the kernel
         // streams one tile sequentially.
         let mut tiles = Vec::with_capacity(n.div_ceil(NC).max(1));
-        let mut bytes = Vec::new();
+        // Sized exactly: the codes are the layer's only resident weight
+        // copy, so no growth slack rides along with them.
+        let total: usize = (0..n)
+            .step_by(NC)
+            .map(|j0| k * ((n - j0).min(NC) * width as usize).div_ceil(8))
+            .sum();
+        let mut bytes = Vec::with_capacity(total);
         let mut j0 = 0;
         while j0 < n {
             let jw = (n - j0).min(NC);
@@ -154,6 +160,7 @@ impl PackedGemm {
             });
             j0 += jw;
         }
+        debug_assert_eq!(bytes.len(), total);
         PackedGemm {
             k,
             n,

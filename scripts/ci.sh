@@ -46,10 +46,12 @@ echo "== cargo test =="
 cargo test --workspace -q
 
 echo "== slow proptest leg (PROPTEST_CASES=4096) =="
-# The parsers that face untrusted bytes (the .afc container and the
-# WAL) and the format properties, at 64x the default case count: rare
-# inputs such as a single flipped version bit show up only in long runs.
+# The parsers that face untrusted bytes (the .afc container, the WAL
+# and the HTTP request parser) and the format properties, at 64x the
+# default case count: rare inputs such as a single flipped version bit
+# show up only in long runs.
 PROPTEST_CASES=4096 cargo test -q -p af-store --test corrupt_parse
+PROPTEST_CASES=4096 cargo test -q -p af-serve --test http_parser_props
 PROPTEST_CASES=4096 cargo test -q --test format_properties
 
 echo "== perfbench tests =="
@@ -64,10 +66,15 @@ echo "== bit-identity under AF_NUM_THREADS=1 =="
 AF_NUM_THREADS=1 cargo test -q -p adaptivfloat --test plan_matches_backends
 AF_NUM_THREADS=1 cargo test -q -p af-models --test frozen_batch
 AF_NUM_THREADS=1 cargo test -q -p af-models --test alloc_regression
+AF_NUM_THREADS=1 cargo test -q -p af-models --test fused_gemm
 AF_NUM_THREADS=1 cargo test -q -p af-resilience --test codec_equivalence
 AF_NUM_THREADS=1 cargo test -q --test serve_e2e
 # Variants built from a resident FP32 twin equal cold builds bit for bit.
 AF_NUM_THREADS=1 cargo test -q -p af-serve --test checkpoint_reuse
+# Each weight is resident once per variant, and replicas share one
+# snapshot while owning their storage.
+AF_NUM_THREADS=1 cargo test -q -p af-serve --test resident_bytes
+AF_NUM_THREADS=1 cargo test -q -p af-fleet --test replica_independence
 # The reactor front end must also hold with the runtime forced serial
 # (one compute thread under the event loop — replies still wake it).
 AF_NUM_THREADS=1 cargo test -q --test fleet_e2e
@@ -90,6 +97,8 @@ AF_FORCE_SCALAR=1 cargo test -q -p af-models --test fused_gemm
 AF_FORCE_SCALAR=1 cargo test -q -p af-resilience --test codec_equivalence
 AF_FORCE_SCALAR=1 cargo test -q --test serve_e2e
 AF_FORCE_SCALAR=1 cargo test -q -p af-serve --test checkpoint_reuse
+AF_FORCE_SCALAR=1 cargo test -q -p af-serve --test resident_bytes
+AF_FORCE_SCALAR=1 cargo test -q -p af-fleet --test replica_independence
 
 echo "== fault_sweep smoke (--quick) =="
 TMP_DIR="$(mktemp -d)"
