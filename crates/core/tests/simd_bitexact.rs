@@ -3,7 +3,7 @@
 //! The SIMD layer's contract is **exactness, not approximation**: for
 //! any input — including NaN, ±∞, subnormals, and awkward lengths that
 //! exercise vector remainders — the vectorized quantize, scan, LUT
-//! gather, pack, decode, and axpy paths must produce the same bits as
+//! gather, pack, decode, and GEMM microkernel paths must produce the same bits as
 //! the scalar code they replace. `scripts/ci.sh` runs this suite twice,
 //! once normally and once under `AF_FORCE_SCALAR=1`, so both dispatch
 //! legs stay pinned.
@@ -32,6 +32,22 @@ fn special(i: u64) -> f32 {
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|f| f.to_bits()).collect()
+}
+
+/// Bits with every NaN folded to one pattern. Rust leaves the sign and
+/// payload of an arithmetic NaN unspecified (the compiler may commute a
+/// multiply or an add), so arithmetic kernels are pinned bit for bit on
+/// every other value and by NaN-ness on NaNs.
+fn nan_canonical_bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|f| {
+            if f.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                f.to_bits()
+            }
+        })
+        .collect()
 }
 
 /// Every format × word size × awkward length: the plan's dispatched
@@ -101,19 +117,29 @@ proptest! {
         prop_assert_eq!(adaptivfloat::simd::scan_abs(&data), scan_reference(&data));
     }
 
+    /// The GEMM microkernel against the naive ascending-depth loop on
+    /// special values, at shapes around its 4-row, 8- and 16-lane and
+    /// 64-wide strip boundaries.
     #[test]
-    fn axpy_matches_scalar_update(
-        a in -10.0f32..10.0,
-        raw in prop::collection::vec(0u64..u64::MAX, 0..100),
+    fn gemm_tile_matches_scalar_update(
+        rows in 1usize..10,
+        depth in 1usize..6,
+        width in 1usize..80,
+        seed in 0u64..1000,
     ) {
-        let x: Vec<f32> = raw.iter().map(|&i| special(i)).collect();
-        let mut y: Vec<f32> = raw.iter().map(|&i| special(i ^ 0x5a5a)).collect();
-        let mut want = y.clone();
-        for (o, &v) in want.iter_mut().zip(&x) {
-            *o += a * v;
+        let a: Vec<f32> = (0..(rows * depth) as u64).map(|i| special(i * 3 + seed)).collect();
+        let b: Vec<f32> = (0..(depth * width) as u64).map(|i| special(i * 5 + seed)).collect();
+        let mut c: Vec<f32> = (0..(rows * width) as u64).map(|i| special(i ^ seed)).collect();
+        let mut want = c.clone();
+        for i in 0..rows {
+            for j in 0..width {
+                for p in 0..depth {
+                    want[i * width + j] += a[i * depth + p] * b[p * width + j];
+                }
+            }
         }
-        adaptivfloat::simd::axpy(a, &x, &mut y);
-        prop_assert_eq!(bits(&y), bits(&want));
+        adaptivfloat::simd::gemm_tile([rows, depth, width], &a, depth, &b, width, &mut c, width);
+        prop_assert_eq!(nan_canonical_bits(&c), nan_canonical_bits(&want));
     }
 
     /// Bulk u32 extend + unpack round-trips against scalar push/get at

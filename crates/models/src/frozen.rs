@@ -209,8 +209,11 @@ fn pack_layer(
         other => panic!("weight plan params {other:?} do not match the recipe format"),
     };
     // The bit-identity keystone: every packed code must decode to
-    // exactly the f32 the dense path serves.
-    for (i, (&v, &c)) in w.iter().zip(&codes).enumerate() {
+    // exactly the f32 the dense path serves. Scan for the first
+    // mismatch; only a failure formats its message.
+    let decodes_to = |v: f32, c: u32| table[c as usize].to_bits() == v.to_bits();
+    if let Some(i) = w.iter().zip(&codes).position(|(&v, &c)| !decodes_to(v, c)) {
+        let (v, c) = (w[i], codes[i]);
         assert_eq!(
             table[c as usize].to_bits(),
             v.to_bits(),

@@ -17,8 +17,9 @@
 //! * the packed layout is blocked per column tile, and the kernel walks
 //!   `(k-tile, j-tile)` in the same order with the same `KC`/`NC` as the
 //!   dense kernel, so every output element accumulates in ascending `k`;
-//! * the row update is the same SIMD `axpy` (multiply then add per lane,
-//!   no FMA) the dense kernel dispatches;
+//! * the decoded tile goes through the same microkernel,
+//!   [`simd::gemm_tile`] (multiply then add, no FMA), the dense kernel
+//!   runs;
 //! * the decode is bit-exact: AdaptivFloat codes are rebuilt into f32
 //!   patterns algebraically (valid in the fast-quantizer envelope),
 //!   uniform codes go through the same exact `i32 → f64 · scale → f32`
@@ -274,6 +275,9 @@ impl PackedGemm {
         assert_eq!(a.len(), m * self.k, "packed matmul lhs length");
         assert_eq!(out.len(), m * self.n, "packed matmul output length");
         out.fill(0.0);
+        if m == 0 {
+            return;
+        }
         scratch.tile.resize(KC * NC, 0.0);
         let (k, n) = (self.k, self.n);
         let mut k0 = 0;
@@ -286,13 +290,15 @@ impl PackedGemm {
                 for (p, dst) in scratch.tile.chunks_mut(jw).take(k1 - k0).enumerate() {
                     self.decode_row(tile, k0 + p, dst);
                 }
-                for i in 0..m {
-                    let a_row = &a[i * k + k0..i * k + k1];
-                    let out_row = &mut out[i * n + tile.j0..i * n + tile.j0 + jw];
-                    for (p, &av) in a_row.iter().enumerate() {
-                        simd::axpy(av, &scratch.tile[p * jw..(p + 1) * jw], out_row);
-                    }
-                }
+                simd::gemm_tile(
+                    [m, k1 - k0, jw],
+                    &a[k0..],
+                    k,
+                    &scratch.tile,
+                    jw,
+                    &mut out[tile.j0..],
+                    n,
+                );
             }
             k0 = k1;
         }

@@ -3,13 +3,16 @@
 use adaptivfloat::par;
 use std::fmt;
 
-/// Depth-tile size for the blocked matmul kernel: one `KC × NC` tile of
-/// the right-hand matrix (256 KiB) stays L2-resident while every row of
-/// the left block streams against it. Shared with the packed-weight
-/// kernel in [`crate::packed`] so both walk tiles in the same order.
+/// Depth-tile size of both GEMMs: one `KC × NC` tile of the right-hand
+/// matrix (256 KiB) stays L2-resident while every row of the left block
+/// streams against it, and the microkernel's accumulators go back to
+/// `out` between depth tiles (an exact f32 store and reload, so the
+/// tile size cannot change a bit). Shared with the packed-weight kernel
+/// in [`crate::packed`], whose decoded tile is this size.
 pub(crate) const KC: usize = 128;
-/// Column-tile size: one output-row tile (`NC` f32, 2 KiB) stays in L1
-/// across the whole depth tile.
+/// Column-tile size of both GEMMs: `NC` columns bound the right-hand
+/// tile above, and the packed layout stores its codes per `NC`-column
+/// tile.
 pub(crate) const NC: usize = 512;
 /// Products below this many multiply-accumulates run serially — thread
 /// spawn cost dominates under ~2ⁱ⁸ MACs (≈ a 64³ matmul).
@@ -26,11 +29,13 @@ fn par_row_block(m: usize, k: usize, n: usize) -> usize {
     }
 }
 
-/// Blocked i-k-j product of a row block: `out_rows += a_rows · b` where
+/// Blocked product of a row block: `out_rows += a_rows · b` where
 /// `a_rows` is `rows × k`, `b` is `k × n`, `out_rows` is `rows × n` (all
-/// row-major, `out_rows` pre-zeroed, `n > 0`). Accumulation order per
-/// output element is ascending `k`, identical to the naive loop, so
-/// results are bit-identical at any tile size or thread count.
+/// row-major, `out_rows` pre-zeroed, `n > 0`), one
+/// [`gemm_tile`](adaptivfloat::simd::gemm_tile) call per `KC × NC`
+/// tile. Accumulation order per output element is ascending `k`,
+/// identical to the naive loop, so results are bit-identical at any
+/// tile size or thread count.
 fn matmul_rows_kernel(a_rows: &[f32], b: &[f32], out_rows: &mut [f32], k: usize, n: usize) {
     let rows = out_rows.len() / n;
     let mut k0 = 0;
@@ -39,16 +44,15 @@ fn matmul_rows_kernel(a_rows: &[f32], b: &[f32], out_rows: &mut [f32], k: usize,
         let mut j0 = 0;
         while j0 < n {
             let j1 = (j0 + NC).min(n);
-            for i in 0..rows {
-                let a_row = &a_rows[i * k + k0..i * k + k1];
-                let out_row = &mut out_rows[i * n + j0..i * n + j1];
-                for (p, &a) in a_row.iter().enumerate() {
-                    let b_row = &b[(k0 + p) * n + j0..(k0 + p) * n + j1];
-                    // Vector-dispatched `out += a · b_row` (multiply then
-                    // add per lane — bit-identical to the scalar loop).
-                    adaptivfloat::simd::axpy(a, b_row, out_row);
-                }
-            }
+            adaptivfloat::simd::gemm_tile(
+                [rows, k1 - k0, j1 - j0],
+                &a_rows[k0..],
+                k,
+                &b[k0 * n + j0..],
+                n,
+                &mut out_rows[j0..],
+                n,
+            );
             j0 = j1;
         }
         k0 = k1;

@@ -67,6 +67,9 @@ AF_NUM_THREADS=1 cargo test -q -p adaptivfloat --test plan_matches_backends
 AF_NUM_THREADS=1 cargo test -q -p af-models --test frozen_batch
 AF_NUM_THREADS=1 cargo test -q -p af-models --test alloc_regression
 AF_NUM_THREADS=1 cargo test -q -p af-models --test fused_gemm
+# Both GEMMs share one microkernel; each must still equal the naive
+# ascending-k loop when the row split runs serial.
+AF_NUM_THREADS=1 cargo test -q -p af-tensor --test gemm_oracle
 AF_NUM_THREADS=1 cargo test -q -p af-resilience --test codec_equivalence
 AF_NUM_THREADS=1 cargo test -q --test serve_e2e
 # Variants built from a resident FP32 twin equal cold builds bit for bit.
@@ -93,6 +96,7 @@ AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test simd_bitexact
 AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test kernel_bit_exact
 AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test plan_matches_backends
 AF_FORCE_SCALAR=1 cargo test -q -p af-tensor --test packed_gemm
+AF_FORCE_SCALAR=1 cargo test -q -p af-tensor --test gemm_oracle
 AF_FORCE_SCALAR=1 cargo test -q -p af-models --test fused_gemm
 AF_FORCE_SCALAR=1 cargo test -q -p af-resilience --test codec_equivalence
 AF_FORCE_SCALAR=1 cargo test -q --test serve_e2e
