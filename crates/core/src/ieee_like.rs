@@ -92,7 +92,9 @@ impl IeeeLikeFloat {
     }
 
     /// Quantize one value with round-to-nearest (ties away from zero),
-    /// saturating at [`value_max`](Self::value_max). NaN maps to `0.0`.
+    /// saturating at [`value_max`](Self::value_max). NaN maps to `0.0`;
+    /// a zero result keeps the sign of `v` (`-0.0` stays `-0.0`, and a
+    /// tiny negative flushes to `-0.0`).
     pub fn quantize_value(&self, v: f32) -> f32 {
         if v.is_nan() {
             return 0.0;
@@ -100,7 +102,7 @@ impl IeeeLikeFloat {
         let sign = if v.is_sign_negative() { -1.0f64 } else { 1.0 };
         let a = v.abs() as f64;
         if a == 0.0 {
-            return 0.0;
+            return v;
         }
         let vmax = self.value_max();
         if a >= vmax {
@@ -130,11 +132,13 @@ impl IeeeLikeFloat {
         (sign * exp2(exp) * q) as f32
     }
 
-    /// Encode a value to its `n`-bit pattern (quantizing first).
+    /// Encode a value to its `n`-bit pattern (quantizing first). A
+    /// `-0.0` result keeps its sign bit, so `decode(encode(v))` has the
+    /// bits of `quantize_value(v)`.
     pub fn encode(&self, v: f32) -> u32 {
         let q = self.quantize_value(v);
         let m = self.mantissa_bits();
-        let sign_bit = u32::from(q.is_sign_negative() && q != 0.0);
+        let sign_bit = u32::from(q.is_sign_negative());
         if q == 0.0 {
             return sign_bit << (self.n - 1);
         }
@@ -278,6 +282,36 @@ mod tests {
                 assert_eq!(q, v, "n={n} e={e} code={code:#x} not a fixed point");
                 let re = fmt.encode(v);
                 assert_eq!(fmt.decode(re), v, "n={n} e={e} code={code:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_of_encode_has_the_bits_of_quantize() {
+        // Tiny negatives flush to -0.0; the code must keep that sign.
+        for (n, e) in [(4, 3), (6, 3), (8, 4), (8, 3)] {
+            let fmt = IeeeLikeFloat::new(n, e).unwrap();
+            let sub = fmt.value_min_subnormal() as f32;
+            let mut sweep = vec![0.0f32, -0.0, sub * 0.25, -sub * 0.25, -sub * 0.5, -1e-30];
+            let mut x = -40.0f32;
+            while x < 40.0 {
+                sweep.push(x);
+                sweep.push(x * 1e-4);
+                x += 0.0731;
+            }
+            for v in sweep {
+                let q = fmt.quantize_value(v);
+                assert_eq!(
+                    fmt.decode(fmt.encode(v)).to_bits(),
+                    q.to_bits(),
+                    "n={n} e={e} v={v:e}"
+                );
+                // Quantized values are fixed points, bit for bit.
+                assert_eq!(
+                    fmt.quantize_value(q).to_bits(),
+                    q.to_bits(),
+                    "n={n} e={e} v={v:e}"
+                );
             }
         }
     }

@@ -610,6 +610,55 @@ mod tests {
     }
 
     #[test]
+    fn float8_variant_exports_codes_and_restores_bit_identically() {
+        // Float8 flushes tiny negative weights to -0.0; their codes must
+        // keep the sign, or the export falls back to raw f32 layers.
+        let spec = VariantSpec::quantized(
+            "f8",
+            ModelFamily::Transformer,
+            FormatKind::Float,
+            8,
+            5,
+            &[96, 192, 48],
+        );
+        let variant = ModelRegistry::new().register(&spec).expect("register");
+        let model = &variant.model;
+        let weights: Vec<Vec<u32>> = (0..model.depth())
+            .map(|l| model.weight_data(l).0.iter().map(|v| v.to_bits()).collect())
+            .collect();
+        let neg_zero = (-0.0f32).to_bits();
+        assert!(
+            weights.iter().flatten().any(|&b| b == neg_zero),
+            "no -0.0 weight"
+        );
+        let stored = export_variant(&variant).expect("export");
+        for layer in &stored.layers {
+            assert!(
+                matches!(layer.payload, LayerPayload::Codes { .. }),
+                "{:?}",
+                layer.payload
+            );
+        }
+        let base = FrozenMlp::synthesize(ModelFamily::Transformer, 5, &spec.dims);
+        let restored = restore_variant(&stored, base).expect("restore").model;
+        for (l, want) in weights.iter().enumerate() {
+            let got: Vec<u32> = restored
+                .weight_data(l)
+                .0
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(&got, want, "layer {l}");
+        }
+        let input: Vec<f32> = (0..96).map(|i| (i as f32 * 0.37).sin()).collect();
+        let bits = |v: Vec<f32>| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(restored.evaluate(&input)),
+            bits(model.evaluate(&input))
+        );
+    }
+
+    #[test]
     fn restore_refuses_a_fused_recipe_over_raw_f32_layers() {
         let spec = VariantSpec::fp32("f", ModelFamily::ResNet, 5, &[12, 20, 6]);
         let stored = claims_fused(&spec);
