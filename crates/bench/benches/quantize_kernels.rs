@@ -149,12 +149,13 @@ fn simd_vs_scalar(c: &mut Criterion) {
 }
 
 /// Fused quantized-domain GEMM vs dequantize-then-dense at serving-like
-/// shapes. Elements = MACs. The fused path reads `width/8` of the
-/// weight bytes and decodes inside the kernel; same bits out.
+/// shapes (batch 1 and 8 on a served 192-wide layer, plus a wide one).
+/// Elements = MACs. The fused path reads `width/8` of the weight bytes
+/// and decodes inside the kernel; same bits out.
 fn packed_gemm(c: &mut Criterion) {
     let mut g = c.benchmark_group("packed_gemm");
     let af = AdaptivFloat::new(8, 3).expect("valid");
-    for (m, k, n) in [(8usize, 192usize, 192usize), (8, 512, 1024)] {
+    for (m, k, n) in [(1usize, 192usize, 192usize), (8, 192, 192), (8, 512, 1024)] {
         let w = data(k * n);
         let params = af.params_for(&w);
         let codes: Vec<u32> = w.iter().map(|&v| af.encode_with(&params, v)).collect();
