@@ -223,7 +223,7 @@ fn run_arm(breakers: bool, sick: usize, killed: usize) -> ChaosArm {
             );
             router.register_model(&spec).expect("register model");
             let built = ModelRegistry::build(&spec).expect("off-ring build");
-            router.shard(1).expect("shard 1 live").place(&built);
+            router.shard(1).expect("shard 1 live").place(&built, None);
             models.push(id);
         }
         k += 1;

@@ -379,7 +379,8 @@ impl ChaosHarness {
     /// # Panics
     ///
     /// If any live shard's engine breaks a counter conservation law
-    /// after recovery ([`Engine::assert_conserved`]).
+    /// after recovery, or a killed shard's engine does once it has
+    /// drained ([`Engine::assert_conserved`]).
     ///
     /// [`Engine::assert_conserved`]: af_serve::Engine::assert_conserved
     pub fn run(&mut self, schedule: &ChaosSchedule) -> ChaosReport {
@@ -433,8 +434,14 @@ impl ChaosHarness {
     fn apply(&mut self, event: ChaosEvent, report: &mut ChaosReport) {
         match event {
             ChaosEvent::Kill { shard } => {
+                let engine = self.router.shard(shard).map(|s| Arc::clone(s.engine()));
                 if self.router.kill(shard) {
                     report.kills += 1;
+                }
+                // The dead shard takes no new work; once what it had
+                // admitted drains, its counters must balance too.
+                if let Some(engine) = engine {
+                    engine.assert_conserved();
                 }
             }
             ChaosEvent::Revive { shard } => self.revive(shard, report),

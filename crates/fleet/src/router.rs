@@ -71,7 +71,7 @@ use af_serve::sys::Waker;
 use af_serve::{
     BuiltVariant, Engine, ModelRegistry, Progress, ScrubSummary, ServeError, VariantSpec,
 };
-use af_store::StoreError;
+use af_store::{ContainerBody, StoreError};
 
 use crate::health::{Admission, BreakerState, HealthPolicy, HealthRegistry, Transition};
 use crate::lock;
@@ -439,8 +439,10 @@ impl FleetRouter {
 
     /// Register (or hot-swap) a model fleet-wide: build it once, record
     /// it in the catalog and place a clone on every live shard of its
-    /// replica set. Returns the ring placement (primary first). Dead or
-    /// future members pick the model up at [`revive`](Self::revive)/
+    /// replica set. An unprotected build is also exported and encoded
+    /// once: every replica's store writes the same container body.
+    /// Returns the ring placement (primary first). Dead or future
+    /// members pick the model up at [`revive`](Self::revive)/
     /// [`join`](Self::join) reconciliation.
     ///
     /// # Errors
@@ -449,11 +451,12 @@ impl FleetRouter {
     /// (nothing is placed and the catalog is left unchanged).
     pub fn register_model(&self, spec: &VariantSpec) -> Result<Vec<usize>, ServeError> {
         let built = ModelRegistry::build(spec).map_err(|_| ServeError::Internal)?;
+        let body = built.container_body();
         let placement = self.placement(&spec.id);
         let shards = lock::read(&self.shards);
         for index in &placement {
             if let Some(shard) = shards.get(index) {
-                shard.place(&built);
+                shard.place(&built, body.as_ref());
             }
         }
         drop(shards);
@@ -519,7 +522,8 @@ impl FleetRouter {
         let shards: Vec<Arc<Shard>> = lock::read(&self.shards).values().cloned().collect();
         for spec in &specs {
             let placement = self.placement(&spec.id);
-            // Built on first need, then placed on every shard missing it.
+            // Built (and its body encoded) on first need, then placed
+            // on every shard missing it.
             let mut built = None;
             for shard in &shards {
                 let should = placement.contains(&shard.index());
@@ -1074,15 +1078,23 @@ fn settle(router: &FleetRouter, step: Step) -> Progress {
     }
 }
 
-/// Reconciliation's placement: build `spec` on first need (it was built
-/// when it entered the catalog, so a failure here only skips the
-/// shard), then place the one build on `shard`.
-fn place_built(shard: &Shard, spec: &VariantSpec, built: &mut Option<BuiltVariant>) {
+/// Reconciliation's placement: build `spec` and encode its container
+/// body on first need (it was built when it entered the catalog, so a
+/// failure here only skips the shard), then place the one build on
+/// `shard`.
+fn place_built(
+    shard: &Shard,
+    spec: &VariantSpec,
+    built: &mut Option<(BuiltVariant, Option<ContainerBody>)>,
+) {
     if built.is_none() {
-        *built = ModelRegistry::build(spec).ok();
+        *built = ModelRegistry::build(spec).ok().map(|b| {
+            let body = b.container_body();
+            (b, body)
+        });
     }
-    if let Some(built) = built {
-        shard.place(built);
+    if let Some((built, body)) = built {
+        shard.place(built, body.as_ref());
     }
 }
 

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use af_serve::{BuiltVariant, DurableStore, Engine, EngineConfig, RecoveryReport};
-use af_store::{shard_root, StoreError, SyncPolicy};
+use af_store::{shard_root, ContainerBody, StoreError, SyncPolicy};
 
 /// How a shard opens its engine and store.
 #[derive(Debug, Clone, Copy)]
@@ -113,9 +113,13 @@ impl Shard {
     /// has a serving lane. The one path every placement takes, so a
     /// spec is built once however many replicas it lands on. The clone
     /// shares the built snapshot and copies only protected storage:
-    /// placing copies no weights.
-    pub fn place(&self, built: &BuiltVariant) {
-        self.engine.registry().publish(built.clone());
+    /// placing copies no weights. `body` is the build's
+    /// [`container_body`](BuiltVariant::container_body) when the caller
+    /// places it on several shards: each shard's store then writes
+    /// those bytes behind its own head instead of exporting and
+    /// encoding the snapshot again.
+    pub fn place(&self, built: &BuiltVariant, body: Option<&ContainerBody>) {
+        self.engine.registry().publish(built.clone(), body);
         self.engine.ensure_lane(&built.spec.id);
     }
 

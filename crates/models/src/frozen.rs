@@ -551,6 +551,20 @@ impl FrozenMlp {
         (layer.values(), &layer.shape)
     }
 
+    /// Layer `l`'s weight codes (row-major), when the layer is fused:
+    /// the packed operand's codes under the weight recipe, which decode
+    /// to [`weight_data`](Self::weight_data). `None` for a dense layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l >= self.depth()`.
+    pub fn weight_codes(&self, l: usize) -> Option<Vec<u32>> {
+        match &self.layers[l].weight {
+            Operand::Dense(_) => None,
+            Operand::Packed(pg) => Some(pg.codes()),
+        }
+    }
+
     /// Layer `l`'s `[in, out]` weight shape, without touching its
     /// values.
     ///

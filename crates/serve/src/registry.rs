@@ -33,6 +33,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use adaptivfloat::{FormatError, FormatKind, PlanParams};
 use af_models::{FrozenMlp, ModelFamily};
+use af_store::ContainerBody;
 
 use crate::protect::ProtectedWeights;
 
@@ -324,7 +325,11 @@ pub(crate) fn assemble(
 /// failures are the implementor's to count and report.
 pub trait RegistryJournal: Send + Sync + std::fmt::Debug {
     /// A variant was built and published (first build or re-register).
-    fn on_register(&self, variant: &ModelVariant);
+    /// `body`, when given, is the container body of the variant's
+    /// snapshot ([`BuiltVariant::container_body`]), encoded once for
+    /// every registry the build is published on; without it the
+    /// journal exports the variant itself.
+    fn on_register(&self, variant: &ModelVariant, body: Option<&ContainerBody>);
     /// A scrub pass finished over a protected variant.
     fn on_scrub(&self, id: &str, outcome: &ScrubOutcome);
     /// A hot swap republished `id`'s snapshot at `generation`.
@@ -381,7 +386,8 @@ impl ModelRegistry {
     ///
     /// Panics where [`build`](Self::build) does.
     pub fn register(&self, spec: &VariantSpec) -> Result<Arc<ModelVariant>, FormatError> {
-        Ok(self.publish(ModelRegistry::build_from(spec, self.twin_model(spec))?))
+        let built = ModelRegistry::build_from(spec, self.twin_model(spec))?;
+        Ok(self.publish(built, None))
     }
 
     /// Build a variant without publishing it anywhere: synthesize the
@@ -449,12 +455,16 @@ impl ModelRegistry {
     /// Publish a built variant: swap it in atomically under its id
     /// (the generation is this registry's previous one plus one, or 0)
     /// and journal it. A protected variant's storage becomes this
-    /// registry's own. Returns the published snapshot.
-    pub fn publish(&self, built: BuiltVariant) -> Arc<ModelVariant> {
+    /// registry's own. `body` is the build's
+    /// [`container_body`](BuiltVariant::container_body), when the
+    /// caller publishes one build on several registries and encoded it
+    /// once for all of them; the journal then writes it instead of
+    /// exporting the snapshot again. Returns the published snapshot.
+    pub fn publish(&self, built: BuiltVariant, body: Option<&ContainerBody>) -> Arc<ModelVariant> {
         let protected = built.protected.map(|p| Arc::new(Mutex::new(p)));
         let variant = self.swap_in(built.model, built.spec, protected, None);
         if let Some(journal) = self.journal() {
-            journal.on_register(&variant);
+            journal.on_register(&variant, body);
         }
         variant
     }

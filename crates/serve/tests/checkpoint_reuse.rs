@@ -56,9 +56,9 @@ fn cold(spec: &VariantSpec, generation: u64) -> Arc<ModelVariant> {
     let built = ModelRegistry::build(spec).expect("cold build");
     let registry = ModelRegistry::new();
     for _ in 0..generation {
-        registry.publish(built.clone());
+        registry.publish(built.clone(), None);
     }
-    registry.publish(built)
+    registry.publish(built, None)
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -164,7 +164,7 @@ fn storage_refresh_after_uncorrectable_error_matches_a_twinless_registry() {
             with_twin.register(&specs[0]).unwrap();
             with_twin.register(spec).unwrap();
             let twinless = ModelRegistry::new();
-            twinless.publish(ModelRegistry::build(spec).unwrap());
+            twinless.publish(ModelRegistry::build(spec).unwrap(), None);
             for registry in [&with_twin, &twinless] {
                 let variant = registry.get(&spec.id).unwrap();
                 let store = variant.protected.as_ref().expect("protected storage");

@@ -18,6 +18,28 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// Fresh empty writer with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Self {
+        ByteWriter {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Overwrite already-written bytes at `at` (a length or checksum
+    /// field reserved before its payload was known).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + bytes.len()` exceeds [`len`](Self::len).
+    pub fn patch(&mut self, at: usize, bytes: &[u8]) {
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
     /// Consume the writer, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -83,6 +105,7 @@ impl ByteWriter {
     /// Append a length-prefixed u64 slice (u64 count).
     pub fn put_u64_slice(&mut self, vals: &[u64]) {
         self.put_u64(vals.len() as u64);
+        self.buf.reserve(8 * vals.len());
         for &v in vals {
             self.put_u64(v);
         }

@@ -19,6 +19,7 @@
 //! weight word heals exactly like a DRAM upset would. Corrupt or
 //! truncated files always fail typed ([`StoreError`]), never panic.
 
+use std::io::Write;
 use std::path::Path;
 
 use adaptivfloat::{DecodePolicy, FormatKind, PackedCodes, PlanParams};
@@ -254,8 +255,7 @@ fn read_params(r: &mut ByteReader<'_>) -> Result<PlanParams, ParseErr> {
     })
 }
 
-fn encode_spec(spec: &SpecRecord) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_spec(w: &mut ByteWriter, spec: &SpecRecord) {
     w.put_str(&spec.id);
     w.put_str(&spec.family);
     w.put_u64(spec.dims.len() as u64);
@@ -263,14 +263,13 @@ fn encode_spec(spec: &SpecRecord) -> Vec<u8> {
         w.put_u64(d as u64);
     }
     w.put_u64(spec.seed);
-    write_format_opt(&mut w, spec.weight_format);
-    write_format_opt(&mut w, spec.act_format);
+    write_format_opt(w, spec.weight_format);
+    write_format_opt(w, spec.act_format);
     w.put_u8(spec.protected as u8);
     w.put_u8(spec.fused as u8);
     w.put_str(&spec.format_label);
     w.put_u64(spec.generation);
     w.put_u64(spec.rebuilds);
-    w.into_bytes()
 }
 
 fn decode_spec(bytes: &[u8]) -> Result<SpecRecord, ParseErr> {
@@ -321,13 +320,13 @@ fn decode_spec(bytes: &[u8]) -> Result<SpecRecord, ParseErr> {
 /// the live stats; the ECC-repair path passes the *stored* stats so a
 /// repaired payload can reproduce the original CRC byte for byte.
 fn encode_layer_with(
+    w: &mut ByteWriter,
     index: u32,
     layer: &StoredLayer,
     codes: &PackedCodes,
     parity: &[u8],
     stats: EccStats,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+) {
     w.put_u32(index);
     w.put_u64(layer.rows as u64);
     w.put_u64(layer.cols as u64);
@@ -337,7 +336,7 @@ fn encode_layer_with(
             w.put_u8(1);
             w.put_u8(kind_to_u8(*kind));
             w.put_u32(*n);
-            write_params(&mut w, params);
+            write_params(w, params);
         }
     }
     w.put_u32(codes.width());
@@ -348,11 +347,11 @@ fn encode_layer_with(
     w.put_u64(stats.corrected);
     w.put_u64(stats.detected_uncorrectable);
     w.put_u64(stats.scrub_passes);
-    w.into_bytes()
 }
 
-fn encode_layer(index: u32, layer: &StoredLayer) -> Vec<u8> {
+fn encode_layer(w: &mut ByteWriter, index: u32, layer: &StoredLayer) {
     encode_layer_with(
+        w,
         index,
         layer,
         layer.codes.codes(),
@@ -426,12 +425,10 @@ fn decode_layer(bytes: &[u8]) -> Result<LayerParts, ParseErr> {
     })
 }
 
-fn encode_act(act: &ActRecord) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_act(w: &mut ByteWriter, act: &ActRecord) {
     w.put_u8(kind_to_u8(act.kind));
     w.put_u32(act.n);
     w.put_f32_slice(&act.maxes);
-    w.into_bytes()
 }
 
 fn decode_act(bytes: &[u8]) -> Result<ActRecord, ParseErr> {
@@ -446,27 +443,95 @@ fn decode_act(bytes: &[u8]) -> Result<ActRecord, ParseErr> {
     Ok(ActRecord { kind, n, maxes })
 }
 
-fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    out.push(tag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Bytes of a section header: tag u8 · len u64 · crc32 u32.
+const SECTION_HEADER: usize = 13;
+
+/// Append one section to `w`: a header, the payload `put_payload`
+/// writes straight after it, then the payload's length and CRC patched
+/// into the header — no payload is staged in a buffer of its own.
+fn put_section(w: &mut ByteWriter, tag: u8, put_payload: impl FnOnce(&mut ByteWriter)) {
+    let start = w.len();
+    w.put_u8(tag);
+    w.put_bytes(&[0; SECTION_HEADER - 1]);
+    put_payload(w);
+    let payload = &w.as_bytes()[start + SECTION_HEADER..];
+    let (len, crc) = (payload.len() as u64, crc32(payload));
+    w.patch(start + 1, &len.to_le_bytes());
+    w.patch(start + 9, &crc.to_le_bytes());
 }
 
-/// Serialize a variant to container bytes.
+/// Magic, version and the SPEC section: the part of a container that is
+/// per registry (generation and rebuild count live in SPEC).
+fn put_head(w: &mut ByteWriter, spec: &SpecRecord) {
+    w.put_bytes(CONTAINER_MAGIC);
+    w.put_u16(CONTAINER_VERSION);
+    put_section(w, TAG_SPEC, |w| encode_spec(w, spec));
+}
+
+/// Room for [`put_head`]'s bytes.
+fn head_capacity(spec: &SpecRecord) -> usize {
+    const FIXED: usize = 10 + SECTION_HEADER + 64;
+    FIXED + spec.id.len() + spec.family.len() + spec.format_label.len() + 8 * spec.dims.len()
+}
+
+/// The LAYER sections, the ACT section if any, and END.
+fn put_body(w: &mut ByteWriter, layers: &[StoredLayer], act: Option<&ActRecord>) {
+    for (i, layer) in layers.iter().enumerate() {
+        put_section(w, TAG_LAYER, |w| encode_layer(w, i as u32, layer));
+    }
+    if let Some(act) = act {
+        put_section(w, TAG_ACT, |w| encode_act(w, act));
+    }
+    put_section(w, TAG_END, |_| {});
+}
+
+/// Room for [`put_body`]'s bytes: each layer's words and parity plus
+/// a bound on its fixed fields, the ACT ranges, and END.
+fn body_capacity(layers: &[StoredLayer], act: Option<&ActRecord>) -> usize {
+    const LAYER_FIXED: usize = SECTION_HEADER + 96;
+    let layers: usize = layers
+        .iter()
+        .map(|l| LAYER_FIXED + 9 * l.codes.raw_words())
+        .sum();
+    let act = act.map_or(0, |a| SECTION_HEADER + 13 + 4 * a.maxes.len());
+    layers + act + SECTION_HEADER
+}
+
+/// A container's per-snapshot body: its LAYER sections, the ACT
+/// section if any, and the END marker, CRCs included — every byte after
+/// the SPEC section. Registries that publish the same unprotected
+/// snapshot store the same body behind their own head (magic, version
+/// and a SPEC section with their own generation), so one encoded body
+/// serves them all ([`write_container_body`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ContainerBody {
+    bytes: Vec<u8>,
+}
+
+impl ContainerBody {
+    /// Encode the body of a container holding `layers` and `act`.
+    pub fn encode(layers: &[StoredLayer], act: Option<&ActRecord>) -> ContainerBody {
+        let mut w = ByteWriter::with_capacity(body_capacity(layers, act));
+        put_body(&mut w, layers, act);
+        ContainerBody {
+            bytes: w.into_bytes(),
+        }
+    }
+
+    /// The encoded sections.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+/// Serialize a variant to container bytes, into one buffer sized up
+/// front.
 pub fn encode_container(v: &StoredVariant) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(CONTAINER_MAGIC);
-    out.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
-    push_section(&mut out, TAG_SPEC, &encode_spec(&v.spec));
-    for (i, layer) in v.layers.iter().enumerate() {
-        push_section(&mut out, TAG_LAYER, &encode_layer(i as u32, layer));
-    }
-    if let Some(act) = &v.act {
-        push_section(&mut out, TAG_ACT, &encode_act(act));
-    }
-    push_section(&mut out, TAG_END, &[]);
-    out
+    let act = v.act.as_ref();
+    let mut w = ByteWriter::with_capacity(head_capacity(&v.spec) + body_capacity(&v.layers, act));
+    put_head(&mut w, &v.spec);
+    put_body(&mut w, &v.layers, act);
+    w.into_bytes()
 }
 
 /// Parse container bytes. `path` is used only for error reporting.
@@ -575,14 +640,16 @@ pub fn decode_container(
                         codes: codes.clone(),
                     };
                     let scrub = codes.scrub();
-                    let repaired = encode_layer_with(
+                    let mut repaired = ByteWriter::new();
+                    encode_layer_with(
+                        &mut repaired,
                         parts.index,
                         &probe,
                         codes.codes(),
                         codes.parity(),
                         parts.stats,
                     );
-                    if scrub.corrected == 0 || crc32(&repaired) != stored_crc {
+                    if scrub.corrected == 0 || crc32(repaired.as_bytes()) != stored_crc {
                         return Err(StoreError::Corrupt {
                             path: path.to_path_buf(),
                             context: format!(
@@ -670,13 +737,39 @@ pub fn decode_container(
 ///
 /// [`StoreError::Io`] on any filesystem failure.
 pub fn write_container(path: &Path, v: &StoredVariant) -> Result<(), StoreError> {
-    let bytes = encode_container(v);
+    write_atomically(path, &[&encode_container(v)])
+}
+
+/// [`write_container`] for a variant whose body is already encoded: the
+/// file is the head built from `spec` followed by `body`, byte for byte
+/// the container of the variant `body` was encoded from.
+///
+/// # Errors
+///
+/// [`StoreError::Io`] on any filesystem failure.
+pub fn write_container_body(
+    path: &Path,
+    spec: &SpecRecord,
+    body: &ContainerBody,
+) -> Result<(), StoreError> {
+    let mut head = ByteWriter::with_capacity(head_capacity(spec));
+    put_head(&mut head, spec);
+    write_atomically(path, &[head.as_bytes(), body.as_bytes()])
+}
+
+/// Write `parts` back to back to a `.tmp` sibling of `path`, fsync it
+/// and rename it over `path`.
+fn write_atomically(path: &Path, parts: &[&[u8]]) -> Result<(), StoreError> {
     let tmp = path.with_extension("afc.tmp");
     let ctx = |what: &str| format!("{what} {}", tmp.display());
-    std::fs::write(&tmp, &bytes).map_err(|e| StoreError::io(ctx("writing"), e))?;
-    let f = std::fs::File::open(&tmp).map_err(|e| StoreError::io(ctx("reopening"), e))?;
+    let mut f = std::fs::File::create(&tmp).map_err(|e| StoreError::io(ctx("creating"), e))?;
+    for part in parts {
+        f.write_all(part)
+            .map_err(|e| StoreError::io(ctx("writing"), e))?;
+    }
     f.sync_all()
         .map_err(|e| StoreError::io(ctx("syncing"), e))?;
+    drop(f);
     std::fs::rename(&tmp, path)
         .map_err(|e| StoreError::io(format!("renaming into {}", path.display()), e))?;
     Ok(())
@@ -698,10 +791,17 @@ pub fn read_container(path: &Path) -> Result<(StoredVariant, ReadReport), StoreE
 /// [`LayerPayload::RawF32`] mode stores, SEC-DED protected like any
 /// other layer.
 pub fn raw_f32_codes(data: &[f32]) -> ProtectedCodes {
-    let mut packed = PackedCodes::new(32);
-    for &v in data {
-        packed.push(v.to_bits() as u64);
-    }
+    // Two codes per word, the first in the low half — the layout
+    // `PackedCodes::push` builds one code at a time.
+    let words = data
+        .chunks(2)
+        .map(|pair| {
+            let hi = pair.get(1).map_or(0, |v| v.to_bits() as u64);
+            pair[0].to_bits() as u64 | hi << 32
+        })
+        .collect();
+    let packed =
+        PackedCodes::from_raw_parts(32, data.len(), words).expect("two 32-bit codes per word");
     ProtectedCodes::protect(packed)
 }
 
@@ -809,6 +909,59 @@ mod tests {
         }
     }
 
+    fn spec_payload_len(spec: &SpecRecord) -> usize {
+        let mut w = ByteWriter::new();
+        encode_spec(&mut w, spec);
+        w.len()
+    }
+
+    /// FNV-1a over `bytes`: a fixed fingerprint for pinning images.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn container_image_is_pinned() {
+        // The sample's bytes as the one-buffer-per-section encoder
+        // wrote them; the format must not move under a faster encoder.
+        let bytes = encode_container(&sample_variant());
+        assert_eq!(bytes.len(), 475);
+        assert_eq!(fnv1a(&bytes), 0x652d_d308_7593_35b2);
+    }
+
+    #[test]
+    fn head_and_shared_body_compose_the_container() {
+        let mut v = sample_variant();
+        let body = ContainerBody::encode(&v.layers, v.act.as_ref());
+        let dir = std::env::temp_dir().join(format!("af-body-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // One body under two heads (different generations), as two
+        // registries publishing one snapshot write it.
+        for generation in [3, 8] {
+            v.spec.generation = generation;
+            let whole = encode_container(&v);
+            assert!(whole.ends_with(body.as_bytes()));
+            let path = dir.join(format!("g{generation}.afc"));
+            write_container_body(&path, &v.spec, &body).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), whole);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn raw_f32_codes_pack_like_push() {
+        let data: Vec<f32> = (0..7).map(|i| i as f32 * -1.25 + 0.5).collect();
+        for len in 0..=data.len() {
+            let mut want = PackedCodes::new(32);
+            for v in &data[..len] {
+                want.push(v.to_bits() as u64);
+            }
+            assert_eq!(raw_f32_codes(&data[..len]), ProtectedCodes::protect(want));
+        }
+    }
+
     #[test]
     fn raw_f32_layers_roundtrip_bit_exactly() {
         let data = vec![1.5f32, -0.0, f32::MIN_POSITIVE, 3.25e-30, -7.0];
@@ -867,7 +1020,7 @@ mod tests {
         let v = sample_variant();
         let clean = encode_container(&v);
         // Locate the first LAYER section: header(10) + SPEC section.
-        let spec_len = encode_spec(&v.spec).len();
+        let spec_len = spec_payload_len(&v.spec);
         let layer_hdr = 10 + 13 + spec_len;
         assert_eq!(clean[layer_hdr], TAG_LAYER);
         let layer_body = layer_hdr + 13;
@@ -896,7 +1049,7 @@ mod tests {
     fn double_flip_in_one_word_is_corrupt() {
         let v = sample_variant();
         let clean = encode_container(&v);
-        let spec_len = encode_spec(&v.spec).len();
+        let spec_len = spec_payload_len(&v.spec);
         let word_off = 10 + 13 + spec_len + 13 + 51;
         let mut bent = clean.clone();
         bent[word_off] ^= 0x21; // two bits in the same protected word

@@ -24,7 +24,9 @@ use std::time::Instant;
 
 use af_resilience::EccStats;
 
-use crate::container::{read_container, write_container, StoredVariant};
+use crate::container::{
+    read_container, write_container, write_container_body, ContainerBody, SpecRecord, StoredVariant,
+};
 use crate::error::StoreError;
 use crate::wal::{self, SyncPolicy, WalOp, WalWriter};
 
@@ -362,14 +364,29 @@ impl Store {
     ///
     /// [`StoreError::Io`] on filesystem failure.
     pub fn persist_variant(&mut self, v: &StoredVariant) -> Result<(), StoreError> {
+        self.persist_body(&v.spec, &ContainerBody::encode(&v.layers, v.act.as_ref()))
+    }
+
+    /// [`persist_variant`](Self::persist_variant) for a variant whose
+    /// container body is already encoded: the container written is
+    /// `spec`'s head followed by `body`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on filesystem failure.
+    pub fn persist_body(
+        &mut self,
+        spec: &SpecRecord,
+        body: &ContainerBody,
+    ) -> Result<(), StoreError> {
         let path = self
             .root
             .join(VARIANTS_DIR)
-            .join(container_file_name(&v.spec.id));
-        write_container(&path, v)?;
+            .join(container_file_name(&spec.id));
+        write_container_body(&path, spec, body)?;
         self.wal.append(&WalOp::Register {
-            id: v.spec.id.clone(),
-            generation: v.spec.generation,
+            id: spec.id.clone(),
+            generation: spec.generation,
         })?;
         Ok(())
     }

@@ -239,13 +239,24 @@ impl PackedGemm {
     /// the reference the kernel is tested against, and the escape hatch
     /// for callers that need the f32 weights back.
     pub fn dequantize(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.k * self.n];
+        self.map_codes(|code| self.table[code as usize])
+    }
+
+    /// The code matrix (row-major `K × N`), as passed to
+    /// [`build`](Self::build).
+    pub fn codes(&self) -> Vec<u32> {
+        self.map_codes(|code| code)
+    }
+
+    /// `f` of every code, row-major.
+    fn map_codes<T: Copy + Default>(&self, f: impl Fn(u32) -> T) -> Vec<T> {
+        let mut out = vec![T::default(); self.k * self.n];
         for tile in &self.tiles {
             for kk in 0..self.k {
                 let seg = self.row_segment(tile, kk);
                 let dst = &mut out[kk * self.n + tile.j0..kk * self.n + tile.j0 + tile.jw];
                 for (j, d) in dst.iter_mut().enumerate() {
-                    *d = self.table[extract_code(self.width, seg, j) as usize];
+                    *d = f(extract_code(self.width, seg, j));
                 }
             }
         }
@@ -411,6 +422,15 @@ mod tests {
         // Two 4-bit codes per byte: packed traffic is ~1/8 of f32.
         assert!(pg.packed_bytes() <= k * n / 2 + k * pg.tiles.len());
         assert_eq!(pg.decode_label(), "table");
+    }
+
+    #[test]
+    fn codes_read_back_as_built() {
+        for (width, n) in [(4, 1030), (8, 300), (4, 7)] {
+            let codes = codes(5, n, width);
+            let pg = PackedGemm::build(5, n, width, &codes, codebook(width), PackedDecode::Table);
+            assert_eq!(pg.codes(), codes, "width={width} n={n}");
+        }
     }
 
     #[test]

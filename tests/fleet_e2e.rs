@@ -747,7 +747,7 @@ fn breaker_opens_then_degrades_off_ring_then_unavailable_with_retry_hint() {
     // An operator pre-positions the variant on the off-ring shard 1:
     // degraded serving takes over, bit-identical.
     let built = ModelRegistry::build(&model_spec).unwrap();
-    router.shard(1).unwrap().place(&built);
+    router.shard(1).unwrap().place(&built, None);
     let out = router.infer(&id, input.clone()).expect("degraded serve");
     assert_eq!(bits(&out), reference, "degraded answers stay bit-identical");
     assert!(router.stats().snapshot().degraded >= 1);
@@ -974,7 +974,7 @@ fn shard_opens_standalone_for_embedding() {
     let shard = Shard::open(0, &root, shard_cfg(quick_engine())).unwrap();
     assert_eq!(shard.index(), 0);
     assert!(shard.root().ends_with("shard-000"));
-    shard.place(&ModelRegistry::build(&spec("solo/m", 1)).unwrap());
+    shard.place(&ModelRegistry::build(&spec("solo/m", 1)).unwrap(), None);
     let input = probe_input(4);
     let (tx, rx) = std::sync::mpsc::channel();
     shard
@@ -1041,7 +1041,7 @@ fn degraded_serving_meets_the_holders_shed() {
     let id = model_with_primary(&router, 0, "degraded-shed");
     router.register_model(&spec(&id, 93)).unwrap();
     let holder = router.shard(1).unwrap();
-    holder.place(&ModelRegistry::build(&spec(&id, 93)).unwrap());
+    holder.place(&ModelRegistry::build(&spec(&id, 93)).unwrap(), None);
     let input = probe_input(14);
     sicken(&router, 0, InjectedFault::hard_failure());
     for _ in 0..3 {
