@@ -5,6 +5,11 @@
 
 use adaptivfloat::{AdaptivFloat, FormatKind, NumberFormat, PackedCodes, QuantStats, Uniform};
 use af_hw::arith::{hfint_dot, int_dot_scaled};
+use af_resilience::encode_word;
+use af_store::crc::crc32;
+use af_store::{
+    encode_container, raw_f32_codes, LayerPayload, SpecRecord, StoredLayer, StoredVariant,
+};
 use af_tensor::{PackedDecode, PackedGemm, PackedGemmScratch, Tensor};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -209,10 +214,58 @@ fn mac_datapaths(c: &mut Criterion) {
     });
 }
 
+/// The durable store's byte kernels: the CRC-32 over a 128 KiB section,
+/// SEC-DED parity for 16K storage words, and a whole FP32 container of
+/// a fleet-sized model (`[64, 128, 128, 32]`, about 115 KB).
+fn store_codec(c: &mut Criterion) {
+    let bytes: Vec<u8> = (0..128 * 1024u32)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 11) as u8)
+        .collect();
+    c.bench_function("store_codec/crc32_128k", |b| {
+        b.iter(|| std::hint::black_box(crc32(&bytes)))
+    });
+    let words: Vec<u64> = (0..16 * 1024u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    c.bench_function("store_codec/secded_protect_16k", |b| {
+        b.iter(|| std::hint::black_box(words.iter().map(|&w| encode_word(w)).collect::<Vec<u8>>()))
+    });
+    let dims = [64usize, 128, 128, 32];
+    let layers = dims
+        .windows(2)
+        .map(|d| StoredLayer {
+            rows: d[0],
+            cols: d[1],
+            payload: LayerPayload::RawF32,
+            codes: raw_f32_codes(&data(d[0] * d[1])),
+        })
+        .collect();
+    let variant = StoredVariant {
+        spec: SpecRecord {
+            id: "bench/fp32".to_string(),
+            family: "Transformer".to_string(),
+            dims: dims.to_vec(),
+            seed: 1,
+            weight_format: None,
+            act_format: None,
+            protected: false,
+            fused: false,
+            format_label: "fp32".to_string(),
+            generation: 0,
+            rebuilds: 0,
+        },
+        layers,
+        act: None,
+    };
+    c.bench_function("store_codec/encode_container_fp32", |b| {
+        b.iter(|| std::hint::black_box(encode_container(&variant).len()))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = quantize_formats, adaptivfloat_1m, matmul_scaling, codec, mac_datapaths,
-        simd_vs_scalar, packed_gemm
+        simd_vs_scalar, packed_gemm, store_codec
 }
 criterion_main!(benches);
