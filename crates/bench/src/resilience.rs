@@ -23,13 +23,13 @@
 //! The `fault_sweep` binary prints the rendered tables and writes the
 //! structured cells to `BENCH_resilience.json`.
 
-use adaptivfloat::{DecodePolicy, DecodeStats, FormatKind};
+use adaptivfloat::{DecodePolicy, DecodeStats, FormatKind, StorageCodec};
 use af_models::{evaluate_with_weight_transform, ModelFamily, QuantizableModel};
 use af_resilience::rng::mix;
 use af_resilience::{
     inject_f32, inject_packed, inject_packed_bits, inject_protected_bits, run_f32_campaign,
     run_weight_campaign, CampaignConfig, CampaignOutcome, FaultKind, FaultSpec, ProtectedCodes,
-    StorageCodec, CODEWORD_BITS,
+    CODEWORD_BITS,
 };
 
 use crate::render::TextTable;

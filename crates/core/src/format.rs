@@ -153,21 +153,31 @@ impl FormatKind {
     /// # }
     /// ```
     pub fn build(self, n: u32) -> Result<Box<dyn NumberFormat>, FormatError> {
+        let e = self.exponent_bits(n);
         Ok(match self {
-            FormatKind::Float => {
-                let e = if n <= 4 { 3 } else { 4 };
-                Box::new(IeeeLikeFloat::new(n, e)?)
-            }
+            FormatKind::Float => Box::new(IeeeLikeFloat::new(n, e)?),
             FormatKind::Bfp => Box::new(BlockFloat::new(n)?),
             FormatKind::Uniform => Box::new(Uniform::new(n)?),
-            FormatKind::Posit => {
-                let es = if n <= 4 { 0 } else { 1 };
-                Box::new(Posit::new(n, es)?)
-            }
-            // The paper keeps 3 exponent bits even at n = 4 (the mantissa
-            // field vanishes; the implied one remains).
-            FormatKind::AdaptivFloat => Box::new(AdaptivFloat::new(n, 3.min(n - 1))?),
+            FormatKind::Posit => Box::new(Posit::new(n, e)?),
+            FormatKind::AdaptivFloat => Box::new(AdaptivFloat::new(n, e)?),
         })
+    }
+
+    /// The exponent field of the paper's split at word size `n`, shared
+    /// by [`build`](Self::build) and [`StorageCodec`](crate::StorageCodec):
+    /// AdaptivFloat `e = min(3, n − 1)` (at `n = 4` the mantissa field
+    /// vanishes and the implied one remains), float `e = 4` (3 at
+    /// `n ≤ 4`) and posit `es = 1` (0 at `n ≤ 4`). Block floating-point
+    /// and uniform words have no per-value exponent field: 0.
+    pub(crate) fn exponent_bits(self, n: u32) -> u32 {
+        match self {
+            FormatKind::AdaptivFloat => 3.min(n.saturating_sub(1)),
+            FormatKind::Float if n <= 4 => 3,
+            FormatKind::Float => 4,
+            FormatKind::Posit if n <= 4 => 0,
+            FormatKind::Posit => 1,
+            FormatKind::Bfp | FormatKind::Uniform => 0,
+        }
     }
 
     /// Column label used in the paper's tables.

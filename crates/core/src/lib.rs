@@ -18,7 +18,11 @@
 //! All formats implement the [`NumberFormat`] trait so they can be swept
 //! uniformly in experiments, and each exposes a bit-accurate codec
 //! (encode a value to its bit pattern, decode a bit pattern back) so the
-//! hardware model in `af-hw` can be driven bit-for-bit.
+//! hardware model in `af-hw` can be driven bit-for-bit. A
+//! [`StorageCodec`] freezes one [`FormatKind`] at its paper field split
+//! together with a tensor's side state (exponent bias, shared exponent
+//! or scale): the one description of how a stored layer's values become
+//! codes.
 //!
 //! ## Quickstart
 //!
@@ -44,6 +48,7 @@ pub mod adaptiv;
 pub mod bfp;
 pub mod block_adaptiv;
 pub mod code_index;
+pub mod codec;
 pub mod decode;
 pub mod error;
 pub mod fixed;
@@ -68,6 +73,7 @@ pub use adaptiv::{AdaptivFloat, AdaptivParams, QuantizedTensor};
 pub use bfp::BlockFloat;
 pub use block_adaptiv::BlockAdaptivFloat;
 pub use code_index::CodeIndex;
+pub use codec::StorageCodec;
 pub use decode::{DecodePolicy, DecodeStats};
 pub use error::FormatError;
 pub use fixed::FixedPoint;

@@ -36,8 +36,7 @@
 use std::borrow::Cow;
 
 use adaptivfloat::{
-    AdaptivFloat, AdaptivParams, CodeIndex, DecodePolicy, FormatError, FormatKind, PlanParams,
-    QuantPlan, QuantStats, Uniform,
+    DecodePolicy, FormatError, FormatKind, PlanParams, QuantPlan, QuantStats, StorageCodec,
 };
 use af_tensor::{PackedDecode, PackedGemm, PackedGemmScratch, Tensor};
 use rand::rngs::StdRng;
@@ -98,18 +97,6 @@ impl FrozenLayer {
     }
 }
 
-/// The weight-quantization recipe recorded by
-/// [`FrozenMlp::quantize_weights`]: the format geometry plus each
-/// layer's frozen per-tensor parameters. This is what lets
-/// [`FrozenMlp::with_fused_gemm`] re-encode the (already quantized)
-/// weights into exact packed codes after the fact.
-#[derive(Debug, Clone)]
-struct WeightQuant {
-    kind: FormatKind,
-    n: u32,
-    params: Vec<PlanParams>,
-}
-
 /// Calibrated activation quantization: one format applied to every
 /// layer input under a fixed per-layer range.
 #[derive(Debug, Clone)]
@@ -146,68 +133,40 @@ pub struct FrozenMlp {
     format: String,
     layers: Vec<FrozenLayer>,
     act: Option<ActQuant>,
-    /// Set by [`quantize_weights`](FrozenMlp::quantize_weights); `None`
-    /// for FP32 or externally-swapped weights (which carry no recipe).
-    weight_quant: Option<WeightQuant>,
+    /// The weight-quantization recipe: one frozen codec per layer, set
+    /// by [`quantize_weights`](FrozenMlp::quantize_weights) and
+    /// [`with_quantized_weights`](FrozenMlp::with_quantized_weights).
+    /// It is what lets [`with_fused_gemm`](FrozenMlp::with_fused_gemm)
+    /// re-encode the (already quantized) weights into exact packed codes
+    /// after the fact. `None` for FP32 or externally-swapped weights.
+    weight_codecs: Option<Vec<StorageCodec>>,
 }
 
 /// Re-encode one layer's served weights `w` (row-major, `[k, n_cols]`)
-/// into the packed codes of the recipe `wq` under the layer's frozen
-/// `params`.
+/// into the packed codes of the layer's frozen `codec`.
 ///
 /// # Panics
 ///
-/// Panics if `params` does not match the recipe's format, or if any
-/// code fails to decode back to its weight's exact bit pattern.
-fn pack_layer(
-    wq: &WeightQuant,
-    params: PlanParams,
-    [k, n_cols]: [usize; 2],
-    w: &[f32],
-) -> PackedGemm {
-    // Both arms encode through the frozen codec's code index: the
-    // served weights are already on its grid, so each code is a
-    // lookup (zeros take the scalar encoder), and the decode
-    // table is the index's raw decode of every code.
-    let (table, codes, decode): (Vec<f32>, Vec<u32>, PackedDecode) = match params {
-        PlanParams::AdaptivFloat { exp_bias } => {
-            // Same field split FormatKind::build uses.
-            let e = 3.min(wq.n - 1);
-            let af = AdaptivFloat::new(wq.n, e).expect("paper field split");
-            let ap = AdaptivParams {
-                n: wq.n,
-                e,
-                exp_bias,
-            };
-            let encode = |v| af.encode_with(&ap, v);
-            let index = CodeIndex::build(wq.n, encode, |c, policy, stats| {
-                af.decode_with_policy(&ap, c, policy, stats)
-            })
-            .expect("AdaptivFloat codes decode to distinct values");
-            (
-                index.values(DecodePolicy::Raw),
-                index.encode(w, w, encode),
-                PackedDecode::AdaptivFloat {
-                    m: wq.n - e - 1,
-                    exp_bias,
-                },
-            )
-        }
-        PlanParams::Uniform { scale } => {
-            let uni = Uniform::new(wq.n).expect("valid word size");
-            let encode = |v| uni.encode_code(scale, v);
-            let index = CodeIndex::build(wq.n, encode, |c, policy, stats| {
-                uni.decode_code_with_policy(scale, c, policy, stats)
-            })
-            .expect("uniform levels decode to distinct values");
-            (
-                index.values(DecodePolicy::Raw),
-                index.encode(w, w, encode),
-                PackedDecode::Uniform { scale },
-            )
-        }
-        other => panic!("weight plan params {other:?} do not match the recipe format"),
+/// Panics if the codec is not an AdaptivFloat or Uniform one at
+/// `n ≤ 8`, or if any code fails to decode back to its weight's exact
+/// bit pattern.
+fn pack_layer(codec: &StorageCodec, [k, n_cols]: [usize; 2], w: &[f32]) -> PackedGemm {
+    let decode = match codec {
+        StorageCodec::Adaptiv { fmt, params } => PackedDecode::AdaptivFloat {
+            m: fmt.n() - fmt.e() - 1,
+            exp_bias: params.exp_bias,
+        },
+        StorageCodec::Uniform { scale, .. } => PackedDecode::Uniform { scale: *scale },
+        other => panic!("the fused GEMM cannot decode {} codes", other.kind()),
     };
+    // The served weights are already on the codec's grid, so each code
+    // is an index lookup (zeros take the scalar encoder), and the
+    // decode table is the same index's raw decode of every code.
+    let index = codec
+        .index()
+        .expect("AdaptivFloat and uniform codes decode to distinct values");
+    let codes = codec.encode_via(Some(&index), w, w);
+    let table = index.values(DecodePolicy::Raw);
     // The bit-identity keystone: every packed code must decode to
     // exactly the f32 the dense path serves. Scan for the first
     // mismatch; only a failure formats its message.
@@ -221,7 +180,7 @@ fn pack_layer(
             table[c as usize]
         );
     }
-    PackedGemm::build(k, n_cols, wq.n, &codes, table, decode)
+    PackedGemm::build(k, n_cols, codec.width(), &codes, table, decode)
 }
 
 fn ensemble_kind(family: ModelFamily) -> EnsembleKind {
@@ -273,7 +232,7 @@ impl FrozenMlp {
             format: "fp32".to_string(),
             layers,
             act: None,
-            weight_quant: None,
+            weight_codecs: None,
         }
     }
 
@@ -306,26 +265,23 @@ impl FrozenMlp {
             "quantize weights before calibrating activations"
         );
         let fmt = kind.build(n)?;
-        let mut params = Vec::with_capacity(self.layers.len());
-        let layers = self
-            .layers
-            .into_iter()
-            .map(|l| {
-                let q = {
-                    let w = l.values();
-                    let plan = fmt.plan(&QuantStats::from_slice(&w));
-                    params.push(*plan.params());
-                    plan.execute(&w)
-                };
-                FrozenLayer::dense(Tensor::from_vec(q, &l.shape), l.bias)
-            })
-            .collect();
+        let mut codecs = Vec::with_capacity(self.layers.len());
+        let mut layers = Vec::with_capacity(self.layers.len());
+        for l in self.layers {
+            let q = {
+                let w = l.values();
+                let plan = fmt.plan(&QuantStats::from_slice(&w));
+                codecs.push(StorageCodec::from_params(kind, n, *plan.params())?);
+                plan.execute(&w)
+            };
+            layers.push(FrozenLayer::dense(Tensor::from_vec(q, &l.shape), l.bias));
+        }
         Ok(FrozenMlp {
             family: self.family,
             format: fmt.name(),
             layers,
             act: self.act,
-            weight_quant: Some(WeightQuant { kind, n, params }),
+            weight_codecs: Some(codecs),
         })
     }
 
@@ -355,19 +311,19 @@ impl FrozenMlp {
     /// weights carry no encoding recipe), if the format/word size is
     /// unsupported, or if any weight fails the exact re-encode check.
     pub fn with_fused_gemm(mut self) -> FrozenMlp {
-        let wq = self
-            .weight_quant
-            .clone()
+        let codecs = self
+            .weight_codecs
+            .as_ref()
             .expect("fused GEMM needs quantize_weights first (no recipe on these weights)");
-        assert!(
-            FrozenMlp::fuses(wq.kind, wq.n),
-            "fused GEMM packs 4- or 8-bit AdaptivFloat or Uniform codes, not {}-bit {}",
-            wq.n,
-            wq.kind
-        );
-        for (layer, params) in self.layers.iter_mut().zip(&wq.params) {
+        for (layer, codec) in self.layers.iter_mut().zip(codecs) {
+            assert!(
+                FrozenMlp::fuses(codec.kind(), codec.width()),
+                "fused GEMM packs 4- or 8-bit AdaptivFloat or Uniform codes, not {}-bit {}",
+                codec.width(),
+                codec.kind()
+            );
             // The f32 matrix (a temporary here) is dropped once packed.
-            let packed = pack_layer(&wq, *params, layer.shape, &layer.values());
+            let packed = pack_layer(codec, layer.shape, &layer.values());
             layer.weight = Operand::Packed(packed);
         }
         self
@@ -483,14 +439,20 @@ impl FrozenMlp {
         self.act.as_ref().map(|a| (a.kind, a.n, a.maxes.as_slice()))
     }
 
-    /// The weight-quantization recipe recorded by
-    /// [`quantize_weights`](Self::quantize_weights): format kind, word
-    /// size, and each layer's frozen per-tensor parameters. `None` for
-    /// FP32 or externally-swapped weights.
-    pub fn weight_quant_recipe(&self) -> Option<(FormatKind, u32, &[PlanParams])> {
-        self.weight_quant
-            .as_ref()
-            .map(|wq| (wq.kind, wq.n, wq.params.as_slice()))
+    /// The weight-quantization recipe: one frozen codec per layer, the
+    /// codes of layer `l` being `weight_codecs()[l]`'s encoding of
+    /// [`weight_data`](Self::weight_data)`(l)`. `None` for FP32 or
+    /// externally-swapped weights.
+    pub fn weight_codecs(&self) -> Option<&[StorageCodec]> {
+        self.weight_codecs.as_deref()
+    }
+
+    /// [`weight_codecs`](Self::weight_codecs) as format kind, word size
+    /// and each layer's frozen per-tensor parameters.
+    pub fn weight_quant_recipe(&self) -> Option<(FormatKind, u32, Vec<PlanParams>)> {
+        let codecs = self.weight_codecs()?;
+        let params = codecs.iter().map(StorageCodec::params).collect();
+        Some((codecs[0].kind(), codecs[0].width(), params))
     }
 
     /// Pre-build the LUT codebooks the activation-quantization path will
@@ -616,42 +578,32 @@ impl FrozenMlp {
             act: self.act,
             // Externally-decoded weights carry no encoding recipe, so a
             // later with_fused_gemm must (and does) refuse them.
-            weight_quant: None,
+            weight_codecs: None,
         }
     }
 
     /// Replace every weight matrix with externally-supplied
-    /// already-quantized values *and* reinstate the encoding recipe that
+    /// already-quantized values *and* reinstate the per-layer codecs that
     /// produced them — the warm-start counterpart of
     /// [`quantize_weights`](Self::quantize_weights). Because the recipe
     /// survives, [`with_fused_gemm`](Self::with_fused_gemm) works on the
     /// restored snapshot (its exact re-encode check still verifies every
-    /// weight against the recipe).
+    /// weight against its layer's codec).
     ///
     /// # Panics
     ///
     /// Panics if activation quantization is already installed, or if the
-    /// layer count, any layer's element count, or the params count
+    /// layer count, any layer's element count, or the codec count
     /// mismatches.
     pub fn with_quantized_weights(
         self,
-        kind: FormatKind,
-        n: u32,
-        params: &[PlanParams],
+        codecs: Vec<StorageCodec>,
         weights: Vec<Vec<f32>>,
         format: &str,
     ) -> FrozenMlp {
-        assert_eq!(
-            params.len(),
-            self.layers.len(),
-            "one frozen params record per layer"
-        );
+        assert_eq!(codecs.len(), self.layers.len(), "one codec per layer");
         let mut restored = self.with_weight_data(weights, format);
-        restored.weight_quant = Some(WeightQuant {
-            kind,
-            n,
-            params: params.to_vec(),
-        });
+        restored.weight_codecs = Some(codecs);
         restored
     }
 

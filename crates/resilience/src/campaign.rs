@@ -13,11 +13,10 @@
 //!    non-associativity of floating-point addition never sees a
 //!    thread-count-dependent grouping.
 
-use crate::codec::StorageCodec;
 use crate::fault::{FaultKind, FaultSpec};
 use crate::inject::{inject_f32, inject_packed};
 use crate::rng::mix;
-use adaptivfloat::{DecodePolicy, DecodeStats, FormatError, FormatKind};
+use adaptivfloat::{DecodePolicy, DecodeStats, FormatError, FormatKind, StorageCodec};
 
 /// What to inject, how hard, and how to decode afterwards.
 #[derive(Debug, Clone, Copy)]

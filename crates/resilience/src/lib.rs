@@ -19,11 +19,12 @@
 //!   Hamming(72,64) SEC-DED parity (one byte per raw storage word),
 //!   correcting any single-bit upset and detecting double-bit upsets as
 //!   uncorrectable, with scrub/decode APIs and [`EccStats`] counters.
-//! * **Campaigns** ([`codec`], [`campaign`]) — [`StorageCodec`] encodes
-//!   tensors into equal-word-size storage per [`adaptivfloat::FormatKind`];
-//!   [`run_weight_campaign`] corrupts the stored codes, decodes them
-//!   under a [`adaptivfloat::DecodePolicy`], and reports RMS damage and
-//!   the hardened decoder's detection counters.
+//! * **Campaigns** ([`campaign`]) — [`run_weight_campaign`] encodes
+//!   tensors into equal-word-size storage through an
+//!   [`adaptivfloat::StorageCodec`] per [`adaptivfloat::FormatKind`],
+//!   corrupts the stored codes, decodes them under a
+//!   [`adaptivfloat::DecodePolicy`], and reports RMS damage and the
+//!   hardened decoder's detection counters.
 //!
 //! The `fault_sweep` binary in `af-bench` drives these campaigns over
 //! the paper's toy models and renders the format-vs-fault-rate table.
@@ -32,7 +33,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod campaign;
-pub mod codec;
 pub mod ecc;
 pub mod fault;
 pub mod inject;
@@ -41,7 +41,6 @@ pub mod protected;
 pub mod rng;
 
 pub use campaign::{run_f32_campaign, run_weight_campaign, CampaignConfig, CampaignOutcome};
-pub use codec::StorageCodec;
 pub use ecc::{decode_word, encode_word, EccStats, WordDecode, CODEWORD_BITS, PARITY_BITS};
 pub use fault::{FaultEvent, FaultKind, FaultMap, FaultSpec};
 pub use inject::{

@@ -22,9 +22,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
-use adaptivfloat::FormatKind;
+use adaptivfloat::{FormatKind, StorageCodec};
 use af_models::{FrozenMlp, ModelFamily};
-use af_resilience::{ProtectedCodes, StorageCodec};
+use af_resilience::ProtectedCodes;
 use af_store::{
     raw_f32_codes, ActRecord, ContainerBody, LayerPayload, SpecRecord, Store, StoreError,
     StoredLayer, StoredVariant, SyncPolicy,
@@ -112,16 +112,16 @@ fn spec_record(variant: &ModelVariant) -> SpecRecord {
 ///
 /// # Errors
 ///
-/// [`StoreError::Restore`] if a protected layer's codec has no
-/// persistable kind (not reachable through [`VariantSpec`] today).
+/// None today: every live variant has a container image. The `Result`
+/// is the store-facing signature a fallible export would keep.
 pub fn export_variant(variant: &ModelVariant) -> Result<StoredVariant, StoreError> {
     let spec = spec_record(variant);
     let layers = match &variant.protected {
         Some(protected) => {
             let guard = protected.lock().expect("protected store poisoned");
-            protected_layers(&spec.id, &variant.model, &guard)?
+            protected_layers(&variant.model, &guard)
         }
-        None => snapshot_layers(&spec.id, &variant.model)?,
+        None => snapshot_layers(&variant.model),
     };
     let act = act_record(&variant.model);
     Ok(StoredVariant { spec, layers, act })
@@ -131,14 +131,12 @@ impl BuiltVariant {
     /// The container body (LAYER, ACT and END sections) of this build's
     /// snapshot, encoded once for every registry it is published on
     /// (see [`ModelRegistry::publish`]). `None` for a protected build,
-    /// whose storage each registry owns and exports itself, or if the
-    /// snapshot cannot be exported (each journal then exports it and
-    /// reports the failure).
+    /// whose storage each registry owns and exports itself.
     pub fn container_body(&self) -> Option<ContainerBody> {
         if self.protected.is_some() {
             return None;
         }
-        let layers = snapshot_layers(&self.spec.id, &self.model).ok()?;
+        let layers = snapshot_layers(&self.model);
         Some(ContainerBody::encode(
             &layers,
             act_record(&self.model).as_ref(),
@@ -147,65 +145,46 @@ impl BuiltVariant {
 }
 
 /// The layers of a protected variant: its storage codes as they stand.
-fn protected_layers(
-    id: &str,
-    model: &FrozenMlp,
-    store: &ProtectedWeights,
-) -> Result<Vec<StoredLayer>, StoreError> {
+fn protected_layers(model: &FrozenMlp, store: &ProtectedWeights) -> Vec<StoredLayer> {
     store
         .export_layers()
         .into_iter()
         .enumerate()
-        .map(|(l, (codec, codes))| {
-            let kind = codec.kind().ok_or_else(|| StoreError::Restore {
-                id: id.to_string(),
-                context: format!("layer {l} codec has no persistable format kind"),
-            })?;
-            let payload = LayerPayload::Codes {
-                kind,
-                n: codec.width(),
-                params: codec.params(),
-            };
-            Ok(stored_layer(model, l, payload, codes))
-        })
+        .map(|(l, (codec, codes))| stored_layer(model, l, codes_payload(&codec), codes))
         .collect()
 }
 
-/// The layers of an unprotected snapshot: its recipe's codes when every
-/// layer's codes decode back to the served weights exactly, else every
-/// layer as raw f32.
-fn snapshot_layers(id: &str, model: &FrozenMlp) -> Result<Vec<StoredLayer>, StoreError> {
-    let Some((kind, n, params)) = model.weight_quant_recipe() else {
-        return Ok(raw_layers(model));
+/// The layers of an unprotected snapshot: each layer's codes under its
+/// codec when every layer's codes decode back to the served weights
+/// exactly, else every layer as raw f32.
+fn snapshot_layers(model: &FrozenMlp) -> Vec<StoredLayer> {
+    let Some(codecs) = model.weight_codecs() else {
+        return raw_layers(model);
     };
     let mut layers = Vec::with_capacity(model.depth());
-    for (l, &layer_params) in params.iter().enumerate().take(model.depth()) {
-        let codec =
-            StorageCodec::from_params(kind, n, layer_params).map_err(|e| StoreError::Restore {
-                id: id.to_string(),
-                context: format!("layer {l} recipe cannot rebuild a codec: {e}"),
-            })?;
+    for (l, codec) in codecs.iter().enumerate() {
         let (data, _) = model.weight_data(l);
         let codes = match model.weight_codes(l) {
             Some(codes) => codec.pack_exact(&codes, &data),
             None => codec.encode_exact(&data),
         };
         let Some(codes) = codes else {
-            return Ok(raw_layers(model));
+            return raw_layers(model);
         };
-        let payload = LayerPayload::Codes {
-            kind,
-            n,
-            params: codec.params(),
-        };
-        layers.push(stored_layer(
-            model,
-            l,
-            payload,
-            ProtectedCodes::protect(codes),
-        ));
+        let codes = ProtectedCodes::protect(codes);
+        layers.push(stored_layer(model, l, codes_payload(codec), codes));
     }
-    Ok(layers)
+    layers
+}
+
+/// The LAYER payload recording `codec`: its format, word size and
+/// frozen params.
+fn codes_payload(codec: &StorageCodec) -> LayerPayload {
+    LayerPayload::Codes {
+        kind: codec.kind(),
+        n: codec.width(),
+        params: codec.params(),
+    }
 }
 
 /// Every layer of `model` as lossless raw f32 codes.
@@ -350,44 +329,43 @@ pub fn restore_variant(
         ));
     }
 
+    let malformed = |e| match e {
+        StoreError::Malformed { context, .. } => restore_err(id, context),
+        other => other,
+    };
+    // Every layer is coded in one format (each with its codec) or none
+    // is (lossless f32).
+    let codecs = stored
+        .layers
+        .iter()
+        .map(StoredLayer::codec)
+        .collect::<Result<Option<Vec<_>>, _>>()
+        .map_err(malformed)?;
     let weights = if rec.protected {
         // Storage-authoritative: rebuild the protected store from the
         // persisted codes (latent faults and ECC history intact), then
         // serve what it decodes to — exactly the registration path.
-        let mut parts = Vec::with_capacity(stored.layers.len());
-        for (l, layer) in stored.layers.iter().enumerate() {
-            let LayerPayload::Codes { kind, n, params } = &layer.payload else {
-                unreachable!("every layer of a protected variant is coded");
-            };
-            let codec = StorageCodec::from_params(*kind, *n, *params).map_err(|e| {
-                restore_err(id, format!("layer {l} params cannot rebuild a codec: {e}"))
-            })?;
-            parts.push((codec, layer.codes.clone()));
-        }
+        let codecs = codecs.expect("every layer of a protected variant is coded");
+        let parts = codecs
+            .into_iter()
+            .zip(&stored.layers)
+            .map(|(codec, layer)| (codec, layer.codes.clone()))
+            .collect();
         Weights::Protected(ProtectedWeights::restore(
             &rec.format_label,
             rec.rebuilds,
             parts,
         ))
     } else {
-        let mut values = Vec::with_capacity(stored.layers.len());
-        let mut params = Vec::with_capacity(stored.layers.len());
-        for layer in &stored.layers {
-            let (vals, _) = layer.decode_values().map_err(|e| match e {
-                StoreError::Malformed { context, .. } => restore_err(id, context),
-                other => other,
-            })?;
-            values.push(vals);
-            if let LayerPayload::Codes { params: p, .. } = &layer.payload {
-                params.push(*p);
-            }
-        }
-        // Every layer is coded in one format (and carries its recipe) or
-        // none is (lossless f32).
-        let recipe = encoding.map(|(kind, n)| (kind, n, params));
+        let values = stored
+            .layers
+            .iter()
+            .map(|layer| layer.decode_values().map(|(vals, _)| vals))
+            .collect::<Result<_, _>>()
+            .map_err(malformed)?;
         Weights::Decoded(Decoded {
             values,
-            recipe,
+            codecs,
             label: rec.format_label.clone(),
         })
     };
@@ -600,6 +578,7 @@ impl RegistryJournal for DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adaptivfloat::PackedCodes;
 
     /// Export `spec`'s registered variant with its SPEC claiming a
     /// fused GEMM, as a CRC-valid container written by another build
@@ -637,6 +616,41 @@ mod tests {
                     assert!(context.contains(why), "{context}");
                 }
                 other => panic!("expected a typed restore error, got {other:?}"),
+            }
+        }
+    }
+
+    /// `spec`'s registered variant with layer 0's codes re-packed at
+    /// `width` bits, as a CRC-valid container written by another build
+    /// could hold them.
+    fn repacked(spec: &VariantSpec, width: u32) -> StoredVariant {
+        let variant = ModelRegistry::new().register(spec).expect("register");
+        let mut stored = export_variant(&variant).expect("export");
+        let layer = &mut stored.layers[0];
+        let mut codes = PackedCodes::new(width);
+        for code in layer.codes.codes().iter() {
+            codes.push(code & ((1 << width) - 1));
+        }
+        layer.codes = ProtectedCodes::protect(codes);
+        stored
+    }
+
+    #[test]
+    fn restore_refuses_protected_codes_packed_at_another_width() {
+        let af8 = VariantSpec::quantized(
+            "af8",
+            ModelFamily::ResNet,
+            FormatKind::AdaptivFloat,
+            8,
+            5,
+            &[12, 20, 6],
+        )
+        .protected();
+        for spec in [af8.clone(), af8.fused()] {
+            for width in [4, 16] {
+                let tag = format!("width{width}-fused{}", spec.fused);
+                let why = format!("code width {width} disagrees with format width 8");
+                assert_refused(&tag, &repacked(&spec, width), &why);
             }
         }
     }

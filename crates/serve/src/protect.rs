@@ -14,24 +14,30 @@
 //! registry copies it from a resident FP32 twin or synthesizes it again
 //! from the spec, on that rare path only.
 
-use adaptivfloat::{DecodePolicy, FormatError, FormatKind, PackedCodes, PlanParams, QuantStats};
+use adaptivfloat::{
+    CodeIndex, DecodePolicy, FormatError, FormatKind, PackedCodes, QuantStats, StorageCodec,
+};
 use af_models::FrozenMlp;
-use af_resilience::{inject_protected_bits, EccStats, FaultMap, ProtectedCodes, StorageCodec};
+use af_resilience::{inject_protected_bits, EccStats, FaultMap, ProtectedCodes};
 use af_resilience::{ScrubReport, CODEWORD_BITS};
 
 /// Fit a storage codec to an FP32 weight tensor and encode it: quantize
 /// through the format's plan for the tensor, then encode the rounded
-/// values by code-index lookup (zeros and misses take the scalar
-/// encoder). The codes equal per-element `encode_one` on the tensor.
+/// values by lookup in the codec's index (zeros and misses take the
+/// scalar encoder). The codes equal per-element `encode_one` on the
+/// tensor. The index comes back too, for a caller that decodes the
+/// fresh codes.
 fn fit_and_encode(
     kind: FormatKind,
     n: u32,
     weights: &[f32],
-) -> Result<(StorageCodec, PackedCodes), FormatError> {
+) -> Result<(StorageCodec, Option<CodeIndex>, PackedCodes), FormatError> {
     let plan = kind.build(n)?.plan(&QuantStats::from_slice(weights));
     let codec = StorageCodec::from_params(kind, n, *plan.params())?;
-    let codes = codec.encode_rounded(weights, &plan.execute(weights));
-    Ok((codec, codes))
+    let index = codec.index();
+    let mut codes = PackedCodes::new(n);
+    codes.extend_from_u32(&codec.encode_via(index.as_ref(), weights, &plan.execute(weights)));
+    Ok((codec, index, codes))
 }
 
 /// One layer's protected storage: the fitted codec and the SEC-DED
@@ -52,7 +58,10 @@ pub struct ProtectedWeights {
 
 impl ProtectedWeights {
     /// Encode `model`'s (FP32 checkpoint) weight tensors through `kind`
-    /// at word size `n` into protected storage.
+    /// at word size `n` into protected storage. Also returns what the
+    /// fresh storage decodes to, one value vector per layer: the
+    /// [`decoded_weights`](Self::decoded_weights) of the new store,
+    /// decoded through the code index that encoded each layer.
     ///
     /// # Errors
     ///
@@ -62,22 +71,26 @@ impl ProtectedWeights {
         model: &FrozenMlp,
         kind: FormatKind,
         n: u32,
-    ) -> Result<ProtectedWeights, FormatError> {
+    ) -> Result<(ProtectedWeights, Vec<Vec<f32>>), FormatError> {
         let format_label = format!("{}+secded", kind.build(n)?.name());
+        let mut values = Vec::with_capacity(model.depth());
         let layers = (0..model.depth())
             .map(|l| {
-                let (codec, codes) = fit_and_encode(kind, n, &model.weight_data(l).0)?;
+                let (codec, index, codes) = fit_and_encode(kind, n, &model.weight_data(l).0)?;
+                let (vals, _) = codec.decode_via(index.as_ref(), &codes, DecodePolicy::Harden);
+                values.push(vals);
                 Ok(ProtectedLayer {
                     codes: ProtectedCodes::protect(codes),
                     codec,
                 })
             })
             .collect::<Result<Vec<_>, FormatError>>()?;
-        Ok(ProtectedWeights {
+        let store = ProtectedWeights {
             format_label,
             layers,
             rebuilds: 0,
-        })
+        };
+        Ok((store, values))
     }
 
     /// The weight-format label served snapshots carry, e.g.
@@ -86,14 +99,11 @@ impl ProtectedWeights {
         &self.format_label
     }
 
-    /// The recipe the stored codes were encoded under: format kind, word
-    /// size and each layer's frozen params — what
-    /// [`FrozenMlp::quantize_weights`] records for the same checkpoint.
-    pub(crate) fn recipe(&self) -> (FormatKind, u32, Vec<PlanParams>) {
-        let codec = &self.layers[0].codec;
-        let kind = codec.kind().expect("protected codecs have a format kind");
-        let params = self.layers.iter().map(|l| l.codec.params()).collect();
-        (kind, codec.width(), params)
+    /// The codecs the stored codes were encoded under, one per layer —
+    /// what [`FrozenMlp::quantize_weights`] records for the same
+    /// checkpoint.
+    pub(crate) fn codecs(&self) -> Vec<StorageCodec> {
+        self.layers.iter().map(|l| l.codec.clone()).collect()
     }
 
     /// Number of protected weight tensors (model depth).
@@ -188,14 +198,10 @@ impl ProtectedWeights {
             "checkpoint depth differs from the store's"
         );
         for (l, layer) in self.layers.iter_mut().enumerate() {
-            let kind = layer
-                .codec
-                .kind()
-                .expect("protected codecs have a format kind");
+            let (kind, n) = (layer.codec.kind(), layer.codec.width());
             // Re-fitting the same checkpoint reproduces the same codec.
-            let (codec, codes) =
-                fit_and_encode(kind, layer.codec.width(), &checkpoint.weight_data(l).0)
-                    .expect("the geometry the store was built with");
+            let (codec, _, codes) = fit_and_encode(kind, n, &checkpoint.weight_data(l).0)
+                .expect("the geometry the store was built with");
             assert_eq!(
                 codec.params(),
                 layer.codec.params(),
@@ -264,7 +270,9 @@ mod tests {
     }
 
     fn store() -> ProtectedWeights {
-        ProtectedWeights::build(&model(), FormatKind::AdaptivFloat, 8).unwrap()
+        ProtectedWeights::build(&model(), FormatKind::AdaptivFloat, 8)
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -283,11 +291,19 @@ mod tests {
     fn stored_codes_equal_the_scalar_encoding_of_the_checkpoint() {
         // Planned rounding + index lookup must store exactly the codes
         // per-element `encode_one` would, for every format the registry
-        // can protect — and a rebuild must store them again.
+        // can protect — and a rebuild must store them again. The values
+        // the build hands back are what the storage decodes to.
         let m = FrozenMlp::synthesize(ModelFamily::Transformer, 3, &[16, 24, 8]);
+        let bits =
+            |w: &Vec<Vec<f32>>| -> Vec<u32> { w.iter().flatten().map(|v| v.to_bits()).collect() };
         for kind in FormatKind::ALL {
             for n in [4u32, 8] {
-                let mut store = ProtectedWeights::build(&m, kind, n).unwrap();
+                let (mut store, values) = ProtectedWeights::build(&m, kind, n).unwrap();
+                assert_eq!(
+                    bits(&values),
+                    bits(&store.decoded_weights().0),
+                    "{kind} n={n}"
+                );
                 let built = store.export_layers();
                 store.rebuild_from_checkpoint(&m);
                 for (l, ((codec, codes), (_, rebuilt))) in

@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
-use adaptivfloat::{FormatError, FormatKind, PlanParams};
+use adaptivfloat::{FormatError, FormatKind, StorageCodec};
 use af_models::{FrozenMlp, ModelFamily};
 use af_store::ContainerBody;
 
@@ -196,29 +196,33 @@ fn checkpoint(spec: &VariantSpec, master: Option<FrozenMlp>) -> FrozenMlp {
 pub(crate) struct Decoded {
     /// One value vector per layer, in the base's shapes.
     pub values: Vec<Vec<f32>>,
-    /// The format kind, word size and per-layer frozen params the
-    /// values were encoded under; `None` for lossless f32.
-    pub recipe: Option<(FormatKind, u32, Vec<PlanParams>)>,
+    /// The codec each layer's values were encoded under; `None` for
+    /// lossless f32.
+    pub codecs: Option<Vec<StorageCodec>>,
     /// The weight-format label the snapshot serves under.
     pub label: String,
 }
 
 impl Decoded {
-    /// What `store` decodes to, under the recipe it was encoded with.
-    fn of(store: &ProtectedWeights) -> Decoded {
+    /// `values`, what `store` decodes to, under the codecs it was
+    /// encoded with.
+    fn stored(store: &ProtectedWeights, values: Vec<Vec<f32>>) -> Decoded {
         Decoded {
-            values: store.decoded_weights().0,
-            recipe: Some(store.recipe()),
+            values,
+            codecs: Some(store.codecs()),
             label: store.format_label().to_string(),
         }
     }
 
+    /// What `store` decodes to, under the codecs it was encoded with.
+    fn of(store: &ProtectedWeights) -> Decoded {
+        Decoded::stored(store, store.decoded_weights().0)
+    }
+
     /// `base` serving these weights (biases stay the base's).
     fn onto(self, base: FrozenMlp) -> FrozenMlp {
-        match self.recipe {
-            Some((kind, n, params)) => {
-                base.with_quantized_weights(kind, n, &params, self.values, &self.label)
-            }
+        match self.codecs {
+            Some(codecs) => base.with_quantized_weights(codecs, self.values, &self.label),
             None => base.with_weight_data(self.values, &self.label),
         }
     }
@@ -272,7 +276,7 @@ pub(crate) fn assemble(
     weights: Weights,
     ranges: Ranges<'_>,
 ) -> Result<BuiltVariant, FormatError> {
-    let weights = match weights {
+    let (model, protected) = match weights {
         // Encode into protected storage first, then serve what the
         // storage decodes to — the storage is authoritative, so a
         // scrub-repaired store decodes to exactly the weights already
@@ -281,11 +285,9 @@ pub(crate) fn assemble(
             let (kind, n) = spec
                 .weight_format
                 .expect("protected storage requires a weight format");
-            Weights::Protected(ProtectedWeights::build(&base, kind, n)?)
+            let (store, values) = ProtectedWeights::build(&base, kind, n)?;
+            (Decoded::stored(&store, values).onto(base), Some(store))
         }
-        other => other,
-    };
-    let (model, protected) = match weights {
         Weights::Quantize => match spec.weight_format {
             Some((kind, n)) => (base.quantize_weights(kind, n)?, None),
             None => (base, None),

@@ -22,8 +22,8 @@
 use std::io::Write;
 use std::path::Path;
 
-use adaptivfloat::{DecodePolicy, FormatKind, PackedCodes, PlanParams};
-use af_resilience::{EccStats, ProtectedCodes, StorageCodec};
+use adaptivfloat::{DecodePolicy, FormatKind, PackedCodes, PlanParams, StorageCodec};
+use af_resilience::{EccStats, ProtectedCodes};
 
 use crate::bytes::{ByteReader, ByteWriter, ShortRead};
 use crate::crc::crc32;
@@ -806,37 +806,48 @@ pub fn raw_f32_codes(data: &[f32]) -> ProtectedCodes {
 }
 
 impl StoredLayer {
+    /// The codec this layer's codes decode under, rebuilt from the
+    /// stored format and frozen params; `None` for a
+    /// [`LayerPayload::RawF32`] layer. Every reader of stored codes
+    /// takes its codec from here.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Malformed`] if the stored format/params cannot
+    /// rebuild a codec or the code width disagrees with the format.
+    pub fn codec(&self) -> Result<Option<StorageCodec>, StoreError> {
+        let LayerPayload::Codes { kind, n, params } = &self.payload else {
+            return Ok(None);
+        };
+        let malformed = |context| StoreError::Malformed {
+            path: std::path::PathBuf::new(),
+            context,
+        };
+        let codec = StorageCodec::from_params(*kind, *n, *params)
+            .map_err(|e| malformed(format!("stored params cannot rebuild a codec: {e}")))?;
+        let width = self.codes.codes().width();
+        if codec.width() != width {
+            return Err(malformed(format!(
+                "code width {width} disagrees with format width {}",
+                codec.width()
+            )));
+        }
+        Ok(Some(codec))
+    }
+
     /// Decode this layer's (ECC-corrected) codes back to the served f32
     /// values. Returns the values and how many storage words the read
     /// corrected on the fly.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Malformed`] if the stored format/params cannot
-    /// rebuild a codec or the code width disagrees with the format.
+    /// [`StoreError::Malformed`] as [`codec`](Self::codec).
     pub fn decode_values(&self) -> Result<(Vec<f32>, usize), StoreError> {
+        let codec = self.codec()?;
         let (snapshot, report) = self.codes.decode();
-        let vals = match &self.payload {
-            LayerPayload::RawF32 => snapshot.iter().map(|c| f32::from_bits(c as u32)).collect(),
-            LayerPayload::Codes { kind, n, params } => {
-                let codec = StorageCodec::from_params(*kind, *n, *params).map_err(|e| {
-                    StoreError::Malformed {
-                        path: std::path::PathBuf::new(),
-                        context: format!("stored params cannot rebuild a codec: {e}"),
-                    }
-                })?;
-                if codec.width() != snapshot.width() {
-                    return Err(StoreError::Malformed {
-                        path: std::path::PathBuf::new(),
-                        context: format!(
-                            "code width {} disagrees with format width {}",
-                            snapshot.width(),
-                            codec.width()
-                        ),
-                    });
-                }
-                codec.decode_slice(&snapshot, DecodePolicy::Harden).0
-            }
+        let vals = match codec {
+            None => snapshot.iter().map(|c| f32::from_bits(c as u32)).collect(),
+            Some(codec) => codec.decode_slice(&snapshot, DecodePolicy::Harden).0,
         };
         Ok((vals, report.corrected))
     }

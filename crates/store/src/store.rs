@@ -527,8 +527,7 @@ impl Store {
 mod tests {
     use super::*;
     use crate::container::{LayerPayload, SpecRecord, StoredLayer};
-    use adaptivfloat::FormatKind;
-    use af_resilience::StorageCodec;
+    use adaptivfloat::{FormatKind, StorageCodec};
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("af-store-{tag}-{}", std::process::id()));

@@ -5,8 +5,8 @@
 
 use std::path::{Path, PathBuf};
 
-use adaptivfloat::{FormatKind, PlanParams};
-use af_resilience::{ProtectedCodes, StorageCodec};
+use adaptivfloat::{FormatKind, PlanParams, StorageCodec};
+use af_resilience::ProtectedCodes;
 use af_store::{
     decode_container, encode_container, raw_f32_codes, ActRecord, LayerPayload, SpecRecord,
     StoreError, StoredLayer, StoredVariant, SyncPolicy, WalOp, WalWriter, CONTAINER_MAGIC,

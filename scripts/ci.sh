@@ -70,7 +70,7 @@ AF_NUM_THREADS=1 cargo test -q -p af-models --test fused_gemm
 # Both GEMMs share one microkernel; each must still equal the naive
 # ascending-k loop when the row split runs serial.
 AF_NUM_THREADS=1 cargo test -q -p af-tensor --test gemm_oracle
-AF_NUM_THREADS=1 cargo test -q -p af-resilience --test codec_equivalence
+AF_NUM_THREADS=1 cargo test -q -p adaptivfloat --test codec_equivalence
 AF_NUM_THREADS=1 cargo test -q --test serve_e2e
 # Variants built from a resident FP32 twin equal cold builds bit for bit.
 AF_NUM_THREADS=1 cargo test -q -p af-serve --test checkpoint_reuse
@@ -78,6 +78,8 @@ AF_NUM_THREADS=1 cargo test -q -p af-serve --test checkpoint_reuse
 # snapshot while owning their storage.
 AF_NUM_THREADS=1 cargo test -q -p af-serve --test resident_bytes
 AF_NUM_THREADS=1 cargo test -q -p af-fleet --test replica_independence
+# Every replica's container on disk is its shard's export, byte for byte.
+AF_NUM_THREADS=1 cargo test -q -p af-fleet --test replica_containers
 # The reactor front end must also hold with the runtime forced serial
 # (one compute thread under the event loop — replies still wake it).
 AF_NUM_THREADS=1 cargo test -q --test fleet_e2e
@@ -98,7 +100,7 @@ AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test plan_matches_backends
 AF_FORCE_SCALAR=1 cargo test -q -p af-tensor --test packed_gemm
 AF_FORCE_SCALAR=1 cargo test -q -p af-tensor --test gemm_oracle
 AF_FORCE_SCALAR=1 cargo test -q -p af-models --test fused_gemm
-AF_FORCE_SCALAR=1 cargo test -q -p af-resilience --test codec_equivalence
+AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test codec_equivalence
 AF_FORCE_SCALAR=1 cargo test -q --test serve_e2e
 AF_FORCE_SCALAR=1 cargo test -q -p af-serve --test checkpoint_reuse
 AF_FORCE_SCALAR=1 cargo test -q -p af-serve --test resident_bytes

@@ -8,11 +8,9 @@
 //!    sample-inject-decode machinery at rate 0 is bit-identical to the
 //!    uninstrumented encode/decode path.
 
-use adaptivfloat::{DecodePolicy, FormatKind};
+use adaptivfloat::{DecodePolicy, FormatKind, StorageCodec};
 use af_models::{evaluate_with_weight_transform, MiniResNet, QuantizableModel};
-use af_resilience::{
-    inject_packed, run_weight_campaign, CampaignConfig, FaultKind, FaultSpec, StorageCodec,
-};
+use af_resilience::{inject_packed, run_weight_campaign, CampaignConfig, FaultKind, FaultSpec};
 
 fn trained_model() -> MiniResNet {
     let mut m = MiniResNet::new(7);
