@@ -7,9 +7,7 @@ use adaptivfloat::{AdaptivFloat, FormatKind, NumberFormat, PackedCodes, QuantSta
 use af_hw::arith::{hfint_dot, int_dot_scaled};
 use af_resilience::encode_word;
 use af_store::crc::crc32;
-use af_store::{
-    encode_container, raw_f32_codes, LayerPayload, SpecRecord, StoredLayer, StoredVariant,
-};
+use af_store::{encode_container, raw_f32_codes, SpecRecord, StoredLayer, StoredVariant};
 use af_tensor::{PackedDecode, PackedGemm, PackedGemmScratch, Tensor};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -236,7 +234,7 @@ fn store_codec(c: &mut Criterion) {
         .map(|d| StoredLayer {
             rows: d[0],
             cols: d[1],
-            payload: LayerPayload::RawF32,
+            codec: None,
             codes: raw_f32_codes(&data(d[0] * d[1])),
         })
         .collect();

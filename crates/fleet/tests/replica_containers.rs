@@ -70,7 +70,7 @@ fn assert_containers_are_exports(shard: &Shard, dir: &Path) -> usize {
         let path = dir.join(container_file_name(id));
         let on_disk =
             std::fs::read(&path).unwrap_or_else(|e| panic!("shard {} {id}: {e}", shard.index()));
-        let want = encode_container(&export_variant(&live).expect("export"));
+        let want = encode_container(&export_variant(&live));
         assert!(
             on_disk == want,
             "shard {} {id}: container differs from the live export",
@@ -90,7 +90,7 @@ fn served(shard: &Shard, inputs: &[Vec<f32>]) -> Served {
         .into_iter()
         .map(|id| {
             let variant = shard.engine().registry().get(&id).expect("live variant");
-            let container = encode_container(&export_variant(&variant).expect("export"));
+            let container = encode_container(&export_variant(&variant));
             let bits = inputs
                 .iter()
                 .map(|x| {

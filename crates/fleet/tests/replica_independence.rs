@@ -38,7 +38,7 @@ fn state(shard: &Shard, id: &str) -> ReplicaState {
     let store = store.lock().unwrap();
     ReplicaState {
         generation: variant.generation,
-        codes: store.export_layers().into_iter().map(|(_, c)| c).collect(),
+        codes: store.layers().iter().map(|l| l.codes.clone()).collect(),
         ecc: store.ecc_stats(),
         wal_records: shard.store().stats().wal_records,
         wal: std::fs::read(shard.root().join("wal.log")).expect("shard WAL"),

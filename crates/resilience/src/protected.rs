@@ -31,6 +31,15 @@ pub struct ScrubReport {
     pub uncorrectable: usize,
 }
 
+impl ScrubReport {
+    /// Merge another report into this one (summing fields).
+    pub fn absorb(&mut self, other: &ScrubReport) {
+        self.words_scanned += other.words_scanned;
+        self.corrected += other.corrected;
+        self.uncorrectable += other.uncorrectable;
+    }
+}
+
 impl ProtectedCodes {
     /// Wrap `codes` in SEC-DED protection, computing one parity byte per
     /// raw storage word.

@@ -1,7 +1,8 @@
-//! The protected weight store: each registered variant's quantized
-//! weight codes held behind SEC-DED parity
-//! ([`af_resilience::ProtectedCodes`]), next to the codec that decodes
-//! them — and nothing else. The store keeps no f32 copy of the weights.
+//! The protected weight store: each registered variant's weight layers
+//! as [`StoredLayer`]s — a layer's frozen [`StorageCodec`] over its
+//! SEC-DED protected codes ([`af_resilience::ProtectedCodes`]), the
+//! same layers a container persists and restore hands back — and
+//! nothing else. The store keeps no f32 copy of the weights.
 //!
 //! The serving snapshot is always **built from what the storage
 //! decodes to** (never from a separate quantization pass), so after a
@@ -20,6 +21,7 @@ use adaptivfloat::{
 use af_models::FrozenMlp;
 use af_resilience::{inject_protected_bits, EccStats, FaultMap, ProtectedCodes};
 use af_resilience::{ScrubReport, CODEWORD_BITS};
+use af_store::StoredLayer;
 
 /// Fit a storage codec to an FP32 weight tensor and encode it: quantize
 /// through the format's plan for the tensor, then encode the rounded
@@ -40,19 +42,37 @@ fn fit_and_encode(
     Ok((codec, index, codes))
 }
 
-/// One layer's protected storage: the fitted codec and the SEC-DED
-/// protected codes.
-#[derive(Debug, Clone)]
-struct ProtectedLayer {
-    codec: StorageCodec,
+/// Layer `l` of `model` stored as `codes` under `codec` (`None`: raw
+/// f32).
+pub(crate) fn stored_layer(
+    model: &FrozenMlp,
+    l: usize,
+    codec: Option<StorageCodec>,
     codes: ProtectedCodes,
+) -> StoredLayer {
+    let shape = model.weight_shape(l);
+    StoredLayer {
+        rows: shape[0],
+        cols: shape[1],
+        codec,
+        codes,
+    }
+}
+
+/// The codec a protected layer's codes decode under.
+fn coded(layer: &StoredLayer) -> &StorageCodec {
+    layer
+        .codec
+        .as_ref()
+        .expect("every protected layer is coded")
 }
 
 /// SEC-DED protected storage for every weight tensor of one variant.
 #[derive(Debug, Clone)]
 pub struct ProtectedWeights {
     format_label: String,
-    layers: Vec<ProtectedLayer>,
+    /// Every layer coded, its codes packed at its codec's width.
+    layers: Vec<StoredLayer>,
     rebuilds: u64,
 }
 
@@ -79,10 +99,8 @@ impl ProtectedWeights {
                 let (codec, index, codes) = fit_and_encode(kind, n, &model.weight_data(l).0)?;
                 let (vals, _) = codec.decode_via(index.as_ref(), &codes, DecodePolicy::Harden);
                 values.push(vals);
-                Ok(ProtectedLayer {
-                    codes: ProtectedCodes::protect(codes),
-                    codec,
-                })
+                let codes = ProtectedCodes::protect(codes);
+                Ok(stored_layer(model, l, Some(codec), codes))
             })
             .collect::<Result<Vec<_>, FormatError>>()?;
         let store = ProtectedWeights {
@@ -93,17 +111,49 @@ impl ProtectedWeights {
         Ok((store, values))
     }
 
+    /// Rebuild a store from persisted layers, plus the label and
+    /// rebuild counter the container preserved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a layer is raw f32 or packs its codes at another width
+    /// than its codec's (restore refuses both before it gets here).
+    pub fn restore(
+        format_label: &str,
+        rebuilds: u64,
+        layers: Vec<StoredLayer>,
+    ) -> ProtectedWeights {
+        assert!(
+            layers
+                .iter()
+                .all(|l| l.codec.is_some() && l.check_width().is_ok()),
+            "protected layers must be coded at their codec's width"
+        );
+        ProtectedWeights {
+            format_label: format_label.to_string(),
+            layers,
+            rebuilds,
+        }
+    }
+
     /// The weight-format label served snapshots carry, e.g.
     /// `"AdaptivFloat<8,3>+secded"`.
     pub fn format_label(&self) -> &str {
         &self.format_label
     }
 
+    /// The stored layers: each one's codec and its protected codes *as
+    /// stored* — latent single-bit faults and ECC history included,
+    /// exactly what a durable store must persist.
+    pub fn layers(&self) -> &[StoredLayer] {
+        &self.layers
+    }
+
     /// The codecs the stored codes were encoded under, one per layer —
     /// what [`FrozenMlp::quantize_weights`] records for the same
     /// checkpoint.
     pub(crate) fn codecs(&self) -> Vec<StorageCodec> {
-        self.layers.iter().map(|l| l.codec.clone()).collect()
+        self.layers.iter().map(|l| coded(l).clone()).collect()
     }
 
     /// Number of protected weight tensors (model depth).
@@ -153,11 +203,10 @@ impl ProtectedWeights {
             .layers
             .iter()
             .map(|layer| {
-                let (snapshot, report) = layer.codes.decode();
-                total.words_scanned += report.words_scanned;
-                total.corrected += report.corrected;
-                total.uncorrectable += report.uncorrectable;
-                let (vals, _) = layer.codec.decode_slice(&snapshot, DecodePolicy::Harden);
+                let (vals, report) = layer
+                    .decode_values()
+                    .expect("protected codes are packed at their codec's width");
+                total.absorb(&report);
                 vals
             })
             .collect();
@@ -171,10 +220,7 @@ impl ProtectedWeights {
     pub fn scrub(&mut self) -> ScrubReport {
         let mut total = ScrubReport::default();
         for layer in &mut self.layers {
-            let report = layer.codes.scrub();
-            total.words_scanned += report.words_scanned;
-            total.corrected += report.corrected;
-            total.uncorrectable += report.uncorrectable;
+            total.absorb(&layer.codes.scrub());
         }
         total
     }
@@ -198,13 +244,14 @@ impl ProtectedWeights {
             "checkpoint depth differs from the store's"
         );
         for (l, layer) in self.layers.iter_mut().enumerate() {
-            let (kind, n) = (layer.codec.kind(), layer.codec.width());
+            let stored = coded(layer);
             // Re-fitting the same checkpoint reproduces the same codec.
-            let (codec, _, codes) = fit_and_encode(kind, n, &checkpoint.weight_data(l).0)
-                .expect("the geometry the store was built with");
+            let (refit, _, codes) =
+                fit_and_encode(stored.kind(), stored.width(), &checkpoint.weight_data(l).0)
+                    .expect("the geometry the store was built with");
             assert_eq!(
-                codec.params(),
-                layer.codec.params(),
+                refit.params(),
+                stored.params(),
                 "layer {l}: the checkpoint does not refit the stored codec"
             );
             // Carry the history: a rebuilt store has seen every error
@@ -213,35 +260,6 @@ impl ProtectedWeights {
             layer.codes = ProtectedCodes::protect(codes).with_stats(stats);
         }
         self.rebuilds += 1;
-    }
-
-    /// Export every layer's storage for persistence: the fitted codec
-    /// (whose frozen params a container serializes) and the protected
-    /// codes *as stored* — latent single-bit faults and ECC history
-    /// included, exactly what a durable store must preserve.
-    pub fn export_layers(&self) -> Vec<(StorageCodec, ProtectedCodes)> {
-        self.layers
-            .iter()
-            .map(|l| (l.codec.clone(), l.codes.clone()))
-            .collect()
-    }
-
-    /// Rebuild a store from persisted parts: one `(codec, codes)` pair
-    /// per layer, plus the label and rebuild counter the container
-    /// preserved.
-    pub fn restore(
-        format_label: &str,
-        rebuilds: u64,
-        parts: Vec<(StorageCodec, ProtectedCodes)>,
-    ) -> ProtectedWeights {
-        ProtectedWeights {
-            format_label: format_label.to_string(),
-            layers: parts
-                .into_iter()
-                .map(|(codec, codes)| ProtectedLayer { codec, codes })
-                .collect(),
-            rebuilds,
-        }
     }
 
     /// Corrupt layer `l`'s protected storage with a width-1 bit-level
@@ -304,17 +322,16 @@ mod tests {
                     bits(&store.decoded_weights().0),
                     "{kind} n={n}"
                 );
-                let built = store.export_layers();
+                let built = store.layers().to_vec();
                 store.rebuild_from_checkpoint(&m);
-                for (l, ((codec, codes), (_, rebuilt))) in
-                    built.iter().zip(store.export_layers()).enumerate()
-                {
+                for (l, (layer, rebuilt)) in built.iter().zip(store.layers()).enumerate() {
                     let mut want = PackedCodes::new(n);
                     for &v in m.weight_data(l).0.iter() {
-                        want.push(u64::from(codec.encode_one(v)));
+                        want.push(u64::from(coded(layer).encode_one(v)));
                     }
-                    assert_eq!(codes.codes(), &want, "{kind} n={n} layer {l}");
-                    assert_eq!(rebuilt.codes(), &want, "{kind} n={n} layer {l} rebuilt");
+                    assert_eq!(layer.codes.codes(), &want, "{kind} n={n} layer {l}");
+                    let rebuilt = rebuilt.codes.codes();
+                    assert_eq!(rebuilt, &want, "{kind} n={n} layer {l} rebuilt");
                 }
             }
         }
@@ -346,10 +363,7 @@ mod tests {
         let mut hit = store();
         let (want, _) = hit.decoded_weights();
         let codes = |s: &ProtectedWeights| -> Vec<PackedCodes> {
-            s.export_layers()
-                .into_iter()
-                .map(|(_, c)| c.codes().clone())
-                .collect()
+            s.layers().iter().map(|l| l.codes.codes().clone()).collect()
         };
         let clean = codes(&hit);
         hit.flip_bit(1, 0, 3);

@@ -777,9 +777,9 @@ mod tests {
                 let codes = |v: &ModelVariant| -> Vec<_> {
                     let store = v.protected.as_ref().unwrap().lock().unwrap();
                     store
-                        .export_layers()
-                        .into_iter()
-                        .map(|(_, c)| c.codes().clone())
+                        .layers()
+                        .iter()
+                        .map(|l| l.codes.codes().clone())
                         .collect()
                 };
                 let clean = codes(&v);

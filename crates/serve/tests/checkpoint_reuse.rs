@@ -66,7 +66,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 fn container(v: &ModelVariant) -> Vec<u8> {
-    encode_container(&export_variant(v).expect("export"))
+    encode_container(&export_variant(v))
 }
 
 fn assert_same(got: &ModelVariant, want: &ModelVariant) {

@@ -46,11 +46,13 @@ fn container_json(path: &Path) -> Result<String, StoreError> {
             layers.push(',');
         }
         let stats = layer.codes.stats();
-        let mode = match &layer.payload {
-            af_store::LayerPayload::RawF32 => "\"raw_f32\"".to_string(),
-            af_store::LayerPayload::Codes { kind, n, params } => format!(
-                "{{\"kind\":\"{}\",\"bits\":{n},\"params\":\"{params:?}\"}}",
-                kind.label()
+        let mode = match &layer.codec {
+            None => "\"raw_f32\"".to_string(),
+            Some(codec) => format!(
+                "{{\"kind\":\"{}\",\"bits\":{},\"params\":\"{:?}\"}}",
+                codec.kind().label(),
+                codec.width(),
+                codec.params()
             ),
         };
         layers.push_str(&format!(

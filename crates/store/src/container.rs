@@ -1,14 +1,21 @@
-//! The `.afc` container: one frozen variant persisted as packed codes,
-//! per-layer frozen [`PlanParams`], and SEC-DED parity.
+//! The `.afc` container: one frozen variant persisted as its
+//! [`StoredLayer`]s — each an optional [`StorageCodec`] (format kind,
+//! word size and frozen [`PlanParams`]; none for lossless raw f32) over
+//! SEC-DED protected packed codes.
 //!
 //! ```text
 //! magic "AFSTORE1" · version u16
 //! section*  :=  tag u8 · len u64 · crc32 u32 · payload[len]
 //!   tag 1 = SPEC   (variant identity, generation, rebuilds)
-//!   tag 2 = LAYER  (one weight tensor: codes + parity + ECC stats)
+//!   tag 2 = LAYER  (one weight tensor: shape, codec, codes + parity +
+//!                   ECC stats)
 //!   tag 3 = ACT    (calibrated activation ranges)
 //!   tag 4 = END    (empty payload; everything after it is rejected)
 //! ```
+//!
+//! The LAYER parser builds each codec once, so params that do not fit
+//! their format kind fail the parse; the code width is checked by
+//! [`StoredLayer::check_width`] before any code is read.
 //!
 //! Every payload carries its own CRC-32, so a flipped byte fails the
 //! section it landed in, not the whole file. LAYER sections get a
@@ -22,8 +29,8 @@
 use std::io::Write;
 use std::path::Path;
 
-use adaptivfloat::{DecodePolicy, FormatKind, PackedCodes, PlanParams, StorageCodec};
-use af_resilience::{EccStats, ProtectedCodes};
+use adaptivfloat::{DecodePolicy, FormatError, FormatKind, PackedCodes, PlanParams, StorageCodec};
+use af_resilience::{EccStats, ProtectedCodes, ScrubReport};
 
 use crate::bytes::{ByteReader, ByteWriter, ShortRead};
 use crate::crc::crc32;
@@ -68,35 +75,22 @@ pub struct SpecRecord {
     pub rebuilds: u64,
 }
 
-/// How one layer's values are encoded inside its protected codes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LayerPayload {
-    /// `f32` bit patterns stored as width-32 codes — the lossless
-    /// fallback (FP32 variants, or quantized values whose codec
-    /// roundtrip was not bit-exact at persist time).
-    RawF32,
-    /// Format codes plus the frozen per-tensor parameters needed to
-    /// decode them without refitting anything.
-    Codes {
-        /// Storage format kind.
-        kind: FormatKind,
-        /// Word size in bits.
-        n: u32,
-        /// The frozen per-tensor side state.
-        params: PlanParams,
-    },
-}
-
-/// One persisted weight tensor: geometry, encoding, and the SEC-DED
-/// protected code image (including its cumulative ECC counters).
+/// One persisted weight tensor: geometry, the codec its codes decode
+/// under, and the SEC-DED protected code image (including its
+/// cumulative ECC counters). The one shape of a stored layer: a
+/// protected store holds these in memory, a container persists them,
+/// and restore hands them back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredLayer {
     /// Weight matrix rows (input width).
     pub rows: usize,
     /// Weight matrix columns (output width).
     pub cols: usize,
-    /// How the codes decode back to values.
-    pub payload: LayerPayload,
+    /// The frozen codec the codes decode under, or `None` for the
+    /// lossless fallback: `f32` bit patterns stored as width-32 codes
+    /// (FP32 variants, or quantized values whose codec roundtrip was
+    /// not bit-exact at persist time).
+    pub codec: Option<StorageCodec>,
     /// The protected code image, parity and ECC history included.
     pub codes: ProtectedCodes,
 }
@@ -158,10 +152,12 @@ fn kind_from_u8(b: u8) -> Option<FormatKind> {
     })
 }
 
-/// A payload parse failure: ran short, or carried an impossible value.
+/// A payload parse failure: ran short, carried an impossible value, or
+/// described a codec no format builds.
 enum ParseErr {
     Short(ShortRead),
     Bad(&'static str),
+    Codec(FormatError),
 }
 
 impl From<ShortRead> for ParseErr {
@@ -175,6 +171,7 @@ impl ParseErr {
         match self {
             ParseErr::Short(s) => s.to_string(),
             ParseErr::Bad(msg) => (*msg).to_string(),
+            ParseErr::Codec(e) => format!("stored params cannot rebuild a codec: {e}"),
         }
     }
 }
@@ -319,26 +316,20 @@ fn decode_spec(bytes: &[u8]) -> Result<SpecRecord, ParseErr> {
 /// Serialize one layer with an explicit stats value — the writer passes
 /// the live stats; the ECC-repair path passes the *stored* stats so a
 /// repaired payload can reproduce the original CRC byte for byte.
-fn encode_layer_with(
-    w: &mut ByteWriter,
-    index: u32,
-    layer: &StoredLayer,
-    codes: &PackedCodes,
-    parity: &[u8],
-    stats: EccStats,
-) {
+fn encode_layer_with(w: &mut ByteWriter, index: u32, layer: &StoredLayer, stats: EccStats) {
     w.put_u32(index);
     w.put_u64(layer.rows as u64);
     w.put_u64(layer.cols as u64);
-    match &layer.payload {
-        LayerPayload::RawF32 => w.put_u8(0),
-        LayerPayload::Codes { kind, n, params } => {
+    match &layer.codec {
+        None => w.put_u8(0),
+        Some(codec) => {
             w.put_u8(1);
-            w.put_u8(kind_to_u8(*kind));
-            w.put_u32(*n);
-            write_params(w, params);
+            w.put_u8(kind_to_u8(codec.kind()));
+            w.put_u32(codec.width());
+            write_params(w, &codec.params());
         }
     }
+    let (codes, parity) = (layer.codes.codes(), layer.codes.parity());
     w.put_u32(codes.width());
     w.put_u64(codes.len() as u64);
     w.put_u64_slice(codes.words());
@@ -350,14 +341,7 @@ fn encode_layer_with(
 }
 
 fn encode_layer(w: &mut ByteWriter, index: u32, layer: &StoredLayer) {
-    encode_layer_with(
-        w,
-        index,
-        layer,
-        layer.codes.codes(),
-        layer.codes.parity(),
-        layer.codes.stats(),
-    )
+    encode_layer_with(w, index, layer, layer.codes.stats())
 }
 
 /// The pieces of a LAYER payload before reassembly — kept apart so the
@@ -366,7 +350,7 @@ struct LayerParts {
     index: u32,
     rows: usize,
     cols: usize,
-    payload: LayerPayload,
+    codec: Option<StorageCodec>,
     codes: PackedCodes,
     parity: Vec<u8>,
     stats: EccStats,
@@ -377,17 +361,14 @@ fn decode_layer(bytes: &[u8]) -> Result<LayerParts, ParseErr> {
     let index = r.get_u32("layer index")?;
     let rows = r.get_u64("layer rows")? as usize;
     let cols = r.get_u64("layer cols")? as usize;
-    let payload = match r.get_u8("layer mode")? {
-        0 => LayerPayload::RawF32,
+    let codec = match r.get_u8("layer mode")? {
+        0 => None,
         1 => {
             let kind = kind_from_u8(r.get_u8("layer format kind")?)
                 .ok_or(ParseErr::Bad("unknown layer format kind"))?;
             let n = r.get_u32("layer format width")?;
-            LayerPayload::Codes {
-                kind,
-                n,
-                params: read_params(&mut r)?,
-            }
+            let params = read_params(&mut r)?;
+            Some(StorageCodec::from_params(kind, n, params).map_err(ParseErr::Codec)?)
         }
         _ => return Err(ParseErr::Bad("unknown layer mode")),
     };
@@ -409,16 +390,11 @@ fn decode_layer(bytes: &[u8]) -> Result<LayerParts, ParseErr> {
     if rows.checked_mul(cols) != Some(len) {
         return Err(ParseErr::Bad("code count does not match rows x cols"));
     }
-    if let LayerPayload::RawF32 = payload {
-        if width != 32 {
-            return Err(ParseErr::Bad("RawF32 layers must store 32-bit codes"));
-        }
-    }
     Ok(LayerParts {
         index,
         rows,
         cols,
-        payload,
+        codec,
         codes,
         parity,
         stats,
@@ -627,28 +603,21 @@ pub fn decode_container(
                         layers.len()
                     )));
                 }
-                let mut codes = ProtectedCodes::from_parts(parts.codes, parts.parity, parts.stats)
+                let codes = ProtectedCodes::from_parts(parts.codes, parts.parity, parts.stats)
                     .ok_or_else(|| malformed("parity length mismatch".to_string()))?;
+                let mut layer = StoredLayer {
+                    rows: parts.rows,
+                    cols: parts.cols,
+                    codec: parts.codec,
+                    codes,
+                };
                 if !crc_ok {
                     // Second chance: the payload is SEC-DED protected
                     // storage. Scrub it, then demand the repaired image
                     // reproduce the stored CRC exactly.
-                    let probe = StoredLayer {
-                        rows: parts.rows,
-                        cols: parts.cols,
-                        payload: parts.payload.clone(),
-                        codes: codes.clone(),
-                    };
-                    let scrub = codes.scrub();
+                    let scrub = layer.codes.scrub();
                     let mut repaired = ByteWriter::new();
-                    encode_layer_with(
-                        &mut repaired,
-                        parts.index,
-                        &probe,
-                        codes.codes(),
-                        codes.parity(),
-                        parts.stats,
-                    );
+                    encode_layer_with(&mut repaired, parts.index, &layer, parts.stats);
                     if scrub.corrected == 0 || crc32(repaired.as_bytes()) != stored_crc {
                         return Err(StoreError::Corrupt {
                             path: path.to_path_buf(),
@@ -662,12 +631,7 @@ pub fn decode_container(
                     report.sections_repaired += 1;
                     report.words_corrected += scrub.corrected;
                 }
-                layers.push(StoredLayer {
-                    rows: parts.rows,
-                    cols: parts.cols,
-                    payload: parts.payload,
-                    codes,
-                });
+                layers.push(layer);
             }
             TAG_ACT => {
                 if !crc_ok {
@@ -787,8 +751,8 @@ pub fn read_container(path: &Path) -> Result<(StoredVariant, ReadReport), StoreE
     decode_container(&bytes, path)
 }
 
-/// Pack f32 values into the lossless width-32 code image the
-/// [`LayerPayload::RawF32`] mode stores, SEC-DED protected like any
+/// Pack f32 values into the lossless width-32 code image a raw f32
+/// layer (one with no codec) stores, SEC-DED protected like any
 /// other layer.
 pub fn raw_f32_codes(data: &[f32]) -> ProtectedCodes {
     // Two codes per word, the first in the low half — the layout
@@ -806,50 +770,41 @@ pub fn raw_f32_codes(data: &[f32]) -> ProtectedCodes {
 }
 
 impl StoredLayer {
-    /// The codec this layer's codes decode under, rebuilt from the
-    /// stored format and frozen params; `None` for a
-    /// [`LayerPayload::RawF32`] layer. Every reader of stored codes
-    /// takes its codec from here.
+    /// Check that the codes are packed at the word size the layer's
+    /// encoding reads: 32 bits for raw f32, the codec's width for a
+    /// coded layer. A CRC-valid container can still pack them at
+    /// another width, so every reader of stored codes runs this first.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Malformed`] if the stored format/params cannot
-    /// rebuild a codec or the code width disagrees with the format.
-    pub fn codec(&self) -> Result<Option<StorageCodec>, StoreError> {
-        let LayerPayload::Codes { kind, n, params } = &self.payload else {
-            return Ok(None);
-        };
-        let malformed = |context| StoreError::Malformed {
-            path: std::path::PathBuf::new(),
-            context,
-        };
-        let codec = StorageCodec::from_params(*kind, *n, *params)
-            .map_err(|e| malformed(format!("stored params cannot rebuild a codec: {e}")))?;
+    /// The mismatch, as a message for the caller's typed error.
+    pub fn check_width(&self) -> Result<(), String> {
+        let want = self.codec.as_ref().map_or(32, StorageCodec::width);
         let width = self.codes.codes().width();
-        if codec.width() != width {
-            return Err(malformed(format!(
-                "code width {width} disagrees with format width {}",
-                codec.width()
-            )));
+        if width != want {
+            return Err(format!(
+                "code width {width} disagrees with format width {want}"
+            ));
         }
-        Ok(Some(codec))
+        Ok(())
     }
 
     /// Decode this layer's (ECC-corrected) codes back to the served f32
-    /// values. Returns the values and how many storage words the read
-    /// corrected on the fly.
+    /// values, under the hardened policy. Returns the values and what
+    /// the read found: single-bit errors corrected on the fly,
+    /// uncorrectable words passed through raw.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Malformed`] as [`codec`](Self::codec).
-    pub fn decode_values(&self) -> Result<(Vec<f32>, usize), StoreError> {
-        let codec = self.codec()?;
+    /// As [`check_width`](Self::check_width).
+    pub fn decode_values(&self) -> Result<(Vec<f32>, ScrubReport), String> {
+        self.check_width()?;
         let (snapshot, report) = self.codes.decode();
-        let vals = match codec {
+        let vals = match &self.codec {
             None => snapshot.iter().map(|c| f32::from_bits(c as u32)).collect(),
             Some(codec) => codec.decode_slice(&snapshot, DecodePolicy::Harden).0,
         };
-        Ok((vals, report.corrected))
+        Ok((vals, report))
     }
 }
 
@@ -867,15 +822,11 @@ mod tests {
         let kind = FormatKind::AdaptivFloat;
         let fit = |data: &[f32]| StorageCodec::fit(kind, 8, data).unwrap();
         let (c0, c1) = (fit(&w0), fit(&w1));
-        let layer = |codec: &StorageCodec, data: &[f32], rows: usize, cols: usize| StoredLayer {
+        let layer = |codec: StorageCodec, data: &[f32], rows: usize, cols: usize| StoredLayer {
             rows,
             cols,
-            payload: LayerPayload::Codes {
-                kind,
-                n: 8,
-                params: codec.params(),
-            },
             codes: ProtectedCodes::protect(codec.encode_slice(data)),
+            codec: Some(codec),
         };
         StoredVariant {
             spec: SpecRecord {
@@ -891,7 +842,7 @@ mod tests {
                 generation: 3,
                 rebuilds: 1,
             },
-            layers: vec![layer(&c0, &w0, 8, 6), layer(&c1, &w1, 6, 4)],
+            layers: vec![layer(c0, &w0, 8, 6), layer(c1, &w1, 6, 4)],
             act: Some(ActRecord {
                 kind,
                 n: 8,
@@ -910,8 +861,8 @@ mod tests {
         // Decoded values are bit-identical to what the source codes
         // decode to.
         for (l, layer) in v.layers.iter().enumerate() {
-            let (vals, corrected) = back.layers[l].decode_values().unwrap();
-            assert_eq!(corrected, 0);
+            let (vals, read) = back.layers[l].decode_values().unwrap();
+            assert_eq!(read.corrected, 0);
             let (want, _) = layer.decode_values().unwrap();
             assert_eq!(
                 vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -984,7 +935,7 @@ mod tests {
         v.layers = vec![StoredLayer {
             rows: 5,
             cols: 1,
-            payload: LayerPayload::RawF32,
+            codec: None,
             codes: raw_f32_codes(&data),
         }];
         let bytes = encode_container(&v);
@@ -1047,8 +998,11 @@ mod tests {
         // The repaired layer decodes to exactly the clean values, and its
         // ECC history now records the correction.
         let (want, _) = v.layers[0].decode_values().unwrap();
-        let (got, corrected) = back.layers[0].decode_values().unwrap();
-        assert_eq!(corrected, 0, "repair happened at read time, not decode");
+        let (got, read) = back.layers[0].decode_values().unwrap();
+        assert_eq!(
+            read.corrected, 0,
+            "repair happened at read time, not decode"
+        );
         assert_eq!(
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

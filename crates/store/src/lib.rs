@@ -39,8 +39,8 @@ pub mod wal;
 
 pub use container::{
     decode_container, encode_container, raw_f32_codes, read_container, write_container,
-    write_container_body, ActRecord, ContainerBody, LayerPayload, ReadReport, SpecRecord,
-    StoredLayer, StoredVariant, CONTAINER_MAGIC, CONTAINER_VERSION,
+    write_container_body, ActRecord, ContainerBody, ReadReport, SpecRecord, StoredLayer,
+    StoredVariant, CONTAINER_MAGIC, CONTAINER_VERSION,
 };
 pub use error::StoreError;
 pub use store::{container_file_name, shard_root, Recovery, Store, StoreStats};

@@ -526,7 +526,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::{LayerPayload, SpecRecord, StoredLayer};
+    use crate::container::{SpecRecord, StoredLayer};
     use adaptivfloat::{FormatKind, StorageCodec};
 
     fn tmp_root(tag: &str) -> PathBuf {
@@ -555,12 +555,8 @@ mod tests {
             layers: vec![StoredLayer {
                 rows: 4,
                 cols: 3,
-                payload: LayerPayload::Codes {
-                    kind: FormatKind::AdaptivFloat,
-                    n: 8,
-                    params: codec.params(),
-                },
                 codes: af_resilience::ProtectedCodes::protect(codec.encode_slice(&w)),
+                codec: Some(codec),
             }],
             act: None,
         }

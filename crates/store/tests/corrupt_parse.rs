@@ -5,12 +5,13 @@
 
 use std::path::{Path, PathBuf};
 
-use adaptivfloat::{FormatKind, PlanParams, StorageCodec};
+use adaptivfloat::{FormatKind, StorageCodec};
 use af_resilience::ProtectedCodes;
+use af_store::crc::crc32;
 use af_store::{
-    decode_container, encode_container, raw_f32_codes, ActRecord, LayerPayload, SpecRecord,
-    StoreError, StoredLayer, StoredVariant, SyncPolicy, WalOp, WalWriter, CONTAINER_MAGIC,
-    CONTAINER_VERSION, WAL_MAGIC, WAL_VERSION,
+    decode_container, encode_container, raw_f32_codes, ActRecord, SpecRecord, StoreError,
+    StoredLayer, StoredVariant, SyncPolicy, WalOp, WalWriter, CONTAINER_MAGIC, CONTAINER_VERSION,
+    WAL_MAGIC, WAL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -32,18 +33,12 @@ fn make_variant(seed: u64, rows: usize, cols: usize, quantized: bool, act: bool)
             (x as f32 - 2000.0) * 1e-3
         })
         .collect();
-    let (payload, codes) = if quantized {
+    let (codec, codes) = if quantized {
         let codec = StorageCodec::fit(FormatKind::AdaptivFloat, 8, &weights).unwrap();
-        (
-            LayerPayload::Codes {
-                kind: FormatKind::AdaptivFloat,
-                n: 8,
-                params: codec.params(),
-            },
-            ProtectedCodes::protect(codec.encode_slice(&weights)),
-        )
+        let codes = ProtectedCodes::protect(codec.encode_slice(&weights));
+        (Some(codec), codes)
     } else {
-        (LayerPayload::RawF32, raw_f32_codes(&weights))
+        (None, raw_f32_codes(&weights))
     };
     StoredVariant {
         spec: SpecRecord {
@@ -62,7 +57,7 @@ fn make_variant(seed: u64, rows: usize, cols: usize, quantized: bool, act: bool)
         layers: vec![StoredLayer {
             rows,
             cols,
-            payload,
+            codec,
             codes,
         }],
         act: act.then(|| ActRecord {
@@ -244,14 +239,30 @@ proptest! {
 
 #[test]
 fn params_mismatch_fails_typed_on_decode() {
-    // A container whose stored params disagree with its format kind
-    // must fail decode_values typed, not panic.
-    let mut v = make_variant(1, 3, 3, true, false);
-    if let LayerPayload::Codes { params, .. } = &mut v.layers[0].payload {
-        *params = PlanParams::Uniform { scale: 0.5 };
-    }
-    let bytes = encode_container(&v);
-    let (back, _) = decode_container(&bytes, Path::new("mem")).unwrap();
-    let err = back.layers[0].decode_values().unwrap_err();
-    assert_eq!(err.kind(), "malformed");
+    // A CRC-valid container whose first LAYER stores params of another
+    // format kind (Static params under AdaptivFloat) is refused at parse
+    // time, typed, naming the file.
+    let bytes = encode_container(&make_variant(1, 3, 3, true, false));
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    // Magic and version (10 bytes), then the SPEC section: tag u8 ·
+    // len u64 · crc32 u32 · payload.
+    let layer = 10 + 13 + u64_at(11);
+    assert_eq!(bytes[layer], 2, "LAYER tag");
+    let payload = &bytes[layer + 13..layer + 13 + u64_at(layer + 1)];
+    // index u32 · rows u64 · cols u64 · mode u8 · kind u8 · n u32, then
+    // the params tag (0 = AdaptivFloat) and its i32 exp_bias.
+    let tag = 4 + 8 + 8 + 1 + 1 + 4;
+    assert_eq!(payload[tag], 0, "AdaptivFloat params tag");
+    let mut patched = payload[..tag].to_vec();
+    patched.push(3); // PlanParams::Static, which carries no fields
+    patched.extend_from_slice(&payload[tag + 5..]);
+    let mut bent = bytes[..layer + 1].to_vec();
+    bent.extend_from_slice(&(patched.len() as u64).to_le_bytes());
+    bent.extend_from_slice(&crc32(&patched).to_le_bytes());
+    bent.extend_from_slice(&patched);
+    bent.extend_from_slice(&bytes[layer + 13 + payload.len()..]);
+    let path = Path::new("variants/mismatch.afc");
+    let err = decode_container(&bent, path).unwrap_err();
+    assert_eq!(err.kind(), "malformed", "{err}");
+    assert!(err.to_string().contains("variants/mismatch.afc"), "{err}");
 }

@@ -401,4 +401,31 @@ print(
 )
 PY
 
+echo "== store_inspect over the crash smoke's containers =="
+cargo build --release -q -p af-store --bin store_inspect
+find "$STORE_ROOT" -name '*.afc' -print0 | sort -z \
+    | xargs -0 -n1 target/release/store_inspect >"$TMP_DIR/inspect.jsonl"
+python3 - "$TMP_DIR/inspect.jsonl" <<'PY'
+import json, sys
+
+seen = {}
+with open(sys.argv[1]) as f:
+    for line in f:
+        doc = json.loads(line)
+        assert doc["type"] == "container", doc
+        seen.setdefault(doc["id"], []).append(doc)
+assert set(seen) == {"crash/fp32", "crash/protected", "crash/fused"}, sorted(seen)
+for vid, docs in seen.items():
+    for doc in docs:
+        for layer in doc["layers"]:
+            mode, width = layer["mode"], layer["code_width"]
+            if vid == "crash/fp32":
+                assert mode == "raw_f32" and width == 32, (vid, layer)
+            else:
+                assert isinstance(mode, dict), (vid, layer)
+                assert width == mode["bits"], (vid, layer)
+files = sum(len(docs) for docs in seen.values())
+print(f"ok: {files} containers, fp32 raw at width 32, coded layers at their format's width")
+PY
+
 echo "CI green."
