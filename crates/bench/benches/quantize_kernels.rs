@@ -163,11 +163,7 @@ fn packed_gemm(c: &mut Criterion) {
         let params = af.params_for(&w);
         let codes: Vec<u32> = w.iter().map(|&v| af.encode_with(&params, v)).collect();
         let table: Vec<f32> = (0..256u32).map(|c| af.decode_with(&params, c)).collect();
-        let decode = PackedDecode::AdaptivFloat {
-            m: 4,
-            exp_bias: params.exp_bias,
-        };
-        let pg = PackedGemm::build(k, n, 8, &codes, table, decode);
+        let pg = PackedGemm::build(k, n, 8, &codes, table, PackedDecode::Table);
         let dense = Tensor::from_vec(pg.dequantize(), &[k, n]);
         let a = data(m * k);
         let mut out = vec![0.0f32; m * n];

@@ -11,12 +11,14 @@
 //! The paper uses posit as its strongest non-adaptive baseline, with
 //! `es = 1` at word sizes ≥ 5 bits and `es = 0` at 4 bits.
 
+use std::sync::{Arc, OnceLock};
+
 use crate::decode::{DecodePolicy, DecodeStats};
 use crate::error::FormatError;
 use crate::format::NumberFormat;
 use crate::util::exp2;
 
-/// Posit `<n, es>` format descriptor with a precomputed rounding table.
+/// Posit `<n, es>` format descriptor with a shared rounding table.
 ///
 /// # Examples
 ///
@@ -33,8 +35,10 @@ use crate::util::exp2;
 pub struct Posit {
     n: u32,
     es: u32,
-    /// Positive representable values, ascending, paired with their codes.
-    table: Vec<(f64, u32)>,
+    /// The value of every positive code, indexed by `code − 1`:
+    /// positive posit codes are monotone in value, so this is also the
+    /// ascending rounding table. One per geometry, shared process-wide.
+    table: Arc<[f64]>,
 }
 
 impl PartialEq for Posit {
@@ -67,13 +71,12 @@ impl Posit {
                 reason: "es must be at most 4",
             });
         }
-        let mut table = Vec::with_capacity(1 << (n - 1));
-        // Positive codes are 1 ..= 2^(n-1) − 1.
-        for code in 1u32..(1 << (n - 1)) {
-            let v = decode_raw(n, es, code);
-            table.push((v, code));
-        }
-        table.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite posits"));
+        // One slot per supported geometry: n ∈ 3..=16, es ∈ 0..=4.
+        static TABLES: [[OnceLock<Arc<[f64]>>; 5]; 14] =
+            [const { [const { OnceLock::new() }; 5] }; 14];
+        let table = TABLES[n as usize - 3][es as usize]
+            .get_or_init(|| positive_values(n, es))
+            .clone();
         Ok(Posit { n, es, table })
     }
 
@@ -89,12 +92,12 @@ impl Posit {
 
     /// Smallest positive representable value, `2^(−(n−2)·2^es)`.
     pub fn minpos(&self) -> f64 {
-        self.table[0].0
+        self.table[0]
     }
 
     /// Largest representable value, `2^((n−2)·2^es)`.
     pub fn maxpos(&self) -> f64 {
-        self.table[self.table.len() - 1].0
+        self.table[self.table.len() - 1]
     }
 
     /// Decode an `n`-bit code. Code `0` is `0.0`; the NaR pattern
@@ -163,33 +166,26 @@ impl Posit {
         self.quantize_code(v).1
     }
 
-    /// Nearest positive representable to `a > 0` (ties away from zero).
+    /// Nearest positive representable to `a > 0` (ties away from zero),
+    /// with its code.
     fn nearest_positive(&self, a: f64) -> (f64, u32) {
-        match self
-            .table
-            .binary_search_by(|probe| probe.0.partial_cmp(&a).expect("finite"))
-        {
-            Ok(i) => self.table[i],
-            Err(0) => self.table[0], // below minpos: saturate up
-            Err(i) if i == self.table.len() => self.table[i - 1],
-            Err(i) => {
-                let lo = self.table[i - 1];
-                let hi = self.table[i];
-                if (a - lo.0) < (hi.0 - a) {
-                    lo
-                } else {
-                    hi
-                }
-            }
-        }
+        let t = &self.table;
+        let i = match t.binary_search_by(|probe| probe.partial_cmp(&a).expect("finite")) {
+            Ok(i) => i,
+            Err(0) => 0,                     // below minpos: saturate up
+            Err(i) if i == t.len() => i - 1, // above maxpos: saturate down
+            Err(i) if a - t[i - 1] < t[i] - a => i - 1,
+            Err(i) => i,
+        };
+        (t[i], i as u32 + 1)
     }
 
     /// Enumerate all representable values (excluding NaR), sorted
     /// ascending: negatives, zero, positives.
     pub fn representable_values(&self) -> Vec<f32> {
-        let mut vals: Vec<f32> = self.table.iter().rev().map(|&(v, _)| -(v as f32)).collect();
+        let mut vals: Vec<f32> = self.table.iter().rev().map(|&v| -(v as f32)).collect();
         vals.push(0.0);
-        vals.extend(self.table.iter().map(|&(v, _)| v as f32));
+        vals.extend(self.table.iter().map(|&v| v as f32));
         vals
     }
 }
@@ -200,6 +196,13 @@ fn word_mask(n: u32) -> u32 {
     } else {
         (1u32 << n) - 1
     }
+}
+
+/// The values of the positive codes `1 ..= 2^(n−1) − 1`, in code order.
+fn positive_values(n: u32, es: u32) -> Arc<[f64]> {
+    (1u32..1 << (n - 1))
+        .map(|code| decode_raw(n, es, code))
+        .collect()
 }
 
 /// Decode a *positive* posit code (sign bit clear, code ≠ 0).
@@ -379,6 +382,22 @@ mod tests {
         // 2^n codes minus NaR, ±0 are a single zero code → 2^n − 1 values.
         let p = Posit::new(6, 1).unwrap();
         assert_eq!(p.representable_values().len(), 63);
+    }
+
+    #[test]
+    fn positive_codes_are_strictly_monotone_in_every_geometry() {
+        for n in 3..=16 {
+            for es in 0..=4 {
+                let values = positive_values(n, es);
+                assert_eq!(values.len(), (1 << (n - 1)) - 1);
+                if let Some(w) = values.windows(2).find(|w| w[0] >= w[1]) {
+                    panic!("posit<{n},{es}>: {} is not below {}", w[0], w[1]);
+                }
+            }
+        }
+        // Every instance of a geometry holds the same table.
+        let (a, b) = (Posit::new(8, 1).unwrap(), Posit::new(8, 1).unwrap());
+        assert!(Arc::ptr_eq(&a.table, &b.table));
     }
 
     #[test]

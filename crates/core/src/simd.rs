@@ -22,11 +22,12 @@
 //!   probes are `vpgatherdd` gathers. Requires AVX2 (gathers); SSE4.1
 //!   hosts use the scalar axis walk.
 //! * Fused max-abs/non-finite scan, `PackedCodes` word pack/unpack, the
-//!   packed-GEMM decode primitives (AdaptivFloat codes rebuilt into f32
-//!   bit patterns algebraically, uniform codes via exact `i32 → f64 →
-//!   f32` conversion), and the register-blocked microkernel both GEMMs
-//!   run ([`gemm_tile`]: multiply **then** add per element, never an
-//!   FMA, so vector and scalar rounding agree).
+//!   packed-GEMM decode primitives (a codebook table lookup per code,
+//!   [`decode_table_u8`] and [`decode_table_u4`], which know no format's
+//!   field layout and so decode any 8- or 4-bit codebook exactly), and
+//!   the register-blocked microkernel both GEMMs run ([`gemm_tile`]:
+//!   multiply **then** add per element, never an FMA, so vector and
+//!   scalar rounding agree).
 //!
 //! The active ISA is detected once per process ([`active`]) and reported
 //! by [`report`] so benchmark snapshots can stamp the capability that
@@ -435,135 +436,62 @@ pub fn unpack_u8_words(words: &[u64], dst: &mut [u32]) {
 }
 
 // ---------------------------------------------------------------------
-// Packed-GEMM decode primitives
+// Packed-GEMM decode primitives (codebook table lookups)
 // ---------------------------------------------------------------------
 
-/// Frozen AdaptivFloat geometry for the algebraic code → f32 decode.
+/// Decode one-byte-per-code codes into `dst` through a 256-entry
+/// codebook: `dst[i] = table[codes[i]]`, bit for bit, with `vpgatherdd`
+/// gathers on AVX2.
 ///
-/// Valid only inside the `FastQuantizer` envelope (`m ≤ 23`,
-/// `exp_bias ≥ −126`, `exp_max ≤ 127`) where every representable value
-/// is a normal f32; callers verify the decode against the format's
-/// reference codebook before relying on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AfDecode {
-    /// Word size in bits.
-    pub n: u32,
-    /// Mantissa field width (`n − e − 1`).
-    pub m: u32,
-    /// The tensor's frozen exponent bias.
-    pub exp_bias: i32,
-}
-
-impl AfDecode {
-    /// Decode one `n`-bit AdaptivFloat code to f32, algebraically: the
-    /// all-zero magnitude is the paper's custom ±0 assignment (decoded
-    /// as +0.0, sign dropped), everything else is a normal f32 rebuilt
-    /// field by field.
-    #[inline]
-    pub fn decode_one(&self, code: u32) -> f32 {
-        let sign = (code >> (self.n - 1)) & 1;
-        let rest = code & ((1u32 << (self.n - 1)) - 1);
-        if rest == 0 {
-            return 0.0;
-        }
-        let exp_field = rest >> self.m;
-        let mant = code & ((1u32 << self.m) - 1);
-        let biased = (exp_field as i32 + self.exp_bias + 127) as u32;
-        f32::from_bits((sign << 31) | (biased << 23) | (mant << (23 - self.m)))
-    }
-}
-
-/// Decode one-byte-per-code AdaptivFloat codes into `dst`
-/// (`codes.len() == dst.len()`), vectorized on AVX2.
-pub fn decode_af_u8(d: &AfDecode, codes: &[u8], dst: &mut [f32]) {
-    debug_assert_eq!(codes.len(), dst.len());
+/// # Panics
+///
+/// Panics if `codes.len() != dst.len()`.
+pub fn decode_table_u8(table: &[f32; 256], codes: &[u8], dst: &mut [f32]) {
+    assert_eq!(codes.len(), dst.len(), "one code per output");
     match active() {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe {
-            // SAFETY: avx2 detected; both slices have the same length.
-            x86::decode_af_u8_avx2(d, codes.as_ptr(), dst.as_mut_ptr(), dst.len());
+            // SAFETY: avx2 detected; both slices hold `dst.len()`
+            // elements (asserted above), and `table` holds 256 entries
+            // by its type, so every byte code gathers in bounds.
+            x86::decode_table_u8_avx2(table, codes, dst);
         },
         _ => {
-            for (dv, &c) in dst.iter_mut().zip(codes) {
-                *dv = d.decode_one(c as u32);
+            for (d, &c) in dst.iter_mut().zip(codes) {
+                *d = table[usize::from(c)];
             }
         }
     }
 }
 
-/// Decode nibble-packed (two codes per byte, low nibble first)
-/// AdaptivFloat codes into `dst`; `packed` must hold at least
-/// `ceil(dst.len() / 2)` bytes.
-pub fn decode_af_u4(d: &AfDecode, packed: &[u8], dst: &mut [f32]) {
-    debug_assert!(packed.len() * 2 >= dst.len());
+/// Decode nibble-packed codes (two per byte, low nibble first) into
+/// `dst` through a 16-entry codebook, bit for bit: on AVX2 two
+/// `vpermps` look each code's low three bits up in both table halves
+/// and code bit 3 picks the half.
+///
+/// # Panics
+///
+/// Panics if `packed` holds fewer than `ceil(dst.len() / 2)` bytes.
+pub fn decode_table_u4(table: &[f32; 16], packed: &[u8], dst: &mut [f32]) {
+    assert!(packed.len() * 2 >= dst.len(), "not enough packed codes");
     match active() {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe {
-            // SAFETY: avx2 detected; each 8-code step reads 4 in-bounds
-            // bytes, the scalar tail covers the rest.
-            x86::decode_af_u4_avx2(d, packed.as_ptr(), dst.as_mut_ptr(), dst.len());
+            // SAFETY: avx2 detected; each 8-code step reads 4 bytes
+            // below `ceil(dst.len() / 2) ≤ packed.len()` (asserted
+            // above), and the scalar tail covers the rest.
+            x86::decode_table_u4_avx2(table, packed, dst);
         },
-        _ => decode_af_u4_tail(d, packed, dst, 0),
+        _ => decode_table_u4_tail(table, packed, dst, 0),
     }
 }
 
 /// Scalar nibble decode from code index `start` (shared tail).
-fn decode_af_u4_tail(d: &AfDecode, packed: &[u8], dst: &mut [f32], start: usize) {
-    for (i, dv) in dst.iter_mut().enumerate().skip(start) {
+fn decode_table_u4_tail(table: &[f32; 16], packed: &[u8], dst: &mut [f32], start: usize) {
+    for (i, d) in dst.iter_mut().enumerate().skip(start) {
         let byte = packed[i / 2];
         let code = if i % 2 == 0 { byte & 0xf } else { byte >> 4 };
-        *dv = d.decode_one(code as u32);
-    }
-}
-
-/// Decode one-byte-per-code uniform (two's-complement i8) codes into
-/// `dst` at the plan's frozen `scale`. The vector path converts through
-/// f64 exactly like the scalar `(level as f64 * scale) as f32`, so both
-/// round identically.
-pub fn decode_uniform_u8(scale: f64, codes: &[u8], dst: &mut [f32]) {
-    debug_assert_eq!(codes.len(), dst.len());
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe {
-            // SAFETY: avx2 detected; both slices have the same length.
-            x86::decode_uniform_u8_avx2(scale, codes.as_ptr(), dst.as_mut_ptr(), dst.len());
-        },
-        _ => {
-            for (dv, &c) in dst.iter_mut().zip(codes) {
-                *dv = (c as i8 as f64 * scale) as f32;
-            }
-        }
-    }
-}
-
-/// Decode nibble-packed uniform (4-bit two's complement, low nibble
-/// first) codes into `dst`; `packed` must hold at least
-/// `ceil(dst.len() / 2)` bytes.
-pub fn decode_uniform_u4(scale: f64, packed: &[u8], dst: &mut [f32]) {
-    debug_assert!(packed.len() * 2 >= dst.len());
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe {
-            // SAFETY: avx2 detected; each 8-code step reads 4 in-bounds
-            // bytes, the scalar tail covers the rest.
-            x86::decode_uniform_u4_avx2(scale, packed.as_ptr(), dst.as_mut_ptr(), dst.len());
-        },
-        _ => decode_uniform_u4_tail(scale, packed, dst, 0),
-    }
-}
-
-/// Sign-extend a 4-bit two's-complement nibble.
-#[inline]
-fn sext4(nib: u32) -> i32 {
-    (nib as i32 ^ 0x8) - 0x8
-}
-
-/// Scalar nibble decode from code index `start` (shared tail).
-fn decode_uniform_u4_tail(scale: f64, packed: &[u8], dst: &mut [f32], start: usize) {
-    for (i, dv) in dst.iter_mut().enumerate().skip(start) {
-        let byte = packed[i / 2];
-        let nib = if i % 2 == 0 { byte & 0xf } else { byte >> 4 };
-        *dv = (sext4(nib as u32) as f64 * scale) as f32;
+        *d = table[usize::from(code)];
     }
 }
 
@@ -573,7 +501,7 @@ fn decode_uniform_u4_tail(scale: f64, packed: &[u8], dst: &mut [f32], start: usi
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{decode_af_u4_tail, decode_uniform_u4_tail, scan_tail, AfDecode};
+    use super::{decode_table_u4_tail, scan_tail};
     use crate::kernels::FastQuantizer;
     use crate::lut::LutQuantizer;
     use std::arch::x86_64::*;
@@ -921,47 +849,30 @@ mod x86 {
         }
     }
 
-    /// Rebuild f32 bit patterns from 8 AdaptivFloat codes in epi32 lanes.
+    /// AVX2 byte-code table decode: per 16 codes, two 8-lane gathers
+    /// (two in flight decode measurably faster than one), then a
+    /// scalar tail.
     ///
     /// # Safety
     ///
-    /// Requires AVX2. Lanes must hold valid `d.n`-bit codes.
+    /// Requires AVX2. `codes.len()` must be at least `dst.len()`.
     #[target_feature(enable = "avx2")]
-    unsafe fn decode_af_lanes(d: &AfDecode, c: __m256i) -> __m256i {
-        let sign = _mm256_slli_epi32(_mm256_srl_epi32(c, _mm_cvtsi32_si128(d.n as i32 - 1)), 31);
-        let rest = _mm256_and_si256(c, _mm256_set1_epi32(((1u32 << (d.n - 1)) - 1) as i32));
-        let zero = _mm256_cmpeq_epi32(rest, _mm256_setzero_si256());
-        let exp_field = _mm256_srl_epi32(rest, _mm_cvtsi32_si128(d.m as i32));
-        let mant = _mm256_and_si256(c, _mm256_set1_epi32(((1u32 << d.m) - 1) as i32));
-        let biased = _mm256_add_epi32(exp_field, _mm256_set1_epi32(d.exp_bias + 127));
-        let r = _mm256_or_si256(
-            _mm256_or_si256(sign, _mm256_slli_epi32(biased, 23)),
-            _mm256_sll_epi32(mant, _mm_cvtsi32_si128(23 - d.m as i32)),
-        );
-        _mm256_andnot_si256(zero, r)
-    }
-
-    /// AVX2 AdaptivFloat byte-code decode.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2. `codes` and `dst` must each cover `len` elements.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn decode_af_u8_avx2(
-        d: &AfDecode,
-        codes: *const u8,
-        dst: *mut f32,
-        len: usize,
-    ) {
+    pub(super) unsafe fn decode_table_u8_avx2(table: &[f32; 256], codes: &[u8], dst: &mut [f32]) {
+        let base = table.as_ptr() as *const i32;
+        let full = dst.len() & !15;
         let mut i = 0;
-        while i + 8 <= len {
-            let c = _mm256_cvtepu8_epi32(_mm_loadl_epi64(codes.add(i) as *const __m128i));
-            _mm256_storeu_si256(dst.add(i) as *mut __m256i, decode_af_lanes(d, c));
-            i += 8;
+        while i < full {
+            let c = _mm_loadu_si128(codes.as_ptr().add(i) as *const __m128i);
+            let lo = _mm256_i32gather_epi32(base, _mm256_cvtepu8_epi32(c), 4);
+            let hi =
+                _mm256_i32gather_epi32(base, _mm256_cvtepu8_epi32(_mm_unpackhi_epi64(c, c)), 4);
+            let out = dst.as_mut_ptr().add(i) as *mut __m256i;
+            _mm256_storeu_si256(out, lo);
+            _mm256_storeu_si256(out.add(1), hi);
+            i += 16;
         }
-        while i < len {
-            *dst.add(i) = d.decode_one(*codes.add(i) as u32);
-            i += 1;
+        for (d, &c) in dst[full..].iter_mut().zip(&codes[full..]) {
+            *d = table[usize::from(c)];
         }
     }
 
@@ -977,101 +888,32 @@ mod x86 {
         _mm256_and_si256(_mm256_srlv_epi32(v, shifts), _mm256_set1_epi32(0xf))
     }
 
-    /// AVX2 AdaptivFloat nibble-code decode (scalar tail for the odd end).
+    /// AVX2 nibble-code table decode: per 8 codes, `vpermps` through
+    /// each table half (it reads only the low three index bits), then a
+    /// blend keyed on code bit 3, moved into the sign bit.
     ///
     /// # Safety
     ///
-    /// Requires AVX2. `packed` must hold `ceil(len / 2)` bytes and `dst`
-    /// must cover `len` f32s.
+    /// Requires AVX2. `packed` must hold `ceil(dst.len() / 2)` bytes.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn decode_af_u4_avx2(
-        d: &AfDecode,
-        packed: *const u8,
-        dst: *mut f32,
-        len: usize,
-    ) {
-        let full = len & !7;
+    pub(super) unsafe fn decode_table_u4_avx2(table: &[f32; 16], packed: &[u8], dst: &mut [f32]) {
+        let lo = _mm256_loadu_ps(table.as_ptr());
+        let hi = _mm256_loadu_ps(table.as_ptr().add(8));
+        let full = dst.len() & !7;
         let mut i = 0;
         while i < full {
-            let dword = (packed.add(i / 2) as *const u32).read_unaligned();
-            let c = nibbles_to_lanes(dword);
-            _mm256_storeu_si256(dst.add(i) as *mut __m256i, decode_af_lanes(d, c));
+            let dword = (packed.as_ptr().add(i / 2) as *const u32).read_unaligned();
+            let idx = nibbles_to_lanes(dword);
+            let high_half = _mm256_castsi256_ps(_mm256_slli_epi32(idx, 28));
+            let v = _mm256_blendv_ps(
+                _mm256_permutevar8x32_ps(lo, idx),
+                _mm256_permutevar8x32_ps(hi, idx),
+                high_half,
+            );
+            _mm256_storeu_ps(dst.as_mut_ptr().add(i), v);
             i += 8;
         }
-        let packed = std::slice::from_raw_parts(packed, len.div_ceil(2));
-        let dst = std::slice::from_raw_parts_mut(dst, len);
-        decode_af_u4_tail(d, packed, dst, full);
-    }
-
-    /// Multiply 8 epi32 levels by an f64 scale and narrow to f32,
-    /// matching the scalar `(level as f64 * scale) as f32` exactly
-    /// (both convert and round through f64 with ties-to-even).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn scale_levels(levels: __m256i, scale: __m256d) -> __m256 {
-        let lo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(levels));
-        let hi = _mm256_cvtepi32_pd(_mm256_extracti128_si256(levels, 1));
-        let f_lo = _mm256_cvtpd_ps(_mm256_mul_pd(lo, scale));
-        let f_hi = _mm256_cvtpd_ps(_mm256_mul_pd(hi, scale));
-        _mm256_set_m128(f_hi, f_lo)
-    }
-
-    /// AVX2 uniform byte-code decode.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2. `codes` and `dst` must each cover `len` elements.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn decode_uniform_u8_avx2(
-        scale: f64,
-        codes: *const u8,
-        dst: *mut f32,
-        len: usize,
-    ) {
-        let sv = _mm256_set1_pd(scale);
-        let mut i = 0;
-        while i + 8 <= len {
-            let levels = _mm256_cvtepi8_epi32(_mm_loadl_epi64(codes.add(i) as *const __m128i));
-            _mm256_storeu_ps(dst.add(i), scale_levels(levels, sv));
-            i += 8;
-        }
-        while i < len {
-            *dst.add(i) = (*codes.add(i) as i8 as f64 * scale) as f32;
-            i += 1;
-        }
-    }
-
-    /// AVX2 uniform nibble-code decode.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2. `packed` must hold `ceil(len / 2)` bytes and `dst`
-    /// must cover `len` f32s.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn decode_uniform_u4_avx2(
-        scale: f64,
-        packed: *const u8,
-        dst: *mut f32,
-        len: usize,
-    ) {
-        let sv = _mm256_set1_pd(scale);
-        let eight = _mm256_set1_epi32(8);
-        let full = len & !7;
-        let mut i = 0;
-        while i < full {
-            let dword = (packed.add(i / 2) as *const u32).read_unaligned();
-            let nibs = nibbles_to_lanes(dword);
-            // 4-bit sign extension: (x ^ 8) − 8.
-            let levels = _mm256_sub_epi32(_mm256_xor_si256(nibs, eight), eight);
-            _mm256_storeu_ps(dst.add(i), scale_levels(levels, sv));
-            i += 8;
-        }
-        let packed = std::slice::from_raw_parts(packed, len.div_ceil(2));
-        let dst = std::slice::from_raw_parts_mut(dst, len);
-        decode_uniform_u4_tail(scale, packed, dst, full);
+        decode_table_u4_tail(table, packed, dst, full);
     }
 }
 

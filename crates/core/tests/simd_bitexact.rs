@@ -169,6 +169,32 @@ proptest! {
     }
 }
 
+/// The packed-GEMM table decoders copy `table[code]` bit for bit (NaN
+/// payloads and `-0.0` included) at every awkward length, from byte
+/// codes and from nibble pairs.
+#[test]
+fn table_decode_copies_codebook_bits() {
+    let mut table = [0.0f32; 256];
+    for (i, t) in table.iter_mut().enumerate() {
+        *t = special(i as u64 * 7);
+    }
+    table[3] = f32::from_bits(0x7fc0_1234); // a NaN with a payload
+    let nibbles: &[f32; 16] = table[..16].try_into().expect("16 entries");
+    for len in AWKWARD_LENS {
+        let codes: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
+        let mut got = vec![0.0f32; len];
+        adaptivfloat::simd::decode_table_u8(&table, &codes, &mut got);
+        let want: Vec<f32> = codes.iter().map(|&c| table[usize::from(c)]).collect();
+        assert_eq!(bits(&got), bits(&want), "u8 len={len}");
+        let packed: Vec<u8> = (0..len.div_ceil(2)).map(|i| (i * 29 % 256) as u8).collect();
+        adaptivfloat::simd::decode_table_u4(nibbles, &packed, &mut got);
+        let want: Vec<f32> = (0..len)
+            .map(|i| nibbles[usize::from(packed[i / 2] >> (4 * (i % 2)) & 0xf)])
+            .collect();
+        assert_eq!(bits(&got), bits(&want), "u4 len={len}");
+    }
+}
+
 /// Plans frozen from calibrated stats (the serving activation path) are
 /// also dispatch-invariant — including on inputs that exceed the
 /// calibrated range or are non-finite.

@@ -147,24 +147,16 @@ pub struct FrozenMlp {
 ///
 /// # Panics
 ///
-/// Panics if the codec is not an AdaptivFloat or Uniform one at
-/// `n ≤ 8`, or if any code fails to decode back to its weight's exact
-/// bit pattern.
+/// Panics if the codec has no code index (wider than 8 bits, or two
+/// codes decode to the same value), if it is not 4 or 8 bits wide, or
+/// if any code fails to decode back to its weight's exact bit pattern.
 fn pack_layer(codec: &StorageCodec, [k, n_cols]: [usize; 2], w: &[f32]) -> PackedGemm {
-    let decode = match codec {
-        StorageCodec::Adaptiv { fmt, params } => PackedDecode::AdaptivFloat {
-            m: fmt.n() - fmt.e() - 1,
-            exp_bias: params.exp_bias,
-        },
-        StorageCodec::Uniform { scale, .. } => PackedDecode::Uniform { scale: *scale },
-        other => panic!("the fused GEMM cannot decode {} codes", other.kind()),
-    };
     // The served weights are already on the codec's grid, so each code
     // is an index lookup (zeros take the scalar encoder), and the
     // decode table is the same index's raw decode of every code.
     let index = codec
         .index()
-        .expect("AdaptivFloat and uniform codes decode to distinct values");
+        .expect("fused codecs decode to distinct values");
     let codes = codec.encode_via(Some(&index), w, w);
     let table = index.values(DecodePolicy::Raw);
     // The bit-identity keystone: every packed code must decode to
@@ -180,7 +172,7 @@ fn pack_layer(codec: &StorageCodec, [k, n_cols]: [usize; 2], w: &[f32]) -> Packe
             table[c as usize]
         );
     }
-    PackedGemm::build(k, n_cols, codec.width(), &codes, table, decode)
+    PackedGemm::build(k, n_cols, codec.width(), &codes, table, PackedDecode::Table)
 }
 
 fn ensemble_kind(family: ModelFamily) -> EnsembleKind {
@@ -298,7 +290,9 @@ impl FrozenMlp {
     /// weight copy.
     ///
     /// Supported: [`FormatKind::AdaptivFloat`] and
-    /// [`FormatKind::Uniform`] weights at `n ∈ {4, 8}`. The per-sample
+    /// [`FormatKind::Uniform`] weights at `n ∈ {4, 8}` (see
+    /// [`fuses`](Self::fuses): the kernel decodes any 4- or 8-bit
+    /// codebook; the kind restriction is policy). The per-sample
     /// [`evaluate`](Self::evaluate) reference multiplies by the values
     /// the codebook decodes the codes to, in its own naive loop, so the
     /// batch-vs-reference bit-identity tests still cross-check the fused
@@ -329,9 +323,11 @@ impl FrozenMlp {
         self
     }
 
-    /// Whether [`with_fused_gemm`](Self::with_fused_gemm) can pack
-    /// weights quantized through `kind` at word size `n`: AdaptivFloat
-    /// or Uniform codes at `n ∈ {4, 8}`.
+    /// Whether [`with_fused_gemm`](Self::with_fused_gemm) packs weights
+    /// quantized through `kind` at word size `n`: AdaptivFloat or
+    /// Uniform codes at `n ∈ {4, 8}`. The kernel itself decodes any 4-
+    /// or 8-bit codebook through a table; limiting the kinds is policy,
+    /// and registration and restore refuse what this refuses.
     pub fn fuses(kind: FormatKind, n: u32) -> bool {
         matches!(kind, FormatKind::AdaptivFloat | FormatKind::Uniform) && (n == 4 || n == 8)
     }

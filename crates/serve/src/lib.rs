@@ -6,8 +6,9 @@
 //!
 //! 1. **Model registry** ([`registry`]) — loads [`af_models::FrozenMlp`]
 //!    snapshots, quantizes their weights once per `(FormatKind, n)`
-//!    variant at registration, calibrates activation ranges, pre-warms
-//!    the LUT codebooks (`adaptivfloat::lut::prewarm`), and hands out
+//!    variant at registration, calibrates activation ranges (building
+//!    each calibrated plan builds, and so pre-warms, its LUT codebook),
+//!    and hands out
 //!    immutable `Arc`-shared snapshots — hot-swapping a variant never
 //!    blocks an in-flight request.
 //! 2. **Work-conserving micro-batching** ([`batcher`], [`queue`]) — a

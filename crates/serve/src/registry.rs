@@ -122,8 +122,10 @@ impl VariantSpec {
     /// # Panics
     ///
     /// [`ModelRegistry::register`] panics if the spec has no weight
-    /// format, or its format/word size is outside what the packed
-    /// kernel supports (AdaptivFloat or Uniform at `n ∈ {4, 8}`).
+    /// format, or its format/word size is one [`FrozenMlp::fuses`]
+    /// refuses (it accepts AdaptivFloat or Uniform at `n ∈ {4, 8}`). The
+    /// packed kernel decodes any 4- or 8-bit codebook through a table;
+    /// the kind restriction is policy.
     pub fn fused(mut self) -> VariantSpec {
         self.fused = true;
         self

@@ -71,7 +71,7 @@ const DIMS: [usize; 4] = [64, 128, 128, 32];
 /// per layer a 2^n-entry decode table, a storage codec and its code
 /// index, a frozen activation plan and packed-tile metadata; per
 /// variant the spec, labels, recipe and the registry entry. Measured
-/// at 1.6–5.4 KiB for the four variants here, against 112 KiB for one
+/// at 1.4–5.1 KiB for the five variants here, against 112 KiB for one
 /// f32 weight copy and 28 KiB for one copy of the 8-bit codes.
 const SLACK: usize = 8 * 1024;
 
@@ -118,6 +118,20 @@ fn registered_variants_hold_each_weight_once() {
         (af8("protected").protected(), 4 * weights + secded),
         // Protected and fused: codes twice, once per purpose.
         (af8("protected-fused").protected().fused(), weights + secded),
+        // Protected posit: the posit codecs share one rounding table
+        // per geometry rather than holding one each.
+        (
+            VariantSpec::quantized(
+                "protected-posit8",
+                ModelFamily::Transformer,
+                FormatKind::Posit,
+                8,
+                7,
+                &DIMS,
+            )
+            .protected(),
+            4 * weights + secded,
+        ),
     ];
     for (spec, operand) in cases {
         let want = operand + biases;

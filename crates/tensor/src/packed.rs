@@ -20,13 +20,10 @@
 //! * the decoded tile goes through the same microkernel,
 //!   [`simd::gemm_tile`] (multiply then add, no FMA), the dense kernel
 //!   runs;
-//! * the decode is bit-exact: AdaptivFloat codes are rebuilt into f32
-//!   patterns algebraically (valid in the fast-quantizer envelope),
-//!   uniform codes go through the same exact `i32 → f64 · scale → f32`
-//!   conversion as the scalar codec, and both are verified against the
-//!   caller-supplied reference codebook over **all** `2^width` codes at
-//!   build time — any mismatch silently falls back to table lookups,
-//!   which are exact by construction.
+//! * the decode is a lookup in the caller-supplied codebook
+//!   (`table[code]`, a gather over 256 entries at 8 bits and two
+//!   register permutes at 4; see [`simd::decode_table_u8`] and
+//!   [`simd::decode_table_u4`]), so it is exact for any codebook.
 //!
 //! The kernel runs on the caller's thread (no fan-out): per-element
 //! results are thread-count-independent either way, and serving batches
@@ -35,30 +32,25 @@
 use crate::tensor::{KC, NC};
 use adaptivfloat::simd;
 
-/// How a [`PackedGemm`] turns codes back into f32 weights in-kernel.
+/// A decode hint for [`PackedGemm::build`], which the kernel ignores:
+/// every code decodes through the codebook table. Kept only because the
+/// benchmark harness (`perfbench/src/profile.rs`) still passes the
+/// format-specific variants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PackedDecode {
-    /// AdaptivFloat algebraic field rebuild (see [`simd::AfDecode`]).
+    /// An AdaptivFloat codebook (mantissa width and frozen exponent bias).
     AdaptivFloat {
         /// Mantissa field width (`n − e − 1`).
         m: u32,
         /// The tensor's frozen exponent bias.
         exp_bias: i32,
     },
-    /// Uniform (symmetric integer) codes at the plan's frozen scale.
+    /// A uniform (symmetric integer) codebook at the plan's frozen scale.
     Uniform {
         /// The per-tensor scale.
         scale: f64,
     },
-    /// Plain codebook lookup (always available, always exact).
-    Table,
-}
-
-/// The decode strategy actually compiled into the kernel.
-#[derive(Debug, Clone, Copy)]
-enum Decoder {
-    Af(simd::AfDecode),
-    Uniform(f64),
+    /// Any other codebook.
     Table,
 }
 
@@ -96,21 +88,18 @@ pub struct PackedGemm {
     width: u32,
     tiles: Vec<Tile>,
     bytes: Vec<u8>,
-    /// Reference codebook: `table[code]` is the decoded weight. The
-    /// in-kernel decoders are verified against it at build time.
+    /// The codebook: `table[code]` is the decoded weight, for every
+    /// one of the `2^width` codes.
     table: Vec<f32>,
-    decoder: Decoder,
 }
 
 impl PackedGemm {
     /// Pack the row-major `K × N` code matrix `codes` (each entry a
-    /// `width`-bit code) into the blocked layout and compile the decode
-    /// strategy.
+    /// `width`-bit code) into the blocked layout.
     ///
     /// `table` must enumerate the decoded f32 for **every** `2^width`
-    /// code — it is the exactness oracle: the requested `decode`
-    /// strategy is checked against it over all codes and demoted to
-    /// [`PackedDecode::Table`] on any bit mismatch.
+    /// code: the kernel decodes by looking codes up in it. `decode` is
+    /// an ignored hint (see [`PackedDecode`]).
     ///
     /// # Panics
     ///
@@ -122,16 +111,17 @@ impl PackedGemm {
         width: u32,
         codes: &[u32],
         table: Vec<f32>,
-        decode: PackedDecode,
+        _decode: PackedDecode,
     ) -> PackedGemm {
         assert!(width == 4 || width == 8, "width must be 4 or 8");
         assert_eq!(codes.len(), k * n, "code matrix shape mismatch");
+        // `decode_row` relies on this to hand the table to the table
+        // decoders, whose lookups stay in bounds because of it.
         assert_eq!(table.len(), 1usize << width, "codebook size mismatch");
         assert!(
             codes.iter().all(|&c| c < (1u32 << width)),
             "code exceeds width"
         );
-        let decoder = Self::verify_decoder(width, &table, decode);
         // Blocked layout: per column tile, the K row segments are stored
         // contiguously (byte-aligned, nibbles low-first) so the kernel
         // streams one tile sequentially.
@@ -169,38 +159,6 @@ impl PackedGemm {
             tiles,
             bytes,
             table,
-            decoder,
-        }
-    }
-
-    /// Check `decode` against the reference codebook over every code;
-    /// fall back to table lookups on any mismatch.
-    fn verify_decoder(width: u32, table: &[f32], decode: PackedDecode) -> Decoder {
-        let candidate = match decode {
-            PackedDecode::AdaptivFloat { m, exp_bias } => Decoder::Af(simd::AfDecode {
-                n: width,
-                m,
-                exp_bias,
-            }),
-            PackedDecode::Uniform { scale } => Decoder::Uniform(scale),
-            PackedDecode::Table => return Decoder::Table,
-        };
-        let exact = (0..1u32 << width).all(|code| {
-            let want = table[code as usize].to_bits();
-            let got = match candidate {
-                Decoder::Af(d) => d.decode_one(code).to_bits(),
-                Decoder::Uniform(scale) => {
-                    let level = sign_extend(code, width);
-                    ((level as f64 * scale) as f32).to_bits()
-                }
-                Decoder::Table => unreachable!(),
-            };
-            want == got
-        });
-        if exact {
-            candidate
-        } else {
-            Decoder::Table
         }
     }
 
@@ -223,16 +181,6 @@ impl PackedGemm {
     /// weight-memory traffic per batch, vs `4 · k · n` for f32).
     pub fn packed_bytes(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// Label of the decode strategy compiled into the kernel
-    /// (`"adaptivfloat"`, `"uniform"`, or `"table"`).
-    pub fn decode_label(&self) -> &'static str {
-        match self.decoder {
-            Decoder::Af(_) => "adaptivfloat",
-            Decoder::Uniform(_) => "uniform",
-            Decoder::Table => "table",
-        }
     }
 
     /// Dequantize the full matrix through the codebook (row-major) —
@@ -319,24 +267,13 @@ impl PackedGemm {
     #[inline]
     fn decode_row(&self, tile: &Tile, kk: usize, dst: &mut [f32]) {
         let seg = self.row_segment(tile, kk);
-        match (self.decoder, self.width) {
-            (Decoder::Af(d), 8) => simd::decode_af_u8(&d, seg, dst),
-            (Decoder::Af(d), _) => simd::decode_af_u4(&d, seg, dst),
-            (Decoder::Uniform(scale), 8) => simd::decode_uniform_u8(scale, seg, dst),
-            (Decoder::Uniform(scale), _) => simd::decode_uniform_u4(scale, seg, dst),
-            (Decoder::Table, w) => {
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d = self.table[extract_code(w, seg, j) as usize];
-                }
-            }
+        const SIZED: &str = "build asserts a 2^width-entry codebook";
+        if self.width == 8 {
+            simd::decode_table_u8(self.table[..].try_into().expect(SIZED), seg, dst);
+        } else {
+            simd::decode_table_u4(self.table[..].try_into().expect(SIZED), seg, dst);
         }
     }
-}
-
-/// Sign-extend a `width`-bit two's-complement code.
-fn sign_extend(code: u32, width: u32) -> i32 {
-    let shift = 32 - width;
-    ((code << shift) as i32) >> shift
 }
 
 /// Append one row of codes to `bytes` (byte-aligned; width 4 packs two
@@ -421,7 +358,6 @@ mod tests {
         }
         // Two 4-bit codes per byte: packed traffic is ~1/8 of f32.
         assert!(pg.packed_bytes() <= k * n / 2 + k * pg.tiles.len());
-        assert_eq!(pg.decode_label(), "table");
     }
 
     #[test]
@@ -431,19 +367,5 @@ mod tests {
             let pg = PackedGemm::build(5, n, width, &codes, codebook(width), PackedDecode::Table);
             assert_eq!(pg.codes(), codes, "width={width} n={n}");
         }
-    }
-
-    #[test]
-    fn mismatched_decoder_falls_back_to_table() {
-        // A codebook no algebraic AdaptivFloat decode can reproduce.
-        let pg = PackedGemm::build(
-            2,
-            2,
-            4,
-            &[0, 1, 2, 3],
-            codebook(4),
-            PackedDecode::AdaptivFloat { m: 1, exp_bias: -3 },
-        );
-        assert_eq!(pg.decode_label(), "table");
     }
 }

@@ -1,6 +1,6 @@
 //! Bit-identity of the fused packed-weight GEMM against the dense
-//! blocked matmul it replaces, across widths, decode strategies, batch
-//! sizes, and shapes that do and don't divide the kernel's tile sizes.
+//! blocked matmul it replaces, across widths, codebooks, batch sizes,
+//! and shapes that do and don't divide the kernel's tile sizes.
 
 use adaptivfloat::{AdaptivFloat, AdaptivParams, Uniform};
 use af_tensor::{PackedDecode, PackedGemm, PackedGemmScratch, Tensor};
@@ -25,9 +25,8 @@ fn codes(k: usize, n: usize, width: u32, seed: u64) -> Vec<u32> {
         .collect()
 }
 
-/// AdaptivFloat decode table at the paper's field split, plus the spec
-/// the kernel should verify against it.
-fn af_setup(width: u32, exp_bias: i32) -> (Vec<f32>, PackedDecode) {
+/// AdaptivFloat decode table at the paper's field split.
+fn af_table(width: u32, exp_bias: i32) -> Vec<f32> {
     let e = 3.min(width - 1);
     let af = AdaptivFloat::new(width, e).unwrap();
     let ap = AdaptivParams {
@@ -35,32 +34,19 @@ fn af_setup(width: u32, exp_bias: i32) -> (Vec<f32>, PackedDecode) {
         e,
         exp_bias,
     };
-    let table = (0..1u32 << width).map(|c| af.decode_with(&ap, c)).collect();
-    let decode = PackedDecode::AdaptivFloat {
-        m: width - e - 1,
-        exp_bias,
-    };
-    (table, decode)
+    (0..1u32 << width).map(|c| af.decode_with(&ap, c)).collect()
 }
 
-fn uniform_setup(width: u32, scale: f64) -> (Vec<f32>, PackedDecode) {
+fn uniform_table(width: u32, scale: f64) -> Vec<f32> {
     let uni = Uniform::new(width).unwrap();
-    let table = (0..1u32 << width)
+    (0..1u32 << width)
         .map(|c| uni.decode_code(scale, c))
-        .collect();
-    (table, PackedDecode::Uniform { scale })
+        .collect()
 }
 
-fn check(m: usize, k: usize, n: usize, width: u32, table: Vec<f32>, decode: PackedDecode) {
+fn check(m: usize, k: usize, n: usize, width: u32, table: Vec<f32>) {
     let codes = codes(k, n, width, (m * k * n) as u64);
-    let pg = PackedGemm::build(k, n, width, &codes, table, decode);
-    // The requested algebraic decode must have survived verification —
-    // a fallback to table lookups would hide a broken SIMD decoder.
-    match decode {
-        PackedDecode::AdaptivFloat { .. } => assert_eq!(pg.decode_label(), "adaptivfloat"),
-        PackedDecode::Uniform { .. } => assert_eq!(pg.decode_label(), "uniform"),
-        PackedDecode::Table => assert_eq!(pg.decode_label(), "table"),
-    }
+    let pg = PackedGemm::build(k, n, width, &codes, table, PackedDecode::Table);
     let dense = Tensor::from_vec(pg.dequantize(), &[k, n]);
     let a = lhs(m, k, 0x5EED);
     let mut want = vec![0.0f32; m * n];
@@ -72,15 +58,13 @@ fn check(m: usize, k: usize, n: usize, width: u32, table: Vec<f32>, decode: Pack
 }
 
 /// Every batch size the micro-batcher can form, both widths, both
-/// algebraic decoders, on a shape that doesn't divide KC=128 / NC=512.
+/// served codebook kinds, on a shape that doesn't divide KC=128 / NC=512.
 #[test]
 fn fused_gemm_matches_dense_at_every_batch_size() {
     for width in [4u32, 8] {
         for m in [1usize, 2, 3, 5, 8, 17] {
-            let (table, decode) = af_setup(width, -10);
-            check(m, 133, 517, width, table, decode);
-            let (table, decode) = uniform_setup(width, 0.031_25);
-            check(m, 133, 517, width, table, decode);
+            check(m, 133, 517, width, af_table(width, -10));
+            check(m, 133, 517, width, uniform_table(width, 0.031_25));
         }
     }
 }
@@ -89,8 +73,50 @@ fn fused_gemm_matches_dense_at_every_batch_size() {
 #[test]
 fn fused_gemm_handles_tile_boundary_shapes() {
     for (k, n) in [(1, 1), (128, 512), (129, 513), (127, 511), (256, 1024)] {
-        let (table, decode) = af_setup(8, -6);
-        check(3, k, n, 8, table, decode);
+        check(3, k, n, 8, af_table(8, -6));
+    }
+}
+
+/// Any codebook decodes bit for bit: a table holding `-0.0`,
+/// subnormals, `±f32::MAX` and mixed signs, at both widths, on row
+/// lengths that leave every vector tail (1, 7, 9 and 517 columns).
+#[test]
+fn table_decode_is_bit_exact_for_any_codebook() {
+    let specials = [
+        -0.0f32,
+        0.0,
+        f32::from_bits(1),
+        -f32::from_bits(0x007f_ffff),
+        f32::MAX,
+        -f32::MAX,
+        f32::MIN_POSITIVE,
+        -1.5,
+    ];
+    for width in [4u32, 8] {
+        let table: Vec<f32> = (0..1usize << width)
+            .map(|c| match specials.get(c) {
+                Some(&v) => v,
+                None => (c as f32 - 100.0) * 0.37,
+            })
+            .collect();
+        for n in [1usize, 7, 9, 517] {
+            for m in [1usize, 3] {
+                let k = 5;
+                let codes = codes(k, n, width, (m * n) as u64);
+                let pg = PackedGemm::build(k, n, width, &codes, table.clone(), PackedDecode::Table);
+                let deq = pg.dequantize();
+                let want: Vec<f32> = codes.iter().map(|&c| table[c as usize]).collect();
+                assert_eq!(bits(&deq), bits(&want), "dequantize width={width} n={n}");
+                // Small activations keep every product and sum finite.
+                let a: Vec<f32> = lhs(m, k, 0xC0DE).iter().map(|v| v * 1e-3).collect();
+                let dense = Tensor::from_vec(deq, &[k, n]);
+                let mut want = vec![0.0f32; m * n];
+                Tensor::matmul_slice_into(&a, m, k, &dense, &mut want);
+                let mut got = vec![0.0f32; m * n];
+                pg.matmul_into(&a, m, &mut got, &mut PackedGemmScratch::default());
+                assert_eq!(bits(&got), bits(&want), "matmul width={width} n={n} m={m}");
+            }
+        }
     }
 }
 
@@ -106,7 +132,6 @@ proptest! {
         exp_bias in -20i32..5,
     ) {
         let width = if wide == 1 { 8 } else { 4 };
-        let (table, decode) = af_setup(width, exp_bias);
-        check(m, k, n, width, table, decode);
+        check(m, k, n, width, af_table(width, exp_bias));
     }
 }

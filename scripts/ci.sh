@@ -97,6 +97,7 @@ echo "== bit-identity under AF_FORCE_SCALAR=1 =="
 AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test simd_bitexact
 AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test kernel_bit_exact
 AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test plan_matches_backends
+AF_FORCE_SCALAR=1 cargo test -q -p af-tensor --lib
 AF_FORCE_SCALAR=1 cargo test -q -p af-tensor --test packed_gemm
 AF_FORCE_SCALAR=1 cargo test -q -p af-tensor --test gemm_oracle
 AF_FORCE_SCALAR=1 cargo test -q -p af-models --test fused_gemm
