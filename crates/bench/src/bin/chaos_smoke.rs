@@ -57,7 +57,6 @@ fn run_once(tag: &str) -> ChaosReport {
                 failure_threshold: FAILURE_THRESHOLD,
                 open_backoff: Duration::from_secs(30),
                 max_backoff: Duration::from_secs(120),
-                ..HealthPolicy::default()
             },
             ..FleetConfig::default()
         },

@@ -178,7 +178,6 @@ fn run_arm(breakers: bool, sick: usize, killed: usize) -> ChaosArm {
             failure_threshold: FAILURE_THRESHOLD,
             open_backoff: Duration::from_secs(60),
             max_backoff: Duration::from_secs(120),
-            ..HealthPolicy::default()
         }
     } else {
         HealthPolicy::disabled()

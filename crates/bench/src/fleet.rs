@@ -50,7 +50,7 @@ pub const FLEET_MODELS: usize = 16;
 pub const FLEET_SEED: u64 = 0xF1EE_0CAF;
 
 /// Modelled per-pass service time on every shard (the "accelerator"):
-/// a sleep on the lane worker, not compute.
+/// a sleep on the shard's compute worker, not compute.
 const SERVICE_DELAY: Duration = Duration::from_micros(400);
 
 /// Hedge budget for the bench fleet: far above the saturated
@@ -228,7 +228,7 @@ fn shard_config(connections: usize) -> ShardConfig {
             // One request per pass: throughput is then slots/delay per
             // shard and the sweep measures shard count, not batching.
             max_batch: 1,
-            // The whole closed loop can park on one shard's lanes
+            // The whole closed loop can park on one shard's queues
             // without tripping admission control.
             queue_cap: connections * 2,
             compute_slots: Some(1),

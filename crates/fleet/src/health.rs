@@ -15,12 +15,12 @@
 //! [`HealthPolicy::failure_threshold`] consecutive counted failures,
 //! half-opens on the first admission after a cooldown whose length is
 //! `open_backoff · 2^(trips−1)` jittered into `[1.0, 1.5)` of itself
-//! by [`SplitMix64`] keyed on `(probe_seed, shard, trip)` — the same
+//! by [`SplitMix64`] keyed on `(PROBE_SEED, shard, trip)` — the same
 //! splittable-counter idiom as hedge budgets and retry backoff — and
-//! re-closes after [`HealthPolicy::success_threshold`] probe
-//! successes. Two fleets replaying the same outcome sequence under the
-//! same seed therefore produce identical transition sequences, which
-//! the chaos harness (`crate::chaos`) asserts.
+//! re-closes after `SUCCESS_THRESHOLD` (one) probe success. Two fleets
+//! replaying the same outcome sequence therefore produce identical
+//! transition sequences, which the chaos harness (`crate::chaos`)
+//! asserts.
 //!
 //! Deadline expiries deliberately do **not** count toward the breaker:
 //! a request that burned its budget on a *different* straggling
@@ -42,33 +42,33 @@ use crate::lock;
 /// `0x5E77_1E5B`).
 const DOMAIN_BREAKER: u64 = 0xB4EA_C0DE;
 
+/// Seed for the deterministic cooldown jitter stream.
+const PROBE_SEED: u64 = 0xB4EA_0001;
+
+/// Weight of a new latency sample in the EWMA.
+const EWMA_ALPHA: f64 = 0.2;
+
+/// Half-open probe successes required to close the breaker.
+const SUCCESS_THRESHOLD: u32 = 1;
+
 /// Failure-detection and circuit-breaker policy, fleet-wide.
 #[derive(Debug, Clone, Copy)]
 pub struct HealthPolicy {
-    /// Weight of a new latency sample in the EWMA (`0 < α ≤ 1`).
-    pub ewma_alpha: f64,
     /// Consecutive counted failures that trip the breaker open.
     /// `0` disables the breaker entirely (scores still accrue).
     pub failure_threshold: u32,
-    /// Half-open probe successes required to close the breaker.
-    pub success_threshold: u32,
     /// Base quarantine after a trip; doubles per consecutive trip.
     pub open_backoff: Duration,
     /// Ceiling on the (pre-jitter) quarantine.
     pub max_backoff: Duration,
-    /// Seed for the deterministic cooldown jitter stream.
-    pub probe_seed: u64,
 }
 
 impl Default for HealthPolicy {
     fn default() -> HealthPolicy {
         HealthPolicy {
-            ewma_alpha: 0.2,
             failure_threshold: 5,
-            success_threshold: 1,
             open_backoff: Duration::from_millis(500),
             max_backoff: Duration::from_secs(8),
-            probe_seed: 0xB4EA_0001,
         }
     }
 }
@@ -99,7 +99,7 @@ impl HealthPolicy {
         );
         let capped = doubled.min(self.max_backoff);
         let key = ((shard as u64) << 32) | (trip & 0xFFFF_FFFF);
-        let mut rng = SplitMix64::for_element(self.probe_seed, DOMAIN_BREAKER, key);
+        let mut rng = SplitMix64::for_element(PROBE_SEED, DOMAIN_BREAKER, key);
         capped.mul_f64(1.0 + 0.5 * rng.next_f64())
     }
 
@@ -417,14 +417,13 @@ impl HealthRegistry {
         match outcome {
             Outcome::Success(latency) => {
                 h.successes += 1;
-                h.score *= 1.0 - self.policy.ewma_alpha;
+                h.score *= 1.0 - EWMA_ALPHA;
                 if let Some(latency) = latency {
                     let us = latency.as_secs_f64() * 1e6;
                     h.ewma_latency_us = if h.ewma_latency_us == 0.0 {
                         us
                     } else {
-                        (1.0 - self.policy.ewma_alpha) * h.ewma_latency_us
-                            + self.policy.ewma_alpha * us
+                        (1.0 - EWMA_ALPHA) * h.ewma_latency_us + EWMA_ALPHA * us
                     };
                 }
                 match h.state {
@@ -432,7 +431,7 @@ impl HealthRegistry {
                     BreakerState::HalfOpen => {
                         h.probe_in_flight = false;
                         h.half_open_successes += 1;
-                        if h.half_open_successes >= self.policy.success_threshold {
+                        if h.half_open_successes >= SUCCESS_THRESHOLD {
                             h.state = BreakerState::Closed;
                             h.consecutive_failures = 0;
                             h.open_until = None;
@@ -508,7 +507,6 @@ mod tests {
             failure_threshold: threshold,
             open_backoff: backoff,
             max_backoff: backoff * 16,
-            ..HealthPolicy::default()
         }
     }
 

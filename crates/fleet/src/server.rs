@@ -13,7 +13,7 @@
 //! tagged with the request and attempt; the reactor feeds each reply,
 //! and each hedge or deadline instant it arms on its timer wheel, back
 //! into the machine. No thread sits between the reactor and the shard
-//! lanes.
+//! engines.
 //!
 //! Over HTTP, hedges and deadlines ride the reactor's 10 ms wheel:
 //! never early, at most one tick late. The in-process path

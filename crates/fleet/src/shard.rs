@@ -54,7 +54,7 @@ pub struct Shard {
 impl Shard {
     /// Open shard `index` under `fleet_root`: warm-start the registry
     /// from `shard-NNN/`'s checkpoint + WAL, start the engine over it
-    /// (one lane per recovered variant), and attach the store for
+    /// (it serves every recovered variant), and attach the store for
     /// stats.
     ///
     /// # Errors
@@ -109,27 +109,24 @@ impl Shard {
 
     /// Place a built model on this shard: publish a clone of it (or
     /// hot-swap it in) — journaled through the shard's WAL, with this
-    /// shard's own generation and protected storage — and make sure it
-    /// has a serving lane. The one path every placement takes, so a
-    /// spec is built once however many replicas it lands on. The clone
-    /// shares the built snapshot and copies only protected storage:
-    /// placing copies no weights. `body` is the build's
+    /// shard's own generation and protected storage; the engine serves
+    /// it from the next admission. The one path every placement takes,
+    /// so a spec is built once however many replicas it lands on. The
+    /// clone shares the built snapshot and copies only protected
+    /// storage: placing copies no weights. `body` is the build's
     /// [`container_body`](BuiltVariant::container_body) when the caller
     /// places it on several shards: each shard's store then writes
     /// those bytes behind its own head instead of exporting and
     /// encoding the snapshot again.
     pub fn place(&self, built: &BuiltVariant, body: Option<&ContainerBody>) {
         self.engine.registry().publish(built.clone(), body);
-        self.engine.ensure_lane(&built.spec.id);
     }
 
-    /// Evict a model from this shard: drain and drop its lane, then
-    /// unregister it (journaled, so a warm-start will not resurrect
-    /// it). Returns whether the model was present.
+    /// Evict a model from this shard: answer every request already
+    /// queued for it, then unregister it (journaled, so a warm-start
+    /// will not resurrect it). Returns whether the model was present.
     pub fn evict(&self, id: &str) -> bool {
-        let had_lane = self.engine.remove_lane(id);
-        let had_variant = self.engine.registry().unregister(id);
-        had_lane || had_variant
+        self.engine.evict(id)
     }
 
     /// Model ids this shard currently serves.
@@ -146,7 +143,7 @@ impl Shard {
         self.store.checkpoint()
     }
 
-    /// Orderly shutdown: drain lanes and join workers. (A *crash* is
+    /// Orderly shutdown: drain queued work and join the workers. (A *crash* is
     /// the opposite — just drop the shard without checkpointing; the
     /// WAL already holds everything needed to warm-start.)
     pub fn shutdown(&self) {

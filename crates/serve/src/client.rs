@@ -6,7 +6,7 @@
 //! exponential backoff and deterministic jitter for the transient
 //! failure modes of a self-healing server: load shed (`429`), shutdown
 //! or restart (`503`), and a connection dropped mid-exchange (e.g. by a
-//! supervisor-restarted worker). Inference is idempotent, so replaying
+//! restarting server). Inference is idempotent, so replaying
 //! the request is always safe; non-transient errors (`400`, `404`,
 //! `500`, `504`) surface immediately. Every attempt — including its
 //! backoff sleep — is budgeted against the caller's single end-to-end

@@ -11,11 +11,12 @@
 //!    and hands out
 //!    immutable `Arc`-shared snapshots — hot-swapping a variant never
 //!    blocks an in-flight request.
-//! 2. **Work-conserving micro-batching** ([`batcher`], [`queue`]) — a
-//!    lane evaluates whatever is queued for its variant (up to
-//!    `max_batch`) as one blocked-matmul pass as soon as it is free to
-//!    run it; no timer holds a request back, and batches grow under
-//!    load from requests that arrive during the previous pass. Invariant:
+//! 2. **Work-conserving micro-batching** ([`batcher`]) — one run
+//!    queue per engine, drained by a fixed pool of compute workers: a
+//!    free worker evaluates whatever is queued for the next runnable
+//!    variant (up to `max_batch`) as one blocked-matmul pass; no timer
+//!    holds a request back, and batches grow under load from requests
+//!    that arrive during the variant's previous pass. Invariant:
 //!    batched outputs are **bit-identical** to single-request
 //!    evaluation (row-independent ascending-k accumulation; pinned by
 //!    `af-models/tests/frozen_batch.rs` and `tests/serve_e2e.rs`).
@@ -33,7 +34,7 @@
 //!    feeding an incremental parser ([`http::RequestParser`]) and
 //!    resuming partial writes on readiness, with a timer wheel closing
 //!    idle and slow-loris connections (`408`) and an eventfd waking the
-//!    loop when lane workers finish a reply. Compute never runs on the
+//!    loop when compute workers finish a reply. Compute never runs on the
 //!    reactor thread — requests cross into the engine through the same
 //!    tagged non-blocking enqueue the fleet tier uses.
 //! 5. **Protected storage & self-healing** ([`protect`], [`scrub`]) —
@@ -42,8 +43,8 @@
 //!    ([`af_resilience::ProtectedCodes`]); a background scrubber
 //!    repairs single-bit upsets in place, uncorrectable words trigger a
 //!    re-encode from the FP32 checkpoint plus a hot swap, and a
-//!    supervisor restarts panicked lane workers (in-flight batch fails
-//!    with `500`, never hangs).
+//!    panicked evaluate pass fails its batch with `500` (never a hang)
+//!    while its worker serves on.
 //!
 //! 6. **Durable store & crash recovery** ([`durable`]) — a
 //!    [`DurableStore`] journals every registry mutation through
@@ -57,21 +58,21 @@
 //! the TCP path share every layer below the protocol, so tests can
 //! drive either.
 //!
-//! The engine is also an **embeddable fleet shard**: lanes come and go
-//! at runtime ([`Engine::ensure_lane`](batcher::Engine::ensure_lane) /
-//! [`Engine::remove_lane`](batcher::Engine::remove_lane)) as a router
-//! rebalances placement, [`Engine::enqueue`](batcher::Engine::enqueue)
-//! admits without blocking so hedged attempts race on one tagged reply
-//! channel, [`Engine::load`](batcher::Engine::load) publishes the
-//! structural `queue_depth`/`in_flight` gauges replica selection reads,
-//! and [`EngineConfig::compute_slots`](batcher::EngineConfig) caps a
-//! shard to one accelerator's worth of concurrent evaluate passes. The
-//! routing tier itself lives in `af-fleet`.
+//! The engine is also an **embeddable fleet shard**: it serves whatever
+//! its registry holds, [`Engine::evict`](batcher::Engine::evict) drains
+//! and unregisters a model as a router rebalances placement,
+//! [`Engine::enqueue`](batcher::Engine::enqueue) admits without
+//! blocking so hedged attempts race on one tagged reply channel,
+//! [`Engine::load`](batcher::Engine::load) publishes the structural
+//! `queue_depth`/`in_flight` gauges replica selection reads, and
+//! [`EngineConfig::compute_slots`](batcher::EngineConfig) sizes the
+//! worker pool to one accelerator's worth of concurrent evaluate
+//! passes. The routing tier itself lives in `af-fleet`.
 //!
 //! Faults enter through one seam, [`Engine::inject_fault`](batcher::Engine::inject_fault):
-//! an [`InjectedFault`] slows every evaluate pass on its lane worker
+//! an [`InjectedFault`] slows every evaluate pass on its compute worker
 //! (`delay`), sheds every admission before any other check (`shed`),
-//! or panics a lane worker mid-batch (`panic_on`). The production
+//! or panics an evaluate pass mid-batch (`panic_on`). The production
 //! config ([`EngineConfig`]) carries no test hooks, and no admitting
 //! thread — a caller, the reactor, a fleet router — ever sleeps for a
 //! fault. Every request the engine sees is counted exactly once:
@@ -87,7 +88,6 @@ pub mod client;
 pub mod durable;
 pub mod http;
 pub mod protect;
-pub mod queue;
 pub mod reactor;
 pub mod registry;
 pub mod scrub;

@@ -7,10 +7,10 @@
 //!
 //! One reactor thread owns the listener, every connection, a
 //! [`TimerWheel`] of per-connection deadlines, and the receiving half
-//! of a shared tagged-reply channel. Compute stays on the existing lane
-//! workers (micro-batching, `catch_unwind` supervision, admission
+//! of a shared tagged-reply channel. Compute stays on the engine's
+//! compute workers (micro-batching, `catch_unwind` supervision, admission
 //! control are untouched behind the [`Dispatch`] seam) — blocking
-//! matmuls have no place on an event loop, and the lanes' bounded
+//! matmuls have no place on an event loop, and the engine's bounded
 //! queues already give the backpressure story. The two tiers meet at
 //! three points:
 //!
@@ -18,7 +18,7 @@
 //!   [`Dispatch::begin_infer`] with a tag naming the request (see
 //!   below). Admission errors answer immediately; an admitted request
 //!   parks the connection with the dispatch's per-request state.
-//! * **Reply**: a lane worker sends `(tag, result)` on the shared
+//! * **Reply**: a compute worker sends `(tag, result)` on the shared
 //!   channel and rings the reactor's eventfd [`Waker`]
 //!   ([`Engine::enqueue_waking`](crate::batcher::Engine::enqueue_waking)).
 //!   The loop wakes, drains the channel, matches each tag back to its
@@ -62,7 +62,7 @@
 //! buffers and buffering stays bounded at roughly one response. Writes
 //! that hit `EWOULDBLOCK` keep a position and continue on `EPOLLOUT`; a
 //! peer that stops reading trips the write-stall deadline and is
-//! closed, never blocking a lane worker or the loop.
+//! closed, never blocking a compute worker or the loop.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -3,7 +3,7 @@
 //! parses incrementally, admits through the engine's tagged
 //! [`Engine::enqueue_waking`] seam, and resumes writes on readiness.
 //! One thread serves thousands of connections; compute stays on the
-//! engine's lane workers.
+//! engine's compute workers.
 //!
 //! Routes:
 //!
@@ -68,7 +68,7 @@ impl Dispatch for EngineDispatch {
 
 /// A running serving endpoint bound to a local address — epoll-backed:
 /// one reactor thread owns every connection, compute stays on the
-/// engine's lane workers.
+/// engine's compute workers.
 #[derive(Debug)]
 pub struct Server {
     handle: ReactorHandle,

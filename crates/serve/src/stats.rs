@@ -3,9 +3,9 @@
 //!
 //! Besides the monotonic totals, two **gauges** expose the engine's
 //! instantaneous load — `queue_depth` (admitted requests waiting in
-//! lane queues) and `in_flight` (requests inside an evaluate pass right
-//! now). They are written from structural reads of the lanes (never
-//! from paired inc/dec events), so a panicked worker can never leave
+//! variant queues) and `in_flight` (requests inside an evaluate pass
+//! right now). They are written from structural reads of the engine
+//! (never from paired inc/dec events), so a panicked worker can never leave
 //! them drifted; a fleet router reads their sum as the shard's load
 //! signal for backpressure-aware replica selection.
 
@@ -82,7 +82,7 @@ impl ServeStats {
         self.max_batch.fetch_max(size as u64, Ordering::Relaxed);
     }
 
-    /// A panicked lane worker was caught and restarted.
+    /// An evaluate pass panicked; its worker caught it and serves on.
     pub fn on_worker_restart(&self) {
         self.worker_restarts.fetch_add(1, Ordering::Relaxed);
     }
@@ -102,8 +102,8 @@ impl ServeStats {
     /// Publish the engine's instantaneous load gauges: `queue_depth`
     /// admitted-and-waiting requests, `in_flight` requests inside an
     /// evaluate pass. The engine refreshes these from structural reads
-    /// of its lanes (queue lengths and per-lane evaluating counters)
-    /// whenever the load signal is consulted.
+    /// (queue lengths and per-worker evaluating counters) whenever the
+    /// load signal is consulted.
     pub fn set_load(&self, queue_depth: u64, in_flight: u64) {
         self.queue_depth.store(queue_depth, Ordering::Relaxed);
         self.in_flight.store(in_flight, Ordering::Relaxed);
@@ -163,7 +163,7 @@ pub struct StatsSnapshot {
     pub batched_requests: u64,
     /// Largest batch observed.
     pub max_batch: u64,
-    /// Panicked lane workers caught and restarted by the supervisor.
+    /// Panicked evaluate passes, each caught by its worker.
     pub worker_restarts: u64,
     /// Completed scrub passes over the protected variants.
     pub scrub_passes: u64,
@@ -171,7 +171,7 @@ pub struct StatsSnapshot {
     pub rebuilds: u64,
     /// Duration of the most recent scrub pass, in microseconds.
     pub last_scrub_us: u64,
-    /// Gauge: admitted requests waiting in lane queues right now.
+    /// Gauge: admitted requests waiting in variant queues right now.
     pub queue_depth: u64,
     /// Gauge: requests inside an evaluate pass right now.
     pub in_flight: u64,

@@ -111,7 +111,7 @@ fn sicken(router: &FleetRouter, index: usize, fault: InjectedFault) {
     shard.engine().inject_fault(Some(fault));
 }
 
-/// A fault that panics the lane worker on inputs led by `trigger`.
+/// A fault that panics an evaluate pass on inputs led by `trigger`.
 fn panic_on(trigger: f32) -> InjectedFault {
     InjectedFault {
         panic_on: Some(trigger),
@@ -647,7 +647,6 @@ fn test_health() -> HealthPolicy {
         failure_threshold: 3,
         open_backoff: Duration::from_secs(30),
         max_backoff: Duration::from_secs(120),
-        ..HealthPolicy::default()
     }
 }
 
@@ -696,7 +695,7 @@ fn exhausted_replicas_surface_the_last_error_exactly_once() {
     assert_eq!(router.health().snapshot(1).failures, 1);
 
     // The router survives the double fault: heal A, send a clean
-    // request (B's lane restarted under its supervisor).
+    // request (B's worker caught its panic and serves on).
     router.shard(0).unwrap().engine().inject_fault(None);
     let out = router.infer(&id, probe_input(6)).expect("router recovered");
     assert_eq!(out.len(), DIMS[2]);

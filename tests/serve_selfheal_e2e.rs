@@ -10,8 +10,8 @@
 //!    triggers a rebuild from the retained f32 master and a
 //!    generation-bumped snapshot swap, with **no** in-flight request
 //!    failing.
-//! 3. **Worker supervision** — a panicking lane worker fails its batch
-//!    with an explicit `500` (never a hang) and is restarted.
+//! 3. **Worker supervision** — a panicking evaluate pass fails its batch
+//!    with an explicit `500` (never a hang) and its worker serves on.
 //! 4. **Client retry** — a deterministic `429` shed is absorbed by the
 //!    client's bounded backoff-with-jitter retry, within one deadline.
 
@@ -205,7 +205,7 @@ fn panicked_worker_answers_500_then_recovers_and_counts_the_restart() {
         Err(ClientError::Http { status: 500, .. }) => {}
         other => panic!("poisoned batch must answer 500, got {other:?}"),
     }
-    // Same connection, same lane: the restarted worker serves correct
+    // Same connection, same variant: the engine serves correct
     // bits immediately.
     let x = FrozenMlp::synth_inputs(7, 1, IN_DIM);
     let got = client.infer(VARIANT, x.row(0)).unwrap();
