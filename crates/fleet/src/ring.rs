@@ -1,10 +1,10 @@
 //! The consistent-hash ring: model-id → replica set.
 //!
-//! Each shard contributes [`HashRing::vnodes_per_shard`] pseudo-random
+//! Each shard contributes [`VNODES_PER_SHARD`] pseudo-random
 //! points ("virtual nodes") on a `u64` ring; a key hashes to a point
 //! and its replica set is the first R *distinct* shards found walking
 //! clockwise. Virtual nodes smooth the per-shard key share (relative
-//! spread shrinks like `1/sqrt(vnodes)` — at the default 256 the load
+//! spread shrinks like `1/sqrt(vnodes)` — at 256 the load
 //! of every shard sits within a few percent of uniform), and the
 //! clockwise-walk construction gives **minimal movement**: adding a
 //! shard only moves keys *onto* it (those whose walk now meets the new
@@ -19,8 +19,8 @@
 
 use af_resilience::SplitMix64;
 
-/// Default virtual nodes per shard.
-pub const DEFAULT_VNODES: usize = 256;
+/// Virtual nodes each shard contributes.
+pub const VNODES_PER_SHARD: usize = 256;
 
 /// Hash-domain tags (see `af_resilience::SplitMix64::for_element`).
 const DOMAIN_VNODE: u64 = 0xF1EE_7B0D;
@@ -42,7 +42,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[derive(Debug, Clone)]
 pub struct HashRing {
     seed: u64,
-    vnodes_per_shard: usize,
     /// Sorted `(point, shard)` pairs — the ring itself.
     points: Vec<(u64, usize)>,
     /// Member shards, ascending.
@@ -50,30 +49,13 @@ pub struct HashRing {
 }
 
 impl HashRing {
-    /// An empty ring hashing under `seed` with `vnodes_per_shard`
-    /// points per member.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vnodes_per_shard` is zero.
-    pub fn new(seed: u64, vnodes_per_shard: usize) -> HashRing {
-        assert!(vnodes_per_shard > 0, "a shard needs at least one vnode");
+    /// An empty ring hashing under `seed`.
+    pub fn with_seed(seed: u64) -> HashRing {
         HashRing {
             seed,
-            vnodes_per_shard,
             points: Vec::new(),
             shards: Vec::new(),
         }
-    }
-
-    /// An empty ring with the default vnode count.
-    pub fn with_seed(seed: u64) -> HashRing {
-        HashRing::new(seed, DEFAULT_VNODES)
-    }
-
-    /// Virtual nodes each shard contributes.
-    pub fn vnodes_per_shard(&self) -> usize {
-        self.vnodes_per_shard
     }
 
     /// Member shards, ascending.
@@ -97,7 +79,7 @@ impl HashRing {
         if self.shards.contains(&shard) {
             return false;
         }
-        for v in 0..self.vnodes_per_shard {
+        for v in 0..VNODES_PER_SHARD {
             let ix = ((shard as u64) << 32) | v as u64;
             let point = SplitMix64::for_element(self.seed, DOMAIN_VNODE, ix).next_u64();
             self.points.push((point, shard));
