@@ -1,11 +1,15 @@
 //! Kernel micro-benches: quantization throughput of every format, the
 //! bit-packed codec, the bit-accurate MAC datapaths, the SIMD dispatch
-//! paths against their scalar twins, and the fused packed-weight GEMM
-//! against dequantize-then-dense.
+//! paths against their scalar twins, the fused packed-weight GEMM
+//! against dequantize-then-dense, and model registration.
 
-use adaptivfloat::{AdaptivFloat, FormatKind, NumberFormat, PackedCodes, QuantStats, Uniform};
+use adaptivfloat::{
+    AdaptivFloat, FormatKind, NumberFormat, PackedCodes, QuantStats, StorageCodec, Uniform,
+};
 use af_hw::arith::{hfint_dot, int_dot_scaled};
+use af_models::ModelFamily;
 use af_resilience::encode_word;
+use af_serve::{ModelRegistry, VariantSpec};
 use af_store::crc::crc32;
 use af_store::{encode_container, raw_f32_codes, SpecRecord, StoredLayer, StoredVariant};
 use af_tensor::{PackedDecode, PackedGemm, PackedGemmScratch, Tensor};
@@ -110,7 +114,7 @@ fn simd_vs_scalar(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("quantize_adaptivfloat8", "scalar"), |b| {
         b.iter(|| plan.execute_into_scalar(std::hint::black_box(&w), &mut out))
     });
-    // Posit<8>: LUT backend (vector binary search + gather).
+    // Posit<8>: LUT backend (direct-index codebook, gathered).
     let posit = FormatKind::Posit.build(8).expect("valid");
     let plan = posit.plan(&QuantStats::from_slice(&w));
     g.bench_function(BenchmarkId::new("quantize_posit8_lut", "simd"), |b| {
@@ -256,10 +260,57 @@ fn store_codec(c: &mut Criterion) {
     });
 }
 
+/// Registration, the setup path `perfbench` times end to end: the five
+/// `tcp-mixed` variants on a fresh registry (codebooks warm, as for
+/// every registration after a process's first), and the codebook encode
+/// of a 64K-weight tensor per kind — the one code lookup per weight
+/// every protected, fused or exported layer takes.
+fn registration(c: &mut Criterion) {
+    const DIMS: [usize; 4] = [96, 192, 192, 48];
+    const SEED: u64 = 0x5E12_F00D;
+    let family = ModelFamily::Transformer;
+    let q = |id: &str, kind| VariantSpec::quantized(id, family, kind, 8, SEED, &DIMS);
+    let specs = [
+        VariantSpec::fp32("transformer/fp32", family, SEED, &DIMS),
+        q("transformer/adaptivfloat8", FormatKind::AdaptivFloat),
+        q("transformer/adaptivfloat8-fused", FormatKind::AdaptivFloat).fused(),
+        q("transformer/uniform8-fused", FormatKind::Uniform).fused(),
+        q("transformer/posit8", FormatKind::Posit),
+    ];
+    let register = || {
+        let registry = ModelRegistry::new();
+        for spec in &specs {
+            registry.register(spec).expect("valid spec");
+        }
+        registry
+    };
+    register();
+    c.bench_function("registry/register_tcp_mixed5", |b| {
+        b.iter(|| std::hint::black_box(register()))
+    });
+    const N: usize = 65_536;
+    let w = data(N);
+    let mut g = c.benchmark_group("codec/encode_64k");
+    g.throughput(Throughput::Elements(N as u64));
+    for kind in [
+        FormatKind::AdaptivFloat,
+        FormatKind::Uniform,
+        FormatKind::Posit,
+        FormatKind::Float,
+    ] {
+        let codec = StorageCodec::fit(kind, 8, &w).expect("valid");
+        codec.encode_slice(&w);
+        g.bench_with_input(BenchmarkId::new(kind.label(), 8), &w, |b, w| {
+            b.iter(|| std::hint::black_box(codec.encode_slice(w)))
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = quantize_formats, adaptivfloat_1m, matmul_scaling, codec, mac_datapaths,
-        simd_vs_scalar, packed_gemm, store_codec
+        simd_vs_scalar, packed_gemm, store_codec, registration
 }
 criterion_main!(benches);

@@ -14,9 +14,12 @@
 //!   (`exp_bias = exp_max − (2^e − 1)` with
 //!   `2^exp_max ≤ max|W| < 2^(exp_max+1)`).
 
+use std::sync::Arc;
+
 use crate::decode::{DecodePolicy, DecodeStats};
 use crate::error::FormatError;
 use crate::format::NumberFormat;
+use crate::lut::{self, LutKey, LutQuantizer};
 use crate::pack::PackedCodes;
 use crate::util::{exp2, floor_log2};
 
@@ -262,6 +265,21 @@ impl AdaptivFloat {
         debug_assert!(exp_field < (1 << self.e));
         debug_assert!(mant_field < (1 << m.max(1)) || m == 0);
         (sign_bit << (self.n - 1)) | (exp_field << m) | mant_field
+    }
+
+    /// The direct-index codebook under `params` (`None` above 8 bits):
+    /// codes and values of every input in one lookup. Quantizing values
+    /// stays with the bit-twiddled kernel, which is faster still; the
+    /// codebook is what encodes a tensor to codes.
+    pub(crate) fn codebook(&self, params: &AdaptivParams) -> Option<Arc<LutQuantizer>> {
+        let key = LutKey::Adaptiv {
+            n: self.n,
+            e: self.e,
+            exp_bias: params.exp_bias,
+        };
+        lut::codebook(key, self.n, |v| {
+            (self.quantize_with(params, v), self.encode_with(params, v))
+        })
     }
 
     /// Decode an `n`-bit pattern back to its value.

@@ -7,9 +7,12 @@
 //! hardware — and what degrades small-magnitude elements, the weakness the
 //! paper demonstrates on wide NLP weight distributions.
 
+use std::sync::Arc;
+
 use crate::decode::{DecodePolicy, DecodeStats};
 use crate::error::FormatError;
 use crate::format::NumberFormat;
+use crate::lut::{self, LutKey, LutQuantizer};
 use crate::util::{exp2, floor_log2, from_twos_complement, to_twos_complement};
 
 /// Block floating-point format descriptor.
@@ -161,35 +164,28 @@ impl BlockFloat {
         self.quantize_block_at(e, block);
     }
 
+    /// The direct-index codebook at shared exponent `e` (`None` above 8
+    /// bits). Shared exponents take few distinct values across blocks
+    /// and tensors, so the per-exponent codebooks are reused heavily.
+    pub(crate) fn codebook(&self, e: i32) -> Option<Arc<LutQuantizer>> {
+        let key = LutKey::Bfp { n: self.n, exp: e };
+        lut::codebook(key, self.n, |v| {
+            (self.quantize_one_at(e, v), self.encode_code(e, v))
+        })
+    }
+
     /// Quantize a block in place against a fixed shared exponent.
     fn quantize_block_at(&self, e: i32, block: &mut [f32]) {
-        use crate::lut::{self, LutKey};
-        if self.n <= lut::MAX_LUT_BITS && block.len() >= lut::MIN_LUT_LEN {
-            // Shared exponents take few distinct values across blocks and
-            // tensors, so the per-exponent codebooks are reused heavily.
-            let table = lut::cached(LutKey::Bfp { n: self.n, exp: e }, |v| {
-                self.quantize_one_at(e, v)
-            });
-            crate::par::par_apply(block, |chunk| {
-                for v in chunk.iter_mut() {
-                    *v = table.quantize_one(*v);
-                }
-            });
+        let table = (block.len() >= lut::MIN_LUT_LEN)
+            .then(|| self.codebook(e))
+            .flatten();
+        if let Some(table) = table {
+            crate::par::par_apply(block, |chunk| table.quantize_in_place(chunk));
             return;
         }
-        // Mantissa grid: signed (n−1)-bit integers at scale 2^(E − n + 3),
-        // so the top magnitude 2^(E+1) maps to the extreme mantissa.
-        let scale = exp2(e - self.n as i32 + 3);
-        let mant_max = (1i64 << (self.n - 2)) - 1;
         crate::par::par_apply(block, |chunk| {
             for v in chunk.iter_mut() {
-                if v.is_nan() {
-                    *v = 0.0;
-                    continue;
-                }
-                let q = ((*v as f64) / scale).round() as i64;
-                let q = q.clamp(-mant_max, mant_max);
-                *v = (q as f64 * scale) as f32;
+                *v = self.quantize_one_at(e, *v);
             }
         });
     }
@@ -226,7 +222,6 @@ impl NumberFormat for BlockFloat {
     }
 
     fn plan(&self, stats: &crate::plan::QuantStats) -> crate::plan::QuantPlan {
-        use crate::lut::{self, LutKey};
         use crate::plan::{Backend, PlanParams, QuantPlan};
         // Per-block exponents are re-derived during execution; a
         // calibrated range collapses to one shared exponent for the whole
@@ -239,15 +234,10 @@ impl NumberFormat for BlockFloat {
             return QuantPlan::new(self.n, PlanParams::Bfp { shared_exp: None }, Backend::Zero);
         }
         let e = Self::shared_exponent(max_abs);
-        let backend = if self.n <= lut::MAX_LUT_BITS && stats.len() >= lut::MIN_LUT_LEN {
-            // Shared exponents take few distinct values across blocks and
-            // tensors, so the per-exponent codebooks are reused heavily.
-            Backend::Lut(lut::cached(LutKey::Bfp { n: self.n, exp: e }, |v| {
-                self.quantize_one_at(e, v)
-            }))
-        } else {
-            Backend::BfpScalar { fmt: *self, exp: e }
-        };
+        let table = (stats.len() >= lut::MIN_LUT_LEN)
+            .then(|| self.codebook(e))
+            .flatten();
+        let backend = table.map_or(Backend::BfpScalar { fmt: *self, exp: e }, Backend::Lut);
         QuantPlan::new(
             self.n,
             PlanParams::Bfp {

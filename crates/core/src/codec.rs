@@ -15,19 +15,21 @@
 //! them, a fused GEMM multiplies them.
 //!
 //! Fixed parameters also mean every stored word is one of at most 2^n
-//! decodes. At `n ≤ 8` the slice codecs run through the codec's
-//! [`CodeIndex`], enumerated from the scalar
-//! [`encode_one`](StorageCodec::encode_one)/[`decode_one`](StorageCodec::decode_one):
-//! a value already on the grid encodes by lookup, and codes decode
-//! through a per-code table that also carries each code's
-//! [`DecodeStats`]. The results are bit-identical to the per-element
-//! scalar codec, which still answers for zeros, off-grid values and
-//! wider words (`tests/codec_equivalence.rs` pins the equivalence).
-//! A codec holds no index itself: callers build one per pass with
-//! [`index`](StorageCodec::index) and may share it across an encode
-//! and a decode ([`encode_via`](StorageCodec::encode_via),
-//! [`decode_via`](StorageCodec::decode_via)).
+//! decodes. At `n ≤ 8` the slice codecs encode through the codec's
+//! direct-index [`codebook`](StorageCodec::codebook), compiled once per
+//! parameter set from the scalar [`encode_one`](StorageCodec::encode_one)
+//! and cached process-wide: any raw value's code is one lookup. Codes
+//! decode through the [`CodeIndex`]'s per-code table, enumerated from
+//! [`decode_one`](StorageCodec::decode_one), which also carries each
+//! code's [`DecodeStats`]. The results are bit-identical to the
+//! per-element scalar codec, which still answers for wider words
+//! (`tests/codec_equivalence.rs` pins the equivalence). A codec holds no
+//! decode table itself: each slice call builds its
+//! [`index`](StorageCodec::index).
 
+use std::sync::Arc;
+
+use crate::lut::LutQuantizer;
 use crate::{
     AdaptivFloat, AdaptivParams, BlockFloat, CodeIndex, DecodePolicy, DecodeStats, FormatError,
     FormatKind, IeeeLikeFloat, PackedCodes, PlanParams, Posit, QuantStats, Uniform,
@@ -197,58 +199,71 @@ impl StorageCodec {
         }
     }
 
-    /// The codec's exact [`CodeIndex`]: value → code lookup and
-    /// per-code decode tables, enumerated through
-    /// [`encode_one`](Self::encode_one) and
-    /// [`decode_one`](Self::decode_one). `None` above 8 bits, or if two
-    /// codes decode to the same nonzero value; the slice codecs then
-    /// run the scalar encoder and decoder per element.
+    /// The codec's direct-index codebook: every input's code (and its
+    /// quantized value) in one lookup, bit-identical to
+    /// [`encode_one`](Self::encode_one). Cached process-wide per format
+    /// geometry and side parameters; `None` above 8 bits.
+    pub fn codebook(&self) -> Option<Arc<LutQuantizer>> {
+        match self {
+            StorageCodec::Adaptiv { fmt, params } => fmt.codebook(params),
+            StorageCodec::Ieee { fmt } => fmt.codebook(),
+            StorageCodec::Posit { fmt } => fmt.codebook(),
+            StorageCodec::Bfp { fmt, exp } => fmt.codebook(*exp),
+            StorageCodec::Uniform { fmt, scale } => fmt.codebook(*scale),
+        }
+    }
+
+    /// The codec's exact [`CodeIndex`]: its [`codebook`](Self::codebook)
+    /// and per-code decode tables enumerated through
+    /// [`decode_one`](Self::decode_one). `None` above 8 bits; the slice
+    /// codecs then run the scalar encoder and decoder per element.
     pub fn index(&self) -> Option<CodeIndex> {
-        CodeIndex::build(
-            self.width(),
-            |v| self.encode_one(v),
-            |code, policy, stats| self.decode_one(code, policy, stats),
-        )
+        CodeIndex::build(self.width(), self.codebook()?, |code, policy, stats| {
+            self.decode_one(code, policy, stats)
+        })
+    }
+
+    /// The code of every value of `data`, unpacked: one codebook lookup
+    /// each (the scalar encoder above 8 bits), on the calling thread.
+    /// Bit-identical to [`encode_one`](Self::encode_one) per element.
+    pub fn encode_codes(&self, data: &[f32]) -> Vec<u32> {
+        match self.codebook() {
+            Some(codebook) => {
+                let mut codes = vec![0u32; data.len()];
+                codebook.encode_into(data, &mut codes);
+                codes
+            }
+            None => data.iter().map(|&v| self.encode_one(v)).collect(),
+        }
     }
 
     /// Encode a whole tensor into packed storage. Bit-identical to
-    /// [`encode_one`](Self::encode_one) per element; values already on
-    /// the codec's grid are encoded by index lookup.
+    /// [`encode_one`](Self::encode_one) per element.
     pub fn encode_slice(&self, data: &[f32]) -> PackedCodes {
-        self.encode_rounded(data, data)
+        let mut packed = PackedCodes::new(self.width());
+        packed.extend_from_u32(&self.encode_codes(data));
+        packed
     }
 
     /// Encode `data` and keep the codes only if each one decodes back,
     /// under [`DecodePolicy::Harden`], to its value's exact bit pattern
     /// — the check a store runs before it persists codes in place of
     /// raw f32s. Equals `encode_slice` followed by `decode_slice` and a
-    /// bitwise compare, with one [`index`](Self::index) serving both
-    /// directions.
+    /// bitwise compare.
     pub fn encode_exact(&self, data: &[f32]) -> Option<PackedCodes> {
-        let index = self.index();
-        let codes = self.encode_via(index.as_ref(), data, data);
-        self.pack_exact_via(index.as_ref(), &codes, data)
+        self.pack_exact(&self.encode_codes(data), data)
     }
 
     /// Pack `codes`, one per value of `data` and encoded elsewhere (a
     /// fused layer's kernel operand), if each one decodes back under
     /// [`DecodePolicy::Harden`] to its value's exact bit pattern.
     pub fn pack_exact(&self, codes: &[u32], data: &[f32]) -> Option<PackedCodes> {
-        self.pack_exact_via(self.index().as_ref(), codes, data)
-    }
-
-    fn pack_exact_via(
-        &self,
-        index: Option<&CodeIndex>,
-        codes: &[u32],
-        data: &[f32],
-    ) -> Option<PackedCodes> {
         if codes.len() != data.len() {
             return None;
         }
         // Indexed codecs read the decode table; a code outside it (from
         // a caller's operand) never decodes to a value.
-        let table = index.map(|index| index.values(DecodePolicy::Harden));
+        let table = self.index().map(|index| index.values(DecodePolicy::Harden));
         let mut stats = DecodeStats::new();
         let exact = codes.iter().zip(data).all(|(&c, v)| {
             let back = match &table {
@@ -265,38 +280,16 @@ impl StorageCodec {
     }
 
     /// Encode `data` whose rounding onto this codec's grid is already
-    /// known: `rounded[i]` is `data[i]` quantized under the codec's
-    /// frozen parameters (e.g. by the plan the codec was fitted from).
-    /// Each rounded value is looked up in the [`index`](Self::index);
-    /// zeros and misses encode `data[i]` through
-    /// [`encode_one`](Self::encode_one). Bit-identical to
-    /// `encode_slice(data)` whenever the rounding agrees with the
-    /// scalar encoder's.
+    /// known (`rounded[i]` is `data[i]` quantized under the codec's
+    /// frozen parameters). The codebook encodes raw values directly, so
+    /// this is [`encode_slice`](Self::encode_slice)`(data)`.
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
     pub fn encode_rounded(&self, data: &[f32], rounded: &[f32]) -> PackedCodes {
-        let codes = self.encode_via(self.index().as_ref(), data, rounded);
-        let mut packed = PackedCodes::new(self.width());
-        packed.extend_from_u32(&codes);
-        packed
-    }
-
-    /// [`encode_rounded`](Self::encode_rounded) through `index`, into
-    /// unpacked codes. `index` must be this codec's own
-    /// [`index`](Self::index), built once by a caller that also decodes
-    /// through it ([`decode_via`](Self::decode_via)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` and `rounded` have different lengths.
-    pub fn encode_via(&self, index: Option<&CodeIndex>, data: &[f32], rounded: &[f32]) -> Vec<u32> {
         assert_eq!(data.len(), rounded.len(), "slice length mismatch");
-        match index {
-            Some(index) => index.encode(data, rounded, |v| self.encode_one(v)),
-            None => data.iter().map(|&v| self.encode_one(v)).collect(),
-        }
+        self.encode_slice(data)
     }
 
     /// Decode packed storage back to values under `policy`, returning
@@ -308,24 +301,11 @@ impl StorageCodec {
         codes: &PackedCodes,
         policy: DecodePolicy,
     ) -> (Vec<f32>, DecodeStats) {
-        // Wider storage never reads the table: skip building it.
+        // The table covers this codec's words; wider storage keeps the
+        // per-code decoder's own handling of the extra bits.
         let index = (codes.width() <= self.width())
             .then(|| self.index())
             .flatten();
-        self.decode_via(index.as_ref(), codes, policy)
-    }
-
-    /// [`decode_slice`](Self::decode_slice) through `index`, which must
-    /// be this codec's own [`index`](Self::index).
-    pub fn decode_via(
-        &self,
-        index: Option<&CodeIndex>,
-        codes: &PackedCodes,
-        policy: DecodePolicy,
-    ) -> (Vec<f32>, DecodeStats) {
-        // The table covers this codec's words; wider storage keeps the
-        // per-code decoder's own handling of the extra bits.
-        let index = index.filter(|_| codes.width() <= self.width());
         let Some(index) = index else {
             let mut stats = DecodeStats::new();
             let vals = codes

@@ -1,9 +1,12 @@
 //! Classic Qi.f fixed-point — the conventional hardware baseline the
 //! paper's introduction argues against at low precision.
 
+use std::sync::Arc;
+
 use crate::decode::{DecodePolicy, DecodeStats};
 use crate::error::FormatError;
 use crate::format::NumberFormat;
+use crate::lut::{self, LutKey, LutQuantizer};
 use crate::util::{exp2, from_twos_complement, to_twos_complement};
 
 /// Fixed-point format with `n` total bits: 1 sign bit, `i` integer bits
@@ -104,6 +107,15 @@ impl FixedPoint {
         to_twos_complement(q.clamp(-self.level_max(), self.level_max()), self.n)
     }
 
+    /// The format's direct-index codebook (`None` above 8 bits).
+    fn codebook(&self) -> Option<Arc<LutQuantizer>> {
+        let key = LutKey::Fixed {
+            n: self.n,
+            int_bits: self.int_bits,
+        };
+        lut::codebook(key, self.n, |v| (self.quantize_value(v), self.encode(v)))
+    }
+
     /// Decode an `n`-bit word exactly as the bits say (a corrupted word
     /// may decode to the unused `−2^(n−1)` extreme).
     pub fn decode(&self, code: u32) -> f32 {
@@ -134,19 +146,11 @@ impl NumberFormat for FixedPoint {
     }
 
     fn plan(&self, stats: &crate::plan::QuantStats) -> crate::plan::QuantPlan {
-        use crate::lut::{self, LutKey};
         use crate::plan::{Backend, PlanParams, QuantPlan};
-        let backend = if self.n <= lut::MAX_LUT_BITS && stats.len() >= lut::MIN_LUT_LEN {
-            Backend::Lut(lut::cached(
-                LutKey::Fixed {
-                    n: self.n,
-                    int_bits: self.int_bits,
-                },
-                |v| self.quantize_value(v),
-            ))
-        } else {
-            Backend::FixedScalar(*self)
-        };
+        let table = (stats.len() >= lut::MIN_LUT_LEN)
+            .then(|| self.codebook())
+            .flatten();
+        let backend = table.map_or(Backend::FixedScalar(*self), Backend::Lut);
         QuantPlan::new(self.n, PlanParams::Static, backend)
     }
 

@@ -6,9 +6,12 @@
 //! all-ones exponent field is an ordinary top binade and out-of-range
 //! values saturate.
 
+use std::sync::Arc;
+
 use crate::decode::{DecodePolicy, DecodeStats};
 use crate::error::FormatError;
 use crate::format::NumberFormat;
+use crate::lut::{self, LutKey, LutQuantizer};
 use crate::util::{exp2, floor_log2};
 
 /// IEEE-like float format descriptor.
@@ -159,6 +162,15 @@ impl IeeeLikeFloat {
         (sign_bit << (self.n - 1)) | (exp_field << m) | mant_field
     }
 
+    /// The format's direct-index codebook (`None` above 8 bits).
+    pub(crate) fn codebook(&self) -> Option<Arc<LutQuantizer>> {
+        let key = LutKey::Ieee {
+            n: self.n,
+            e: self.e,
+        };
+        lut::codebook(key, self.n, |v| (self.quantize_value(v), self.encode(v)))
+    }
+
     /// Decode an `n`-bit pattern.
     pub fn decode(&self, bits: u32) -> f32 {
         let m = self.mantissa_bits();
@@ -214,21 +226,12 @@ impl NumberFormat for IeeeLikeFloat {
     }
 
     fn plan(&self, stats: &crate::plan::QuantStats) -> crate::plan::QuantPlan {
-        use crate::lut::{self, LutKey};
         use crate::plan::{Backend, PlanParams, QuantPlan};
-        let backend = if self.n <= lut::MAX_LUT_BITS && stats.len() >= lut::MIN_LUT_LEN {
-            // The grid is static per geometry: compile the scalar
-            // quantizer to a codebook once and reuse it process-wide.
-            Backend::Lut(lut::cached(
-                LutKey::Ieee {
-                    n: self.n,
-                    e: self.e,
-                },
-                |v| self.quantize_value(v),
-            ))
-        } else {
-            Backend::IeeeScalar(*self)
-        };
+        // The grid is static per geometry: one codebook, process-wide.
+        let table = (stats.len() >= crate::lut::MIN_LUT_LEN)
+            .then(|| self.codebook())
+            .flatten();
+        let backend = table.map_or(Backend::IeeeScalar(*self), Backend::Lut);
         QuantPlan::new(self.n, PlanParams::Static, backend)
     }
 

@@ -1,28 +1,33 @@
-//! Precomputed codebook (LUT) quantizers for the enumerable formats.
+//! Direct-index codebooks for the enumerable formats at `n ≤ 8` bits.
 //!
-//! Every non-adaptive-per-element format at `n ≤ 8` bits maps an input
-//! `f32` onto one of at most `2^n` output values through a **monotone
-//! piecewise-constant** function (round-to-nearest onto a fixed grid,
-//! plus saturation). That structure lets the whole scalar quantizer —
-//! however expensive (`floor_log2`, `exp2`, f64 division, posit table
-//! walks) — be compiled once into a sorted threshold table over the f32
-//! *bit space* and then answered per element with one short binary
-//! search over ≤ 255 thresholds.
+//! Once its per-tensor parameters are frozen, every format here maps an
+//! `f32` onto one of at most `2^n` codes through a **monotone
+//! piecewise-constant** function of the magnitude on each sign (round to
+//! nearest on a fixed grid, plus saturation). A [`LutQuantizer`]
+//! compiles that function — however expensive (`floor_log2`, `exp2`,
+//! f64 division, posit table walks) — into a table answered per element
+//! by one direct index, one compare and one load: the bucket
+//! `|bits| >> shift` picks a slot holding one threshold and the
+//! **codes** below and above it. The code is what a weight buffer
+//! stores; a per-sign table of `2^n` values turns it into the quantized
+//! value, so one lookup answers both.
 //!
-//! Exactness is guaranteed **by construction**: the thresholds are found
-//! by bisecting the analytic scalar function itself over the bit patterns
-//! of one sign half-axis (positive f32 bit patterns order identically to
-//! their values, so a monotone quantizer that agrees at both ends of a
-//! bit interval is constant across it). Zero-sign subtleties — e.g.
-//! `FixedPoint` and `IeeeLikeFloat` crush tiny negatives to `-0.0` while
-//! `Uniform` and `BlockFloat` produce `+0.0` — are captured automatically
-//! because the axes are probed per sign and compared bit-for-bit.
+//! Exactness is guaranteed **by construction**: the switch points are
+//! found by bisecting the scalar quantizer and encoder themselves over
+//! the bit patterns of each sign half-axis (positive f32 bit patterns
+//! order like their values, so a monotone function that agrees at both
+//! ends of a bit interval is constant across it), and compared bit for
+//! bit, so each format's zero-sign convention survives. The shift is the
+//! largest that leaves at most one switch point per slot; the first and
+//! last slots also take every smaller and larger magnitude, so the empty
+//! extremes of a grid cost no slots. NaN inputs take one code and a
+//! value per sign.
 //!
-//! Tables are cached in a bounded process-wide cache keyed by format
-//! geometry (plus the derived scale for `Uniform` / the shared exponent
-//! for `BlockFloat`), so repeated per-tensor calls pay the build cost
-//! once. The property tests in `tests/lut_matches_analytic.rs` verify
-//! bit-exactness against the scalar paths for every format.
+//! Tables are cached process-wide, keyed by format geometry plus the
+//! per-tensor parameter (AdaptivFloat's exponent bias, Uniform's scale,
+//! BFP's shared exponent), and bounded by resident bytes.
+//! `tests/lut_matches_analytic.rs` and `tests/lut_direct_index.rs` pin
+//! them to the scalar paths bit for bit.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,224 +37,241 @@ use std::sync::{Arc, OnceLock, RwLock};
 const INF_BITS: u32 = 0x7f80_0000;
 /// Magnitude mask (everything but the sign bit).
 const ABS_MASK: u32 = 0x7fff_ffff;
+/// The sign bit.
+const SIGN_BIT: u32 = 0x8000_0000;
+/// The quiet NaN probed for each sign's NaN code.
+const NAN_BITS: [u32; 2] = [0x7fc0_0000, 0xffc0_0000];
 
 /// Slices shorter than this skip the LUT: the per-call cache lookup
 /// costs more than a handful of scalar quantizations.
 pub const MIN_LUT_LEN: usize = 32;
 
-/// Largest word size the LUT path covers (`2^8` levels per sign).
+/// Largest word size the LUT path covers (`2^8` codes).
 pub const MAX_LUT_BITS: u32 = 8;
 
-/// Maximum number of cached tables; the cache is emptied when full
-/// (distinct keys come from format geometry and per-tensor scales, so
-/// steady-state workloads stay far below the cap).
-const CACHE_CAP: usize = 256;
+/// Resident bytes the cache may hold; it is emptied when a new table
+/// would pass this. A table is 0.3–12 KB, so steady-state workloads stay
+/// far below the cap.
+pub const CACHE_BYTES: usize = 4 << 20;
 
-/// One sign half-axis: `values[i]` is the output (as f32 bits) for every
-/// input magnitude in `[thresholds[i-1], thresholds[i])` (bit-space),
-/// with `thresholds[-1] = 0` and `thresholds[len] = ∞`.
-#[derive(Debug)]
-struct Axis {
-    thresholds: Vec<u32>,
-    values: Vec<u32>,
+/// One sign's step function over magnitudes `[0, INF_BITS]`: per
+/// segment, its first magnitude, output value bits and code, ascending.
+type Segments = Vec<(u32, u32, u32)>;
+
+/// Bisect `f` (magnitude bits → (value bits, code)) over
+/// `[0, INF_BITS]`. `f` must be monotone in the input value; the
+/// interval `[lo, hi]` is taken as constant whenever `f(lo) == f(hi)`,
+/// which monotonicity guarantees.
+fn segments(f: &dyn Fn(u32) -> (u32, u32)) -> Segments {
+    let key = |abs| {
+        let (value, code) = f(abs);
+        (u64::from(value) << 32) | u64::from(code)
+    };
+    let first = key(0);
+    let mut starts = vec![(0u32, first)];
+    let mut stack = vec![(0u32, INF_BITS, first, key(INF_BITS))];
+    while let Some((lo, hi, flo, fhi)) = stack.pop() {
+        if flo == fhi {
+            continue;
+        }
+        if lo + 1 == hi {
+            starts.push((hi, fhi));
+            continue;
+        }
+        let mid = lo + (hi - lo) / 2;
+        let fmid = key(mid);
+        stack.push((lo, mid, flo, fmid));
+        stack.push((mid, hi, fmid, fhi));
+    }
+    starts.sort_unstable();
+    starts
+        .into_iter()
+        .map(|(t, k)| (t, (k >> 32) as u32, k as u32))
+        .collect()
 }
 
-impl Axis {
-    /// Build by bisecting `f` (input-magnitude bits → output bits) over
-    /// `[0, INF_BITS]`. `f` must be monotone in the input *value*; the
-    /// interval `[lo, hi]` is taken as constant whenever
-    /// `f(lo) == f(hi)`, which monotonicity guarantees.
-    fn build(f: &dyn Fn(u32) -> u32) -> Axis {
-        let f_zero = f(0);
-        let f_inf = f(INF_BITS);
-        // (first input bits of a new level, that level's output bits)
-        let mut switches: Vec<(u32, u32)> = Vec::new();
-        let mut stack = vec![(0u32, INF_BITS, f_zero, f_inf)];
-        while let Some((lo, hi, flo, fhi)) = stack.pop() {
-            if flo == fhi {
-                continue;
-            }
-            if lo + 1 == hi {
-                switches.push((hi, fhi));
-                continue;
-            }
-            let mid = lo + (hi - lo) / 2;
-            let fmid = f(mid);
-            stack.push((lo, mid, flo, fmid));
-            stack.push((mid, hi, fmid, fhi));
-        }
-        switches.sort_unstable();
-        let mut thresholds = Vec::with_capacity(switches.len());
-        let mut values = Vec::with_capacity(switches.len() + 1);
-        values.push(f_zero);
-        for (t, v) in switches {
-            thresholds.push(t);
-            values.push(v);
-        }
-        Axis { thresholds, values }
-    }
-
-    /// Output bits for input-magnitude bits `abs` (`abs ≤ INF_BITS`).
-    #[inline]
-    fn lookup(&self, abs: u32) -> u32 {
-        let idx = self.thresholds.partition_point(|&t| t <= abs);
-        self.values[idx]
-    }
-}
-
-/// Both sign axes (NaN segments included) fused into one threshold table
-/// over a *key space* that orders every f32 bit pattern: `key(bits) =
-/// bits ^ ((bits >>ₐ 31) | 0x8000_0000)` maps −NaN < −∞ < … < −0 < +0 <
-/// … < +∞ < +NaN onto ascending unsigned integers. The table is what the
-/// AVX2 gather path searches — one branchless binary search instead of a
-/// sign test plus a per-axis walk.
-///
-/// Stored pre-biased (`^ 0x8000_0000`) so vector code can compare keys
-/// with signed `epi32` operations, and padded to a power of two with the
-/// biased `u32::MAX` sentinel (`0x7fff_ffff`, i.e. `i32::MAX`) so the
-/// search runs a fixed number of steps. `values` carries one extra
-/// slot: `values[i]` is the output when exactly `i` thresholds are ≤ the
-/// key, and every padding slot repeats the +NaN output (the only key
-/// that can count a sentinel is `u32::MAX`, which *is* the top +NaN
-/// pattern).
-#[derive(Debug)]
-pub(crate) struct CombinedLut {
-    /// Biased switch keys, padded to a power-of-two length.
-    pub(crate) thresholds_biased: Vec<u32>,
-    /// Output bit patterns, `thresholds_biased.len() + 1` entries.
-    pub(crate) values: Vec<u32>,
-}
-
-impl CombinedLut {
-    /// Fuse the per-sign axes into the combined key-space table.
-    ///
-    /// Built analytically from the already-bisected axes — never by
-    /// re-bisecting the quantizer over the key space, because the NaN
-    /// segments at both ends are not monotone continuations of the value
-    /// order that `Axis::build`'s interval-collapse rule assumes.
-    fn build(pos: &Axis, neg: &Axis, nan_pos: u32, nan_neg: u32) -> CombinedLut {
-        let mut keys: Vec<u32> = Vec::new();
-        let mut values: Vec<u32> = vec![nan_neg];
-        let push = |keys: &mut Vec<u32>, values: &mut Vec<u32>, key: u32, val: u32| {
-            if *values.last().expect("seeded") == val {
-                return; // adjacent segments with equal output fuse
-            }
-            debug_assert!(keys.last().is_none_or(|&k| k < key));
-            keys.push(key);
-            values.push(val);
-        };
-        // Negative axis, walked from −∞ upward: magnitude `abs` maps to
-        // key K(abs) = 0x7fff_ffff − abs, so axis segment `i` (inputs in
-        // [t_{i−1}, t_i)) covers keys (K(t_i), K(t_{i−1})] — each switch
-        // *down* one segment happens at key K(t_{i−1}) + 1.
-        let k = |abs: u32| ABS_MASK - abs;
-        push(
-            &mut keys,
-            &mut values,
-            k(INF_BITS),
-            neg.values[neg.values.len() - 1],
-        );
-        for i in (1..neg.values.len()).rev() {
-            push(
-                &mut keys,
-                &mut values,
-                k(neg.thresholds[i - 1]) + 1,
-                neg.values[i - 1],
-            );
-        }
-        // Positive axis: magnitude `abs` maps to key 0x8000_0000 + abs.
-        push(&mut keys, &mut values, 0x8000_0000, pos.values[0]);
-        for i in 1..pos.values.len() {
-            push(
-                &mut keys,
-                &mut values,
-                0x8000_0000 + pos.thresholds[i - 1],
-                pos.values[i],
-            );
-        }
-        // +NaN: every key above the +∞ pattern.
-        push(&mut keys, &mut values, 0x8000_0000 + INF_BITS + 1, nan_pos);
-        // Pre-bias for signed compares, pad to a power of two.
-        let padded = keys.len().next_power_of_two().max(1);
-        let mut thresholds_biased: Vec<u32> = keys.iter().map(|&key| key ^ 0x8000_0000).collect();
-        thresholds_biased.resize(padded, u32::MAX ^ 0x8000_0000);
-        values.resize(padded + 1, nan_pos);
-        CombinedLut {
-            thresholds_biased,
-            values,
-        }
-    }
-
-    /// Scalar lookup over the combined table (the vector path's oracle;
-    /// exercised by the unit tests below to pin the construction).
-    #[cfg(test)]
-    fn lookup_bits(&self, bits: u32) -> u32 {
-        let key = bits ^ ((((bits as i32) >> 31) as u32) >> 1); // biased key
-        let idx = self
-            .thresholds_biased
-            .partition_point(|&t| (t as i32) <= (key as i32));
-        self.values[idx]
-    }
-}
-
-/// A compiled codebook quantizer: bit-identical to the scalar function it
-/// was built from, at a flat per-element cost.
+/// A compiled codebook: bit-identical to the scalar quantizer and
+/// encoder it was built from, at a flat per-element cost.
 #[derive(Debug)]
 pub struct LutQuantizer {
-    pos: Axis,
-    neg: Axis,
-    nan_pos: u32,
-    nan_neg: u32,
-    /// The axes fused for the SIMD gather path (`crate::simd`).
-    pub(crate) combined: CombinedLut,
+    /// A magnitude's bucket is `abs >> shift`.
+    pub(crate) shift: u32,
+    /// The bucket before slot 1's: slot 0 takes it and every smaller one.
+    pub(crate) base: u32,
+    /// Slots per sign; the last takes its bucket and every larger one.
+    pub(crate) len: u32,
+    /// Per slot, positive sign first: the first magnitude that takes the
+    /// slot's upper code (`ABS_MASK` when the slot holds no switch).
+    pub(crate) thresholds: Vec<u32>,
+    /// Per slot: the lower code | the upper code `<< 8`. One spare entry
+    /// keeps a 4-byte gather at the last slot in bounds.
+    pub(crate) codes: Vec<u16>,
+    /// Output value bits of code `c` on sign `s` at `s << code_bits | c`;
+    /// of a NaN input on sign `s` at `2 << code_bits | s`.
+    pub(crate) values: Vec<u32>,
+    /// Width of the codes.
+    pub(crate) code_bits: u32,
+    /// The code of a NaN input of either sign.
+    pub(crate) nan_code: u32,
 }
 
 impl LutQuantizer {
-    /// Compile `quantize` (any monotone scalar quantizer) into a
-    /// codebook. The closure is probed a few thousand times.
+    /// Compile an `n`-bit codec: `f` maps an input to its quantized value
+    /// and its code, both monotone in the input on each sign. The
+    /// closure is probed a few thousand times. `None` if a code is wider
+    /// than `n` bits or means two different values on one sign, or if
+    /// NaNs of the two signs encode differently.
+    pub(crate) fn build_coded(n: u32, f: impl Fn(f32) -> (f32, u32)) -> Option<LutQuantizer> {
+        let probe = |bits: u32| {
+            let (value, code) = f(f32::from_bits(bits));
+            (value.to_bits(), code)
+        };
+        let axes = [0, SIGN_BIT].map(|sign| segments(&|abs| probe(abs | sign)));
+        LutQuantizer::assemble(n, axes, NAN_BITS.map(probe))
+    }
+
+    /// Compile any monotone scalar quantizer (no codec): each sign's
+    /// distinct outputs, numbered in bit order, are its codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one sign has more than 256 distinct outputs.
     pub fn build(quantize: impl Fn(f32) -> f32) -> LutQuantizer {
-        let pos = Axis::build(&|abs| quantize(f32::from_bits(abs)).to_bits());
-        let neg = Axis::build(&|abs| quantize(f32::from_bits(abs | !ABS_MASK)).to_bits());
-        let nan_pos = quantize(f32::from_bits(0x7fc0_0000)).to_bits();
-        let nan_neg = quantize(f32::from_bits(0xffc0_0000)).to_bits();
-        let combined = CombinedLut::build(&pos, &neg, nan_pos, nan_neg);
-        LutQuantizer {
-            pos,
-            neg,
-            nan_pos,
-            nan_neg,
-            combined,
+        let value = |bits: u32| quantize(f32::from_bits(bits)).to_bits();
+        let mut axes = [0, SIGN_BIT].map(|sign| segments(&|abs| (value(abs | sign), 0)));
+        for axis in axes.iter_mut() {
+            let mut levels: Vec<u32> = axis.iter().map(|&(_, value, _)| value).collect();
+            levels.sort_unstable();
+            levels.dedup();
+            for segment in axis.iter_mut() {
+                segment.2 = levels.partition_point(|&l| l < segment.1) as u32;
+            }
         }
+        let nan = NAN_BITS.map(|bits| (value(bits), 0));
+        LutQuantizer::assemble(MAX_LUT_BITS, axes, nan).expect("at most 256 outputs per sign")
+    }
+
+    /// Lay both signs' segments and NaN `(value, code)`s out as slots.
+    fn assemble(code_bits: u32, axes: [Segments; 2], nan: [(u32, u32); 2]) -> Option<LutQuantizer> {
+        // A code's value per sign: one code meaning two values on one
+        // sign cannot be tabled. NaN inputs keep values of their own.
+        let mut values = vec![None; 2 << code_bits];
+        for (sign, axis) in axes.iter().enumerate() {
+            for &(_, value, code) in axis {
+                if code >> code_bits != 0 {
+                    return None;
+                }
+                let slot = &mut values[sign << code_bits | code as usize];
+                if *slot.get_or_insert(value) != value {
+                    return None;
+                }
+            }
+        }
+        if nan[0].1 != nan[1].1 || nan[0].1 >> code_bits != 0 {
+            return None;
+        }
+        values.extend(nan.map(|(value, _)| Some(value)));
+        let mut switches: Vec<u32> = axes
+            .iter()
+            .flat_map(|axis| axis[1..].iter().map(|&(start, ..)| start))
+            .collect();
+        switches.sort_unstable();
+        switches.dedup();
+        // The largest shift that puts consecutive switches in different
+        // buckets; slot 0 then holds the first switch, the last slot the
+        // last one, and every slot between them one bucket.
+        let shift = switches
+            .windows(2)
+            .map(|w| 31 - (w[0] ^ w[1]).leading_zeros())
+            .min()
+            .unwrap_or(31);
+        let k = switches.len();
+        let (base, last) = if k < 2 {
+            (0, 0)
+        } else {
+            let bucket = |i: usize| switches[i] >> shift;
+            (bucket(1) - 1, bucket(k.max(3) - 2) + 1)
+        };
+        let len = last - base + 1;
+        // Slot `j` begins at its bucket's first magnitude; slot 0 at 0.
+        let start = |j: u32| (u64::from(base + j) << shift) * u64::from(j != 0);
+        let mut thresholds = Vec::with_capacity(2 * len as usize);
+        let mut codes = Vec::with_capacity(2 * len as usize + 1);
+        for axis in &axes {
+            for j in 0..len {
+                let (lo, hi) = (start(j), if j + 1 == len { u64::MAX } else { start(j + 1) });
+                let at = axis.partition_point(|&(t, ..)| u64::from(t) <= lo) - 1;
+                let below = axis[at].2;
+                let (threshold, above) = match axis.get(at + 1) {
+                    Some(&(t, _, code)) if u64::from(t) < hi => (t, code),
+                    _ => (ABS_MASK, below),
+                };
+                debug_assert!(axis.get(at + 2).is_none_or(|&(t, ..)| u64::from(t) >= hi));
+                thresholds.push(threshold);
+                codes.push(below as u16 | (above as u16) << 8);
+            }
+        }
+        codes.push(0);
+        Some(LutQuantizer {
+            shift,
+            base,
+            len,
+            thresholds,
+            codes,
+            values: values.into_iter().map(|v| v.unwrap_or(0)).collect(),
+            code_bits,
+            nan_code: nan[0].1,
+        })
+    }
+
+    /// The code (`CODES`) or the quantized value's bits of the input
+    /// with bit pattern `bits`.
+    #[inline]
+    pub(crate) fn lookup<const CODES: bool>(&self, bits: u32) -> u32 {
+        let abs = bits & ABS_MASK;
+        let negative = bits >> 31;
+        if abs > INF_BITS {
+            return match CODES {
+                true => self.nan_code,
+                false => self.values[((2 << self.code_bits) | negative) as usize],
+            };
+        }
+        let bucket = (abs >> self.shift).saturating_sub(self.base);
+        let slot = (bucket.min(self.len - 1) + negative * self.len) as usize;
+        let pair = u32::from(self.codes[slot]);
+        let code = (pair >> (8 * u32::from(abs >= self.thresholds[slot]))) & 0xff;
+        match CODES {
+            true => code,
+            false => self.values[(negative << self.code_bits | code) as usize],
+        }
+    }
+
+    /// The code of one value.
+    #[inline]
+    pub fn encode_one(&self, v: f32) -> u32 {
+        self.lookup::<true>(v.to_bits())
     }
 
     /// Quantize one value through the codebook.
     #[inline]
     pub fn quantize_one(&self, v: f32) -> f32 {
-        let bits = v.to_bits();
-        let abs = bits & ABS_MASK;
-        let negative = bits >> 31 == 1;
-        if abs > INF_BITS {
-            return f32::from_bits(if negative { self.nan_neg } else { self.nan_pos });
-        }
-        let axis = if negative { &self.neg } else { &self.pos };
-        f32::from_bits(axis.lookup(abs))
+        f32::from_bits(self.lookup::<false>(v.to_bits()))
     }
 
-    /// Quantize `src` into `dst`, through the gathered key-space search
-    /// on AVX2 hosts (see [`crate::simd`]). Bit-identical to
+    /// Quantize `src` into `dst`, gathering from the table on AVX2 hosts
+    /// (see [`crate::simd`]). Bit-identical to
     /// [`quantize_into_scalar`](Self::quantize_into_scalar) always.
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
     pub fn quantize_into(&self, src: &[f32], dst: &mut [f32]) {
-        assert_eq!(src.len(), dst.len(), "slice length mismatch");
         crate::simd::quantize_lut(self, src, dst);
     }
 
-    /// Quantize `src` into `dst` through the scalar per-sign axis walk —
-    /// the vector path's reference twin, exposed so benchmarks and the
-    /// bit-identity suites can compare both legs in one process.
+    /// Quantize `src` into `dst` one element at a time — the vector
+    /// path's reference twin, exposed so benchmarks and the bit-identity
+    /// suites can compare both legs in one process.
     ///
     /// # Panics
     ///
@@ -274,15 +296,50 @@ impl LutQuantizer {
         out
     }
 
-    /// Number of distinct output levels over both sign axes (diagnostic).
-    pub fn levels(&self) -> usize {
-        self.pos.values.len() + self.neg.values.len()
+    /// The code of every value of `src`, on the calling thread
+    /// (SIMD-dispatched like [`quantize_into`](Self::quantize_into)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths.
+    pub fn encode_into(&self, src: &[f32], codes: &mut [u32]) {
+        crate::simd::encode_lut(self, src, codes);
+    }
+
+    /// Every magnitude (as f32 bits) where a slot begins or a slot's
+    /// threshold lies: the inputs where a lookup could go wrong, for
+    /// tests that probe the table's edges.
+    pub fn edges(&self) -> Vec<u32> {
+        let starts = (1..self.len).map(|j| (self.base + j) << self.shift);
+        let mut edges: Vec<u32> = starts
+            .chain(self.thresholds.iter().copied().filter(|&t| t != ABS_MASK))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        edges
+    }
+
+    /// Heap and inline bytes this table holds.
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + 4 * self.thresholds.len()
+            + 2 * self.codes.len()
+            + 4 * self.values.len()
     }
 }
 
 /// Cache key: format geometry plus any per-tensor scaling parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LutKey {
+    /// `AdaptivFloat<n, e>` at one exponent bias.
+    Adaptiv {
+        /// Word size.
+        n: u32,
+        /// Exponent bits.
+        e: u32,
+        /// The per-tensor exponent bias.
+        exp_bias: i32,
+    },
     /// `IeeeLikeFloat<n, e>` — static grid.
     Ieee {
         /// Word size.
@@ -320,13 +377,20 @@ pub enum LutKey {
     },
 }
 
-fn cache() -> &'static RwLock<HashMap<LutKey, Arc<LutQuantizer>>> {
-    static CACHE: OnceLock<RwLock<HashMap<LutKey, Arc<LutQuantizer>>>> = OnceLock::new();
-    CACHE.get_or_init(|| RwLock::new(HashMap::new()))
+/// The cached tables and the bytes they hold.
+#[derive(Debug, Default)]
+struct Cache {
+    tables: HashMap<LutKey, Arc<LutQuantizer>>,
+    bytes: usize,
 }
 
-/// Number of times the cache's write lock has been taken (misses and
-/// prewarms). A warmed serve path must leave this untouched — see
+fn cache() -> &'static RwLock<Cache> {
+    static CACHE: OnceLock<RwLock<Cache>> = OnceLock::new();
+    CACHE.get_or_init(|| RwLock::new(Cache::default()))
+}
+
+/// Number of times the cache's write lock has been taken (misses). A
+/// warmed serve path must leave this untouched — see
 /// `tests/lut_prewarm.rs`.
 static WRITE_ACQUISITIONS: AtomicUsize = AtomicUsize::new(0);
 
@@ -337,160 +401,192 @@ pub fn write_lock_acquisitions() -> usize {
     WRITE_ACQUISITIONS.load(Ordering::SeqCst)
 }
 
-/// Look up an already-built codebook without ever taking the write lock.
-pub fn lookup(key: &LutKey) -> Option<Arc<LutQuantizer>> {
-    cache()
-        .read()
-        .expect("lut cache poisoned")
-        .get(key)
-        .map(Arc::clone)
+/// Bytes the cached tables hold now (at most [`CACHE_BYTES`]).
+pub fn resident_bytes() -> usize {
+    cache().read().expect("lut cache poisoned").bytes
 }
 
-/// Whether a codebook for `key` is already resident.
-pub fn is_warm(key: &LutKey) -> bool {
-    lookup(key).is_some()
+/// Look up an already-built codebook without taking the write lock.
+fn lookup(key: &LutKey) -> Option<Arc<LutQuantizer>> {
+    let cache = cache().read().expect("lut cache poisoned");
+    cache.tables.get(key).map(Arc::clone)
 }
 
-/// Insert `built` under `key` (keeping any table that raced us in).
+/// Insert `built` under `key` (keeping any table that raced us in),
+/// emptying the cache first if `built` would push it past
+/// [`CACHE_BYTES`].
 fn insert(key: LutKey, built: Arc<LutQuantizer>) -> Arc<LutQuantizer> {
     WRITE_ACQUISITIONS.fetch_add(1, Ordering::SeqCst);
-    let mut map = cache().write().expect("lut cache poisoned");
-    if let Some(hit) = map.get(&key) {
+    let mut cache = cache().write().expect("lut cache poisoned");
+    if let Some(hit) = cache.tables.get(&key) {
         return Arc::clone(hit);
     }
-    if map.len() >= CACHE_CAP {
-        map.clear();
+    let bytes = built.resident_bytes();
+    if cache.bytes + bytes > CACHE_BYTES {
+        cache.tables.clear();
+        cache.bytes = 0;
     }
-    map.insert(key, Arc::clone(&built));
+    cache.bytes += bytes;
+    cache.tables.insert(key, Arc::clone(&built));
     built
 }
 
-/// Fetch the codebook for `key`, building it with `quantize` on a miss.
-/// The cache is process-wide and bounded (emptied when it reaches capacity).
+/// The codebook of the `n`-bit codec `f` (see
+/// [`LutQuantizer::build_coded`]), cached under `key`; `None` above
+/// [`MAX_LUT_BITS`] or when `f` cannot be tabled.
 ///
 /// Hits take only the read lock; misses build the table *outside* any
 /// lock (two racing builders both build, one insertion wins) and then
 /// take the write lock briefly to publish it.
-pub fn cached(key: LutKey, quantize: impl Fn(f32) -> f32) -> Arc<LutQuantizer> {
-    if let Some(hit) = lookup(&key) {
-        return hit;
+pub(crate) fn codebook(
+    key: LutKey,
+    n: u32,
+    f: impl Fn(f32) -> (f32, u32),
+) -> Option<Arc<LutQuantizer>> {
+    if n > MAX_LUT_BITS {
+        return None;
     }
-    insert(key, Arc::new(LutQuantizer::build(quantize)))
-}
-
-/// Build the codebook for `key` ahead of use (model-registration time)
-/// so the first request that needs it pays a read-lock lookup instead of
-/// a build under the write lock. Returns `true` if a table was built,
-/// `false` if one was already warm.
-pub fn prewarm(key: LutKey, quantize: impl Fn(f32) -> f32) -> bool {
-    if is_warm(&key) {
-        return false;
+    match lookup(&key) {
+        Some(hit) => Some(hit),
+        None => LutQuantizer::build_coded(n, f).map(|built| insert(key, Arc::new(built))),
     }
-    insert(key, Arc::new(LutQuantizer::build(quantize)));
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn compiles_a_step_function_exactly() {
-        // A toy monotone quantizer: round to integers, clamp at ±3.
-        let q = |v: f32| {
+    /// Round to `step`, clamp at `±max`; NaN → `nan`.
+    fn stepper(step: f64, max: f64, nan: f32) -> impl Fn(f32) -> f32 {
+        move |v: f32| {
             if v.is_nan() {
-                0.0
-            } else {
-                (v as f64).round().clamp(-3.0, 3.0) as f32
+                return nan;
             }
-        };
-        let lut = LutQuantizer::build(q);
-        let mut x = -10.0f32;
-        while x < 10.0 {
-            assert_eq!(lut.quantize_one(x).to_bits(), q(x).to_bits(), "x={x}");
-            x += 0.01;
-        }
-        for v in [
-            0.0f32,
-            -0.0,
-            f32::NAN,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::MAX,
-            f32::MIN_POSITIVE,
-            f32::from_bits(1),
-        ] {
-            assert_eq!(lut.quantize_one(v).to_bits(), q(v).to_bits(), "v={v}");
+            ((v as f64 / step).round() * step).clamp(-max, max) as f32
         }
     }
 
-    #[test]
-    fn combined_table_matches_axes_everywhere() {
-        // The fused key-space table must agree with the per-sign axis
-        // walk on every bit pattern class: both sign halves, both NaN
-        // ranges, ±0, ±∞, subnormals, and the segment boundaries.
-        let q = |v: f32| {
-            if v.is_nan() {
-                return -1.0; // asymmetric NaN output to catch mix-ups
-            }
-            let r = ((v as f64) * 4.0).round() / 4.0;
-            r.clamp(-2.0, 3.0) as f32
-        };
-        let lut = LutQuantizer::build(q);
-        assert!(lut.combined.thresholds_biased.len().is_power_of_two());
-        assert_eq!(
-            lut.combined.values.len(),
-            lut.combined.thresholds_biased.len() + 1
-        );
+    fn check_everywhere(lut: &LutQuantizer, q: &dyn Fn(f32) -> f32) {
         let check = |bits: u32| {
+            let v = f32::from_bits(bits);
             assert_eq!(
-                lut.combined.lookup_bits(bits),
-                lut.quantize_one(f32::from_bits(bits)).to_bits(),
+                lut.quantize_one(v).to_bits(),
+                q(v).to_bits(),
                 "bits={bits:#010x}"
             );
         };
         for bits in [
             0u32,
-            0x8000_0000,
+            SIGN_BIT,
             1,
-            0x8000_0001,
+            SIGN_BIT | 1,
             0x007f_ffff,
             INF_BITS - 1,
             INF_BITS,
             INF_BITS + 1,
             0x7fc0_0000,
-            0x7fff_ffff,
-            INF_BITS | 0x8000_0000,
+            ABS_MASK,
+            INF_BITS | SIGN_BIT,
             0xffc0_0000,
             u32::MAX,
         ] {
             check(bits);
         }
-        // Dense sweep across both axes, hitting every segment edge.
         let mut bits = 0u32;
         while bits < INF_BITS {
             check(bits);
-            check(bits | 0x8000_0000);
+            check(bits | SIGN_BIT);
             bits = bits.wrapping_add(0x0001_7f39);
         }
-        for &t in lut.pos.thresholds.iter().chain(&lut.neg.thresholds) {
-            for d in [t.wrapping_sub(1), t, t + 1] {
+        for edge in lut.edges() {
+            for d in [edge - 1, edge, edge + 1] {
                 check(d);
-                check(d | 0x8000_0000);
+                check(d | SIGN_BIT);
             }
         }
     }
 
     #[test]
-    fn preserves_zero_sign_behavior() {
-        // A quantizer that keeps −0.0 for negative underflow.
+    fn compiles_a_step_function_exactly() {
+        let q = stepper(1.0, 3.0, 0.0);
+        let lut = LutQuantizer::build(&q);
+        let mut x = -10.0f32;
+        while x < 10.0 {
+            assert_eq!(lut.quantize_one(x).to_bits(), q(x).to_bits(), "x={x}");
+            x += 0.01;
+        }
+        check_everywhere(&lut, &q);
+    }
+
+    #[test]
+    fn asymmetric_outputs_and_nan_take_their_own_codes() {
+        // Clamps differ per sign and NaN has an output of its own, so
+        // the two signs' slots and NaN codes must stay apart.
         let q = |v: f32| {
             if v.is_nan() {
-                return 0.0;
+                return -1.0;
             }
-            let r = ((v as f64) * 4.0).round() / 4.0;
-            r.clamp(-2.0, 2.0) as f32
+            (((v as f64) * 4.0).round() / 4.0).clamp(-2.0, 3.0) as f32
         };
+        let lut = LutQuantizer::build(q);
+        check_everywhere(&lut, &q);
+    }
+
+    #[test]
+    fn every_slot_holds_at_most_one_switch() {
+        // A grid with widely spaced switches at both extremes (a posit-
+        // like "never round to zero") still indexes in few slots.
+        let q = |v: f32| {
+            let a = v.abs();
+            let m = if v.is_nan() || a == 0.0 {
+                0.0
+            } else {
+                (a.log2().round().clamp(-12.0, 12.0)).exp2()
+            };
+            m.copysign(v)
+        };
+        let lut = LutQuantizer::build(q);
+        assert!(lut.len < 64, "{} slots per sign", lut.len);
+        check_everywhere(&lut, &q);
+    }
+
+    #[test]
+    fn codes_follow_the_codec() {
+        // Sign-magnitude codes for a 4-level grid; NaN takes the unused
+        // negative-zero pattern, 4.
+        let f = |v: f32| {
+            if v.is_nan() {
+                return (0.0, 4);
+            }
+            let level = (v.abs() as f64).round().min(3.0) as f32;
+            let negative = v.is_sign_negative() && level > 0.0;
+            let value = if negative { -level } else { level };
+            (value, level as u32 | u32::from(negative) << 2)
+        };
+        let lut = LutQuantizer::build_coded(3, f).expect("tableable");
+        for v in [
+            0.0f32,
+            -0.0,
+            0.4,
+            0.6,
+            -1.7,
+            2.49,
+            -2.5,
+            9.0,
+            f32::NAN,
+            -f32::NAN,
+        ] {
+            assert_eq!(lut.encode_one(v), f(v).1, "{v}");
+            assert_eq!(lut.quantize_one(v).to_bits(), f(v).0.to_bits(), "{v}");
+        }
+        // A code meaning two values on one sign cannot be tabled.
+        let ambiguous = |v: f32| ((v as f64).round().clamp(-1.0, 1.0) as f32, 0);
+        assert!(LutQuantizer::build_coded(3, ambiguous).is_none());
+    }
+
+    #[test]
+    fn preserves_zero_sign_behavior() {
+        let q = stepper(0.25, 2.0, 0.0);
         assert_eq!(q(-0.1).to_bits(), (-0.0f32).to_bits());
         let lut = LutQuantizer::build(q);
         assert_eq!(lut.quantize_one(-0.1).to_bits(), (-0.0f32).to_bits());
@@ -498,39 +594,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_and_bound() {
-        let a = cached(LutKey::Fixed { n: 6, int_bits: 2 }, |v| {
-            if v.is_nan() {
-                0.0
-            } else {
-                (v as f64).round().clamp(-2.0, 2.0) as f32
-            }
-        });
-        let b = cached(LutKey::Fixed { n: 6, int_bits: 2 }, |_| {
-            unreachable!("second call must hit the cache")
-        });
+    fn cache_hits() {
+        let key = LutKey::Fixed { n: 6, int_bits: 2 };
+        let fmt = crate::FixedPoint::new(6, 2).unwrap();
+        let a = codebook(key, 6, |v| (fmt.quantize_value(v), fmt.encode(v))).unwrap();
+        let b = codebook(key, 6, |_| unreachable!("second call must hit the cache")).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn prewarm_builds_once_then_serves_lookups() {
-        let key = LutKey::Fixed { n: 5, int_bits: 1 };
-        let q = |v: f32| {
-            if v.is_nan() {
-                0.0
-            } else {
-                ((v as f64) * 8.0).round().clamp(-8.0, 8.0) as f32 / 8.0
-            }
-        };
-        let first = prewarm(key, q);
-        // Whether or not another test warmed it first, a second prewarm
-        // must be a no-op and lookups must resolve without a builder.
-        assert!(!prewarm(key, |_| unreachable!("already warm")));
-        let _ = first;
-        assert!(is_warm(&key));
-        let table = lookup(&key).expect("warm after prewarm");
-        let via_cached = cached(key, |_| unreachable!("must hit the cache"));
-        assert!(Arc::ptr_eq(&table, &via_cached));
-        assert_eq!(table.quantize_one(0.3).to_bits(), q(0.3).to_bits());
+        assert!(codebook(key, 9, |_| unreachable!("too wide")).is_none());
     }
 }

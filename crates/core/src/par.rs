@@ -13,15 +13,44 @@
 //! call pays real thread-spawn cost (tens of microseconds), callers gate
 //! on [`parallelism_worthwhile`] — below the cutoff the serial loop is
 //! both simpler and faster.
+//!
+//! Serving and model registration never fan out: they run inside
+//! [`serial`], which keeps every helper on the calling thread. A served
+//! forward pass already has a compute worker per core, and registration
+//! kernels are too short to repay a spawn. Experiments and training
+//! fan out as above.
 
+use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Mutex, OnceLock};
+
+thread_local! {
+    /// Whether this thread is inside [`serial`].
+    static SERIAL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `f` with every helper in this module confined to the calling
+/// thread: until `f` returns, [`num_threads`] reads 1 here and nothing
+/// is spawned. Results are bit-identical either way — no helper's
+/// chunking changes an element's arithmetic.
+pub fn serial<R>(f: impl FnOnce() -> R) -> R {
+    /// Restores the caller's setting, also when `f` unwinds.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SERIAL.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SERIAL.with(|s| s.replace(true)));
+    f()
+}
 
 /// Minimum number of per-element operations before fanning out threads
 /// is worth the spawn cost (see [`parallelism_worthwhile`]).
 pub const PAR_MIN_LEN: usize = 1 << 15;
 
-/// The number of worker threads parallel helpers fan out to.
+/// The number of worker threads parallel helpers fan out to: 1 inside
+/// [`serial`].
 ///
 /// `AF_NUM_THREADS` (if set to a positive integer) wins; otherwise
 /// [`std::thread::available_parallelism`], defaulting to 1 if even that
@@ -32,6 +61,9 @@ pub const PAR_MIN_LEN: usize = 1 << 15;
 /// workers. Cached after the first call.
 pub fn num_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
+    if SERIAL.with(Cell::get) {
+        return 1;
+    }
     *N.get_or_init(|| {
         let fallback = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -263,6 +295,27 @@ mod tests {
     #[test]
     fn num_threads_is_positive() {
         assert!(num_threads() >= 1);
+    }
+
+    #[test]
+    fn serial_keeps_every_chunk_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let mut data = vec![0u8; 4 * PAR_MIN_LEN];
+        serial(|| {
+            assert_eq!(num_threads(), 1);
+            par_chunks_mut(&mut data, 64, |_, chunk| {
+                assert_eq!(std::thread::current().id(), me);
+                chunk.fill(1);
+            });
+            // Nested scopes restore the outer one.
+            serial(|| ());
+            assert_eq!(num_threads(), 1);
+        });
+        assert!(data.iter().all(|&v| v == 1));
+        // A panic inside the scope still restores the caller's setting.
+        let outer = num_threads();
+        let _ = std::panic::catch_unwind(|| serial(|| panic!("inside")));
+        assert_eq!(num_threads(), outer);
     }
 
     #[test]

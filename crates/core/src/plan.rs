@@ -26,11 +26,13 @@
 //!   grid fits the normal-f32 envelope (every paper configuration does),
 //!   falling back to the f64 analytic reference outside it.
 //! * **Enumerable formats** (float, posit, fixed, uniform-at-a-scale,
-//!   BFP-at-an-exponent) compile to a cached LUT codebook when
-//!   `n ≤ 8` and the tensor is long enough to amortize the table lookup
-//!   (`len ≥ 32`); otherwise they run the analytic scalar map. The LUT
-//!   handle is resolved at plan time, so executing a plan never touches
-//!   the codebook cache — a warmed serving path takes no locks at all.
+//!   BFP-at-an-exponent) compile to a cached direct-index codebook when
+//!   `n ≤ 8` and the tensor is long enough to amortize the cache lookup
+//!   (`len ≥ 32`): one bucket index, one compare and two table loads
+//!   per element (three gathers per eight on AVX2). Otherwise they run
+//!   the analytic scalar map. The codebook handle is resolved at plan
+//!   time, so executing a plan never touches the codebook cache — a
+//!   warmed serving path takes no locks at all.
 //! * **All-zero BFP tensors** (and calibrated `max_abs == 0` ranges)
 //!   compile to a trivial zero-fill backend.
 //! * **Per-block formats** (blocked BFP, per-block AdaptivFloat) re-derive
@@ -172,7 +174,7 @@ pub(crate) enum Backend {
     Zero,
     /// Bit-twiddled AdaptivFloat kernel.
     Kernel(FastQuantizer),
-    /// Prewarmed LUT codebook handle (no cache access at execute time).
+    /// Prewarmed direct-index codebook (no cache access at execute time).
     Lut(Arc<LutQuantizer>),
     /// AdaptivFloat f64 analytic reference (outside the kernel envelope).
     AdaptivRef {
@@ -320,9 +322,7 @@ impl QuantPlan {
             Backend::PositScalar(fmt) => zip_map_into(src, dst, |v| fmt.quantize_value(v)),
             Backend::FixedScalar(fmt) => zip_map_into(src, dst, |v| fmt.quantize_value(v)),
             Backend::UniformScalar { fmt, scale } => {
-                zip_map_into(src, dst, |v| {
-                    (fmt.quantize_level(*scale, v) as f64 * scale) as f32
-                });
+                zip_map_into(src, dst, |v| fmt.quantize_at(*scale, v));
             }
             Backend::BfpScalar { fmt, exp } => {
                 zip_map_into(src, dst, |v| fmt.quantize_one_at(*exp, v));
@@ -366,9 +366,7 @@ impl QuantPlan {
             Backend::PositScalar(fmt) => apply_map(data, |v| fmt.quantize_value(v)),
             Backend::FixedScalar(fmt) => apply_map(data, |v| fmt.quantize_value(v)),
             Backend::UniformScalar { fmt, scale } => {
-                apply_map(data, |v| {
-                    (fmt.quantize_level(*scale, v) as f64 * scale) as f32
-                });
+                apply_map(data, |v| fmt.quantize_at(*scale, v));
             }
             Backend::BfpScalar { fmt, exp } => {
                 apply_map(data, |v| fmt.quantize_one_at(*exp, v));

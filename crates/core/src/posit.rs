@@ -16,6 +16,7 @@ use std::sync::{Arc, OnceLock};
 use crate::decode::{DecodePolicy, DecodeStats};
 use crate::error::FormatError;
 use crate::format::NumberFormat;
+use crate::lut::{self, LutKey, LutQuantizer};
 use crate::util::exp2;
 
 /// Posit `<n, es>` format descriptor with a shared rounding table.
@@ -166,6 +167,15 @@ impl Posit {
         self.quantize_code(v).1
     }
 
+    /// The format's direct-index codebook (`None` above 8 bits).
+    pub(crate) fn codebook(&self) -> Option<Arc<LutQuantizer>> {
+        let key = LutKey::Posit {
+            n: self.n,
+            es: self.es,
+        };
+        lut::codebook(key, self.n, |v| self.quantize_code(v))
+    }
+
     /// Nearest positive representable to `a > 0` (ties away from zero),
     /// with its code.
     fn nearest_positive(&self, a: f64) -> (f64, u32) {
@@ -256,20 +266,15 @@ impl NumberFormat for Posit {
     }
 
     fn plan(&self, stats: &crate::plan::QuantStats) -> crate::plan::QuantPlan {
-        use crate::lut::{self, LutKey};
         use crate::plan::{Backend, PlanParams, QuantPlan};
-        let backend = if self.n <= lut::MAX_LUT_BITS && stats.len() >= lut::MIN_LUT_LEN {
-            // Replaces the per-element f64 table walk with a codebook
-            // lookup over f32 bit space (static per geometry).
-            Backend::Lut(lut::cached(
-                LutKey::Posit {
-                    n: self.n,
-                    es: self.es,
-                },
-                |v| self.quantize_value(v),
-            ))
-        } else {
-            Backend::PositScalar(std::sync::Arc::new(self.clone()))
+        // Replaces the per-element f64 table walk with a codebook
+        // lookup over f32 bit space (static per geometry).
+        let table = (stats.len() >= lut::MIN_LUT_LEN)
+            .then(|| self.codebook())
+            .flatten();
+        let backend = match table {
+            Some(table) => Backend::Lut(table),
+            None => Backend::PositScalar(Arc::new(self.clone())),
         };
         QuantPlan::new(self.n, PlanParams::Static, backend)
     }

@@ -15,12 +15,12 @@
 //!   `value_min`, clamp to `value_max`, NaN) become blends on signed
 //!   32-bit compares, which are safe because every magnitude pattern and
 //!   threshold is ≤ `0x7fff_ffff` (non-negative as `i32`).
-//! * LUT codebook gather: the two per-sign threshold axes are fused into
-//!   one table over a sign-folded *key space* (`key = bits ^ ((bits >>ₐ
-//!   31) | 0x8000_0000)` orders all f32 patterns, NaNs included, as plain
-//!   unsigned integers), searched with a branchless binary search whose
-//!   probes are `vpgatherdd` gathers. Requires AVX2 (gathers); SSE4.1
-//!   hosts use the scalar axis walk.
+//! * LUT codebook lookup: each input's slot in the direct-index table
+//!   comes from its magnitude's bucket (`|bits| >> shift`, clamped to the
+//!   table), and three `vpgatherdd` gathers fetch the slot's threshold,
+//!   its code pair and — for values — the chosen code's value, so one
+//!   kernel answers both codes and values. Requires AVX2 (gathers);
+//!   SSE4.1 hosts use the scalar lookup.
 //! * Fused max-abs/non-finite scan, `PackedCodes` word pack/unpack, the
 //!   packed-GEMM decode primitives (a codebook table lookup per code,
 //!   [`decode_table_u8`] and [`decode_table_u4`], which know no format's
@@ -256,42 +256,55 @@ fn scan_tail(
 // LUT codebook gather
 // ---------------------------------------------------------------------
 
-/// Quantize `src` into `dst` through `lut`'s codebook, using the fused
-/// key-space table with gathered binary search on AVX2 and the scalar
-/// per-sign axis walk otherwise. Bit-identical to `lut.quantize_one`.
-pub(crate) fn quantize_lut(lut: &LutQuantizer, src: &[f32], dst: &mut [f32]) {
-    debug_assert_eq!(src.len(), dst.len());
-    match active() {
+/// Look every input up in `lut`: `dst[i]` becomes the code of input `i`
+/// when `CODES`, else its quantized value's bits. Three gathers per
+/// eight inputs on AVX2 (threshold, code pair, value), the scalar
+/// lookup for the rest. Bit-identical either way.
+///
+/// # Safety
+///
+/// `src` and `dst` must each cover `len` elements; they may alias
+/// exactly (in place) but must not partially overlap.
+unsafe fn lut_lookup<const CODES: bool>(
+    lut: &LutQuantizer,
+    src: *const u32,
+    dst: *mut u32,
+    len: usize,
+) {
+    let done = match active() {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe {
-            // SAFETY: avx2 detected; the combined table's invariants
-            // (power-of-two threshold count, values one longer) are
-            // established at build time in `lut.rs`.
-            x86::lut_avx2(lut, src.as_ptr(), dst.as_mut_ptr(), src.len());
-        },
-        _ => {
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = lut.quantize_one(s);
-            }
-        }
+        // SAFETY: avx2 detected; the caller vouches for the pointers and
+        // `lut.rs` builds the table the kernel indexes.
+        Isa::Avx2 => x86::codebook_avx2::<CODES>(lut, src, dst, len),
+        _ => 0,
+    };
+    for i in done..len {
+        *dst.add(i) = lut.lookup::<CODES>(*src.add(i));
     }
+}
+
+/// Quantize `src` into `dst` through `lut`. Bit-identical to
+/// `lut.quantize_one` per element.
+pub(crate) fn quantize_lut(lut: &LutQuantizer, src: &[f32], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "slice length mismatch");
+    // SAFETY: both slices cover `src.len()` f32s, which are 32-bit words.
+    unsafe { lut_lookup::<false>(lut, src.as_ptr().cast(), dst.as_mut_ptr().cast(), src.len()) }
 }
 
 /// In-place variant of [`quantize_lut`].
 pub(crate) fn quantize_lut_in_place(lut: &LutQuantizer, data: &mut [f32]) {
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe {
-            // SAFETY: as in `quantize_lut`; same-buffer load/store is
-            // ordered per chunk.
-            x86::lut_avx2(lut, data.as_ptr(), data.as_mut_ptr(), data.len());
-        },
-        _ => {
-            for v in data.iter_mut() {
-                *v = lut.quantize_one(*v);
-            }
-        }
-    }
+    let p = data.as_mut_ptr().cast();
+    // SAFETY: the buffer covers `data.len()` words; each vector load
+    // completes before the store to the same addresses.
+    unsafe { lut_lookup::<false>(lut, p, p, data.len()) }
+}
+
+/// The code of every input through `lut`. Bit-identical to
+/// `lut.encode_one` per element.
+pub(crate) fn encode_lut(lut: &LutQuantizer, src: &[f32], codes: &mut [u32]) {
+    assert_eq!(src.len(), codes.len(), "slice length mismatch");
+    // SAFETY: both slices cover `src.len()` 32-bit words.
+    unsafe { lut_lookup::<true>(lut, src.as_ptr().cast(), codes.as_mut_ptr(), src.len()) }
 }
 
 // ---------------------------------------------------------------------
@@ -760,56 +773,68 @@ mod x86 {
         }
     }
 
-    /// AVX2 LUT gather: sign-folded biased keys, branchless binary
-    /// search over the combined threshold table, one final values gather.
+    /// AVX2 codebook lookup: the slot from the magnitude's bucket, then
+    /// gathers of the slot's threshold and code pair, a compare picking
+    /// the code, and for values a gather from the per-sign value table
+    /// (NaN lanes take the NaN code or value). Returns how many leading
+    /// inputs it answered (whole vectors; the caller finishes the rest).
     ///
     /// # Safety
     ///
-    /// Requires AVX2. `src`/`dst` must each cover `len` valid f32s (they
-    /// may alias exactly). `lut.combined` must satisfy the build
-    /// invariants: `thresholds_biased.len()` is a power of two and
-    /// `values.len() == thresholds_biased.len() + 1`.
+    /// Requires AVX2. `src`/`dst` must each cover `len` words (they may
+    /// alias exactly). `lut` must be as `lut.rs` builds it: `2 · len`
+    /// thresholds, one spare code pair, codes below `2^code_bits`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lut_avx2(lut: &LutQuantizer, src: *const f32, dst: *mut f32, len: usize) {
-        let combined = &lut.combined;
-        let th = combined.thresholds_biased.as_ptr() as *const i32;
-        let vals = combined.values.as_ptr() as *const i32;
-        let p = combined.thresholds_biased.len();
-        debug_assert!(p.is_power_of_two());
-        debug_assert_eq!(combined.values.len(), p + 1);
-        let one = _mm256_set1_epi32(1);
+    pub(super) unsafe fn codebook_avx2<const CODES: bool>(
+        lut: &LutQuantizer,
+        src: *const u32,
+        dst: *mut u32,
+        len: usize,
+    ) -> usize {
+        let slots_total = 2 * lut.len as usize;
+        debug_assert!(lut.thresholds.len() == slots_total && lut.codes.len() == slots_total + 1);
+        debug_assert_eq!(lut.values.len(), (2 << lut.code_bits) + 2);
+        let thresholds = lut.thresholds.as_ptr() as *const i32;
+        let pairs = lut.codes.as_ptr() as *const i32;
+        let values = lut.values.as_ptr() as *const i32;
+        let shift = _mm_cvtsi32_si128(lut.shift as i32);
+        let code_bits = _mm_cvtsi32_si128(lut.code_bits as i32);
+        let base = _mm256_set1_epi32(lut.base as i32);
+        let last = _mm256_set1_epi32(lut.len as i32 - 1);
+        let slots = _mm256_set1_epi32(lut.len as i32);
+        let nan_code = _mm256_set1_epi32(lut.nan_code as i32);
+        let nan_values = _mm256_set1_epi32(2 << lut.code_bits);
         let mut i = 0;
         while i + 8 <= len {
             let bits = _mm256_loadu_si256(src.add(i) as *const __m256i);
-            // Biased key: bits ^ ((bits >>ₐ 31) >>ₗ 1) folds both sign
-            // halves into one ascending order, pre-biased for signed
-            // compares (see `lut::CombinedLut`).
-            let key = _mm256_xor_si256(bits, _mm256_srli_epi32(_mm256_srai_epi32(bits, 31), 1));
-            let mut base = _mm256_setzero_si256();
-            let mut remaining = p;
-            while remaining > 1 {
-                let half = remaining / 2;
-                let probe = _mm256_add_epi32(base, _mm256_set1_epi32(half as i32 - 1));
-                let t = _mm256_i32gather_epi32(th, probe, 4);
-                // t ≤ key ⇒ the lane's lower bound moves up by `half`.
-                let gt = _mm256_cmpgt_epi32(t, key);
-                base = _mm256_add_epi32(
-                    base,
-                    _mm256_andnot_si256(gt, _mm256_set1_epi32(half as i32)),
-                );
-                remaining -= half;
-            }
-            let t = _mm256_i32gather_epi32(th, base, 4);
-            let gt = _mm256_cmpgt_epi32(t, key);
-            let idx = _mm256_add_epi32(base, _mm256_andnot_si256(gt, one));
-            let out = _mm256_i32gather_epi32(vals, idx, 4);
+            let abs = _mm256_and_si256(bits, _mm256_set1_epi32(ABS_MASK as i32));
+            let negative = _mm256_srai_epi32(bits, 31);
+            let bucket = _mm256_sub_epi32(_mm256_srl_epi32(abs, shift), base);
+            let slot = _mm256_min_epi32(_mm256_max_epi32(bucket, _mm256_setzero_si256()), last);
+            let slot = _mm256_add_epi32(slot, _mm256_and_si256(negative, slots));
+            let t = _mm256_i32gather_epi32(thresholds, slot, 4);
+            // Two bytes per slot: a 4-byte read at offset 2·slot holds
+            // the pair in its low half.
+            let pair = _mm256_i32gather_epi32(pairs, slot, 2);
+            // Thresholds and magnitudes are ≤ 0x7fff_ffff, so signed
+            // compares are exact; at or above the threshold → upper code.
+            let below = _mm256_cmpgt_epi32(t, abs);
+            let by = _mm256_andnot_si256(below, _mm256_set1_epi32(8));
+            let code = _mm256_and_si256(_mm256_srlv_epi32(pair, by), _mm256_set1_epi32(0xff));
+            let nan = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(EXP_MASK as i32));
+            let out = if CODES {
+                _mm256_blendv_epi8(code, nan_code, nan)
+            } else {
+                let sign = _mm256_srli_epi32(bits, 31);
+                let index = _mm256_or_si256(code, _mm256_sll_epi32(sign, code_bits));
+                let nan_index = _mm256_add_epi32(nan_values, sign);
+                let index = _mm256_blendv_epi8(index, nan_index, nan);
+                _mm256_i32gather_epi32(values, index, 4)
+            };
             _mm256_storeu_si256(dst.add(i) as *mut __m256i, out);
             i += 8;
         }
-        while i < len {
-            *dst.add(i) = lut.quantize_one(*src.add(i));
-            i += 1;
-        }
+        i
     }
 
     /// AVX2 byte-pack: 8 low bytes of 8 u32 codes → one u64 word each.

@@ -1,9 +1,12 @@
 //! Symmetric uniform (integer) quantization with a full-precision scale —
 //! the TensorRT-style baseline of the paper.
 
+use std::sync::Arc;
+
 use crate::decode::{DecodePolicy, DecodeStats};
 use crate::error::FormatError;
 use crate::format::NumberFormat;
+use crate::lut::{self, LutKey, LutQuantizer};
 use crate::util::{from_twos_complement, to_twos_complement};
 
 /// Symmetric uniform quantizer: `q = clamp(round(v / s), −Q, Q) · s` with
@@ -101,24 +104,33 @@ impl Uniform {
         stats.guard(policy, max_abs, v)
     }
 
+    /// Quantize one value under a fixed scale (the dequantized level).
+    pub(crate) fn quantize_at(&self, scale: f64, v: f32) -> f32 {
+        (self.quantize_level(scale, v) as f64 * scale) as f32
+    }
+
+    /// The direct-index codebook at `scale` (`None` above 8 bits). One
+    /// per (geometry, scale); per-tensor scales repeat across calls
+    /// (calibrated activations), so the cache pays off.
+    pub(crate) fn codebook(&self, scale: f64) -> Option<Arc<LutQuantizer>> {
+        let key = LutKey::Uniform {
+            n: self.n,
+            scale_bits: scale.to_bits(),
+        };
+        lut::codebook(key, self.n, |v| {
+            (self.quantize_at(scale, v), self.encode_code(scale, v))
+        })
+    }
+
     /// Quantize a slice under a fixed scale (dequantized values).
     pub fn quantize_with_scale(&self, scale: f64, data: &[f32]) -> Vec<f32> {
-        use crate::lut::{self, LutKey};
-        if self.n <= lut::MAX_LUT_BITS && data.len() >= lut::MIN_LUT_LEN {
-            // One codebook per (geometry, scale); per-tensor scales repeat
-            // across calls (calibrated activations), so the cache pays off.
-            return lut::cached(
-                LutKey::Uniform {
-                    n: self.n,
-                    scale_bits: scale.to_bits(),
-                },
-                |v| (self.quantize_level(scale, v) as f64 * scale) as f32,
-            )
-            .quantize_slice(data);
+        match (data.len() >= lut::MIN_LUT_LEN)
+            .then(|| self.codebook(scale))
+            .flatten()
+        {
+            Some(table) => table.quantize_slice(data),
+            None => crate::par::par_map_slice(data, |v| self.quantize_at(scale, v)),
         }
-        crate::par::par_map_slice(data, |v| {
-            (self.quantize_level(scale, v) as f64 * scale) as f32
-        })
     }
 
     /// Quantize, also returning the derived scale and integer levels —
@@ -148,22 +160,12 @@ impl NumberFormat for Uniform {
     }
 
     fn plan(&self, stats: &crate::plan::QuantStats) -> crate::plan::QuantPlan {
-        use crate::lut::{self, LutKey};
         use crate::plan::{Backend, PlanParams, QuantPlan};
         let scale = self.scale_for(stats.max_abs());
-        let backend = if self.n <= lut::MAX_LUT_BITS && stats.len() >= lut::MIN_LUT_LEN {
-            // One codebook per (geometry, scale); per-tensor scales repeat
-            // across calls (calibrated activations), so the cache pays off.
-            Backend::Lut(lut::cached(
-                LutKey::Uniform {
-                    n: self.n,
-                    scale_bits: scale.to_bits(),
-                },
-                |v| (self.quantize_level(scale, v) as f64 * scale) as f32,
-            ))
-        } else {
-            Backend::UniformScalar { fmt: *self, scale }
-        };
+        let table = (stats.len() >= lut::MIN_LUT_LEN)
+            .then(|| self.codebook(scale))
+            .flatten();
+        let backend = table.map_or(Backend::UniformScalar { fmt: *self, scale }, Backend::Lut);
         QuantPlan::new(self.n, PlanParams::Uniform { scale }, backend)
     }
 

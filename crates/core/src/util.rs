@@ -1,8 +1,13 @@
 //! Internal numeric helpers shared by the format implementations.
 
-/// Exact `2^k` as `f64`.
+/// Exact `2^k` as `f64`: assembled from its exponent field when the
+/// result is normal, from libm's `exp2` otherwise.
 pub(crate) fn exp2(k: i32) -> f64 {
-    (k as f64).exp2()
+    if (-1022..=1023).contains(&k) {
+        f64::from_bits(((k + 1023) as u64) << 52)
+    } else {
+        (k as f64).exp2()
+    }
 }
 
 /// Exact `floor(log2(|x|))` for finite non-zero `x`, via the IEEE-754 bit
@@ -50,6 +55,13 @@ pub(crate) fn from_twos_complement(code: u32, n: u32) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn exp2_matches_libm_at_every_integer_exponent() {
+        for k in -1100..=1100 {
+            assert_eq!(exp2(k).to_bits(), (k as f64).exp2().to_bits(), "2^{k}");
+        }
+    }
 
     #[test]
     fn twos_complement_roundtrip() {

@@ -1,4 +1,4 @@
-//! The serving-path contract behind `lut::prewarm`: once a format's
+//! The serving-path contract behind `prewarm_codebooks`: once a format's
 //! codebooks are warmed at the calibrated activation range, steady-state
 //! quantization never takes the cache's write lock — every request is a
 //! read-lock lookup plus table walks.
@@ -49,7 +49,7 @@ fn warmed_cache_takes_no_write_lock_on_the_serve_path() {
     assert!(sink.is_finite());
 
     // A second prewarm at the same calibration is a no-op (still no
-    // builds), and the warmed keys answer `is_warm`.
+    // builds).
     for fmt in &formats {
         fmt.prewarm_codebooks(max_abs);
     }

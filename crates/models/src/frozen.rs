@@ -36,7 +36,7 @@
 use std::borrow::Cow;
 
 use adaptivfloat::{
-    DecodePolicy, FormatError, FormatKind, PlanParams, QuantPlan, QuantStats, StorageCodec,
+    par, DecodePolicy, FormatError, FormatKind, PlanParams, QuantPlan, QuantStats, StorageCodec,
 };
 use af_tensor::{PackedDecode, PackedGemm, PackedGemmScratch, Tensor};
 use rand::rngs::StdRng;
@@ -147,17 +147,14 @@ pub struct FrozenMlp {
 ///
 /// # Panics
 ///
-/// Panics if the codec has no code index (wider than 8 bits, or two
-/// codes decode to the same value), if it is not 4 or 8 bits wide, or
-/// if any code fails to decode back to its weight's exact bit pattern.
+/// Panics if the codec is wider than 8 bits, if it is not 4 or 8 bits
+/// wide, or if any code fails to decode back to its weight's exact bit
+/// pattern.
 fn pack_layer(codec: &StorageCodec, [k, n_cols]: [usize; 2], w: &[f32]) -> PackedGemm {
-    // The served weights are already on the codec's grid, so each code
-    // is an index lookup (zeros take the scalar encoder), and the
-    // decode table is the same index's raw decode of every code.
-    let index = codec
-        .index()
-        .expect("fused codecs decode to distinct values");
-    let codes = codec.encode_via(Some(&index), w, w);
+    // One codebook lookup per weight gives its code; the decode table
+    // is the same index's raw decode of every code.
+    let index = codec.index().expect("fused codecs are at most 8 bits wide");
+    let codes = codec.encode_codes(w);
     let table = index.values(DecodePolicy::Raw);
     // The bit-identity keystone: every packed code must decode to
     // exactly the f32 the dense path serves. Scan for the first
@@ -239,8 +236,9 @@ impl FrozenMlp {
     }
 
     /// Quantize every weight matrix per-tensor through `kind` at word
-    /// size `n` (the registration-time PTQ step; biases stay FP32).
-    /// Call before [`with_act_quant`](Self::with_act_quant).
+    /// size `n` (the registration-time PTQ step, on the calling thread;
+    /// biases stay FP32). Call before
+    /// [`with_act_quant`](Self::with_act_quant).
     ///
     /// # Errors
     ///
@@ -260,13 +258,16 @@ impl FrozenMlp {
         let mut codecs = Vec::with_capacity(self.layers.len());
         let mut layers = Vec::with_capacity(self.layers.len());
         for l in self.layers {
-            let q = {
-                let w = l.values();
-                let plan = fmt.plan(&QuantStats::from_slice(&w));
-                codecs.push(StorageCodec::from_params(kind, n, *plan.params())?);
-                plan.execute(&w)
+            // Quantized where it sits: the layer's own matrix becomes
+            // the served one.
+            let mut w = match l.weight {
+                Operand::Dense(w) => w,
+                Operand::Packed(pg) => Tensor::from_vec(pg.dequantize(), &l.shape),
             };
-            layers.push(FrozenLayer::dense(Tensor::from_vec(q, &l.shape), l.bias));
+            let plan = fmt.plan(&QuantStats::from_slice(w.data()));
+            codecs.push(StorageCodec::from_params(kind, n, *plan.params())?);
+            par::serial(|| plan.execute_in_place(w.data_mut()));
+            layers.push(FrozenLayer::dense(w, l.bias));
         }
         Ok(FrozenMlp {
             family: self.family,
@@ -357,6 +358,8 @@ impl FrozenMlp {
     /// `[rows, in_dim]` batch) through the network once, record each
     /// layer input's abs-max, and quantize every layer input through
     /// `kind` at word size `n` under those fixed ranges from then on.
+    /// The calibration pass runs on the calling thread, like every
+    /// registration step (see [`adaptivfloat::par::serial`]).
     ///
     /// # Errors
     ///
@@ -373,10 +376,13 @@ impl FrozenMlp {
         let mut x = calib.clone();
         for (l, layer) in self.layers.iter().enumerate() {
             max.push(x.abs_max().max(f32::MIN_POSITIVE));
-            x = x.matmul(&layer.matrix()).add_row(&layer.bias);
-            if l < last {
-                x = x.map(|v| v.max(0.0));
+            // The last layer's output feeds no range.
+            if l == last {
+                break;
             }
+            x = par::serial(|| x.matmul(&layer.matrix()))
+                .add_row(&layer.bias)
+                .map(|v| v.max(0.0));
         }
         self.with_act_quant_frozen(kind, n, &max)
     }
@@ -690,7 +696,9 @@ impl FrozenMlp {
     /// (which delegates here); performs **zero heap allocations** once
     /// `scratch` has grown to this model's widest stage (quantization
     /// executes frozen plans in place, each matmul writes into the
-    /// ping-pong buffer, bias/ReLU are in-place). The returned slice
+    /// ping-pong buffer, bias/ReLU are in-place) and spawns no thread:
+    /// the engine already runs one compute worker per core, so every
+    /// GEMM stays on the calling one. The returned slice
     /// (`rows × out_dim`, borrowed from `scratch`) is valid until the
     /// next call.
     ///
@@ -698,6 +706,16 @@ impl FrozenMlp {
     ///
     /// Panics if `inputs.len() != rows * self.in_dim()`.
     pub fn evaluate_batch_into<'s>(
+        &self,
+        inputs: &[f32],
+        rows: usize,
+        scratch: &'s mut BatchScratch,
+    ) -> &'s [f32] {
+        par::serial(move || self.forward_into(inputs, rows, scratch))
+    }
+
+    /// [`evaluate_batch_into`](Self::evaluate_batch_into)'s pass.
+    fn forward_into<'s>(
         &self,
         inputs: &[f32],
         rows: usize,

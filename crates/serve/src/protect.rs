@@ -15,31 +15,23 @@
 //! registry copies it from a resident FP32 twin or synthesizes it again
 //! from the spec, on that rare path only.
 
-use adaptivfloat::{
-    CodeIndex, DecodePolicy, FormatError, FormatKind, PackedCodes, QuantStats, StorageCodec,
-};
+use adaptivfloat::{DecodePolicy, FormatError, FormatKind, PackedCodes, StorageCodec};
 use af_models::FrozenMlp;
 use af_resilience::{inject_protected_bits, EccStats, FaultMap, ProtectedCodes};
 use af_resilience::{ScrubReport, CODEWORD_BITS};
 use af_store::StoredLayer;
 
-/// Fit a storage codec to an FP32 weight tensor and encode it: quantize
-/// through the format's plan for the tensor, then encode the rounded
-/// values by lookup in the codec's index (zeros and misses take the
-/// scalar encoder). The codes equal per-element `encode_one` on the
-/// tensor. The index comes back too, for a caller that decodes the
-/// fresh codes.
+/// Fit a storage codec to an FP32 weight tensor and encode it in one
+/// pass: each weight's code is one lookup in the codec's codebook, equal
+/// to per-element `encode_one`.
 fn fit_and_encode(
     kind: FormatKind,
     n: u32,
     weights: &[f32],
-) -> Result<(StorageCodec, Option<CodeIndex>, PackedCodes), FormatError> {
-    let plan = kind.build(n)?.plan(&QuantStats::from_slice(weights));
-    let codec = StorageCodec::from_params(kind, n, *plan.params())?;
-    let index = codec.index();
-    let mut codes = PackedCodes::new(n);
-    codes.extend_from_u32(&codec.encode_via(index.as_ref(), weights, &plan.execute(weights)));
-    Ok((codec, index, codes))
+) -> Result<(StorageCodec, PackedCodes), FormatError> {
+    let codec = StorageCodec::fit(kind, n, weights)?;
+    let codes = codec.encode_slice(weights);
+    Ok((codec, codes))
 }
 
 /// Layer `l` of `model` stored as `codes` under `codec` (`None`: raw
@@ -80,8 +72,7 @@ impl ProtectedWeights {
     /// Encode `model`'s (FP32 checkpoint) weight tensors through `kind`
     /// at word size `n` into protected storage. Also returns what the
     /// fresh storage decodes to, one value vector per layer: the
-    /// [`decoded_weights`](Self::decoded_weights) of the new store,
-    /// decoded through the code index that encoded each layer.
+    /// [`decoded_weights`](Self::decoded_weights) of the new store.
     ///
     /// # Errors
     ///
@@ -96,8 +87,8 @@ impl ProtectedWeights {
         let mut values = Vec::with_capacity(model.depth());
         let layers = (0..model.depth())
             .map(|l| {
-                let (codec, index, codes) = fit_and_encode(kind, n, &model.weight_data(l).0)?;
-                let (vals, _) = codec.decode_via(index.as_ref(), &codes, DecodePolicy::Harden);
+                let (codec, codes) = fit_and_encode(kind, n, &model.weight_data(l).0)?;
+                let (vals, _) = codec.decode_slice(&codes, DecodePolicy::Harden);
                 values.push(vals);
                 let codes = ProtectedCodes::protect(codes);
                 Ok(stored_layer(model, l, Some(codec), codes))
@@ -246,7 +237,7 @@ impl ProtectedWeights {
         for (l, layer) in self.layers.iter_mut().enumerate() {
             let stored = coded(layer);
             // Re-fitting the same checkpoint reproduces the same codec.
-            let (refit, _, codes) =
+            let (refit, codes) =
                 fit_and_encode(stored.kind(), stored.width(), &checkpoint.weight_data(l).0)
                     .expect("the geometry the store was built with");
             assert_eq!(
@@ -307,7 +298,7 @@ mod tests {
 
     #[test]
     fn stored_codes_equal_the_scalar_encoding_of_the_checkpoint() {
-        // Planned rounding + index lookup must store exactly the codes
+        // One codebook lookup per weight must store exactly the codes
         // per-element `encode_one` would, for every format the registry
         // can protect — and a rebuild must store them again. The values
         // the build hands back are what the storage decodes to.

@@ -4,9 +4,10 @@
 //!
 //! Registration is two steps. [`ModelRegistry::build`] is the expensive,
 //! pure one: it synthesizes the weights, quantizes them (protected
-//! storage and the fused GEMM's packed codes are encoded by code-index
-//! lookup over the already-rounded weights), runs a calibration forward
-//! pass and builds the codebooks, touching no registry. A
+//! storage and the fused GEMM's packed codes take each weight's code from
+//! one lookup in the codec's cached codebook), runs a calibration
+//! forward pass and builds the codebooks, touching no registry, and
+//! spawning no thread: every step runs on the calling one. A
 //! [`BuiltVariant`] is then [`publish`](ModelRegistry::publish)ed: the
 //! registry assigns its generation, swaps it in and journals it.
 //! [`register`](ModelRegistry::register) is the two in a row, except

@@ -64,6 +64,11 @@ echo "== bit-identity under AF_NUM_THREADS=1 =="
 # must hold at any thread count; re-run the pinning tests with the
 # runtime forced to a single thread.
 AF_NUM_THREADS=1 cargo test -q -p adaptivfloat --test plan_matches_backends
+# The codebooks against the analytic quantizers and scalar encoders, and
+# a warmed serve path that never takes the codebook cache's write lock.
+AF_NUM_THREADS=1 cargo test -q -p adaptivfloat --test lut_matches_analytic
+AF_NUM_THREADS=1 cargo test -q -p adaptivfloat --test lut_direct_index
+AF_NUM_THREADS=1 cargo test -q -p adaptivfloat --test lut_prewarm
 AF_NUM_THREADS=1 cargo test -q -p af-models --test frozen_batch
 AF_NUM_THREADS=1 cargo test -q -p af-models --test alloc_regression
 AF_NUM_THREADS=1 cargo test -q -p af-models --test fused_gemm
@@ -74,6 +79,8 @@ AF_NUM_THREADS=1 cargo test -q -p adaptivfloat --test codec_equivalence
 AF_NUM_THREADS=1 cargo test -q --test serve_e2e
 # Variants built from a resident FP32 twin equal cold builds bit for bit.
 AF_NUM_THREADS=1 cargo test -q -p af-serve --test checkpoint_reuse
+# Registered variants store the pinned container bytes.
+AF_NUM_THREADS=1 cargo test -q -p af-serve --test pinned_containers
 # Each weight is resident once per variant, and replicas share one
 # snapshot while owning their storage.
 AF_NUM_THREADS=1 cargo test -q -p af-serve --test resident_bytes
@@ -97,6 +104,9 @@ echo "== bit-identity under AF_FORCE_SCALAR=1 =="
 AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test simd_bitexact
 AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test kernel_bit_exact
 AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test plan_matches_backends
+AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test lut_matches_analytic
+AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test lut_direct_index
+AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test lut_prewarm
 AF_FORCE_SCALAR=1 cargo test -q -p af-tensor --lib
 AF_FORCE_SCALAR=1 cargo test -q -p af-tensor --test packed_gemm
 AF_FORCE_SCALAR=1 cargo test -q -p af-tensor --test gemm_oracle
@@ -104,6 +114,7 @@ AF_FORCE_SCALAR=1 cargo test -q -p af-models --test fused_gemm
 AF_FORCE_SCALAR=1 cargo test -q -p adaptivfloat --test codec_equivalence
 AF_FORCE_SCALAR=1 cargo test -q --test serve_e2e
 AF_FORCE_SCALAR=1 cargo test -q -p af-serve --test checkpoint_reuse
+AF_FORCE_SCALAR=1 cargo test -q -p af-serve --test pinned_containers
 AF_FORCE_SCALAR=1 cargo test -q -p af-serve --test resident_bytes
 AF_FORCE_SCALAR=1 cargo test -q -p af-fleet --test replica_independence
 
